@@ -138,18 +138,13 @@ def _step_dict(step: TransformStep) -> dict:
     }
 
 
-def _encode_witness(witness: Witness) -> str:
-    return json.dumps(
-        [_step_dict(s) for s in witness], sort_keys=True, separators=(",", ":")
-    )
-
-
-def _witness_key(witness: Witness) -> tuple[int, str]:
-    enc = _encode_witness(witness)
-    return (len(enc), enc)
+def _encode_step(step: TransformStep) -> str:
+    return json.dumps(_step_dict(step), sort_keys=True, separators=(",", ":"))
 
 
 def _compute_catalog(cls: SingularityClass) -> Catalog:
+    """Members with their witnesses; per member the witness whose compact
+    JSON encoding is shortest, then smallest, wins."""
     basic = cls.basic
     first_steps: list[TransformStep] = []
     for kind_all in (elementary_all, tie_all):
@@ -158,17 +153,19 @@ def _compute_catalog(cls: SingularityClass) -> Catalog:
     best: dict[str, tuple[tuple[int, str], CatalogMember]] = {}
     for s1 in first_steps:
         mid = s1.output
+        # the compact encoding of (s1, s2), built without re-encoding s1
+        head = "[" + _encode_step(s1) + ","
         for kind_all in (elementary_all, tie_all):
             for out, choice in kind_all(mid):
                 if not out.is_ade:
                     continue
                 s2 = TransformStep(choice, mid, out)
-                witness = (s1, s2)
-                key = _witness_key(witness)
+                enc = head + _encode_step(s2) + "]"
+                key = (len(enc), enc)
                 name = out.name
                 old = best.get(name)
                 if old is None or key < old[0]:
-                    best[name] = (key, CatalogMember(out, witness))
+                    best[name] = (key, CatalogMember(out, (s1, s2)))
     members = tuple(member for _, (_, member) in sorted(best.items()))
     return Catalog(cls, members)
 
@@ -307,10 +304,11 @@ def build_catalog(
         if path.is_file():
             try:
                 catalog = catalog_from_json(path.read_text(encoding="utf-8"))
+            except Exception:
+                pass  # unreadable, stale or malformed cache entry; recompute
+            else:
                 _CATALOG_MEMO[cls.symbol] = catalog
                 return catalog
-            except (ValueError, KeyError):
-                pass  # stale or corrupt cache entry; recompute
     catalog = _compute_catalog(cls)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)

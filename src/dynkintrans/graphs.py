@@ -96,7 +96,7 @@ G1 = ComponentType("G", 1)
 BC1 = ComponentType("BC", 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DynkinGraph:
     """A finite multiset of components; order never matters."""
 

@@ -48,17 +48,24 @@ class InvalidChoice(ValueError):
     """A transformation choice violates one of its defining conditions."""
 
 
-@dataclass(frozen=True)
+def _sorted_tuple(ids: Iterable[int]) -> tuple[int, ...]:
+    """``ids`` as a sorted tuple; an already sorted tuple is kept, not copied,
+    so choices that share their A-part share one tuple."""
+    t = tuple(ids)
+    return t if all(x <= y for x, y in zip(t, t[1:])) else tuple(sorted(t))
+
+
+@dataclass(frozen=True, slots=True)
 class ElementaryChoice:
     """Vertex indices of the extended graph removed by an elementary step."""
 
     removed: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "removed", tuple(sorted(self.removed)))
+        object.__setattr__(self, "removed", _sorted_tuple(self.removed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TieChoice:
     """The sets A (removed) and B (joined to the new vertex) of a tie step."""
 
@@ -66,8 +73,8 @@ class TieChoice:
     b: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(sorted(self.a)))
-        object.__setattr__(self, "b", tuple(sorted(self.b)))
+        object.__setattr__(self, "a", _sorted_tuple(self.a))
+        object.__setattr__(self, "b", _sorted_tuple(self.b))
 
 
 Choice = Union[ElementaryChoice, TieChoice]
@@ -177,6 +184,18 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # because elementary and tie enumeration range over the same submasks, and
 # every vertex of a residual carries a precomputed attachment descriptor
 # from which the shape of any tie fusion follows arithmetically.
+#
+# Tie enumeration works on a quotient.  On one component, what an A-part
+# contributes depends only on its signature: the gcd g of its coefficients
+# and, per residual piece, the piece type with the multiset of (attachment
+# descriptor, coefficient mod g) over the piece's vertices.  Each component
+# keeps the smallest A-part per signature, and for that A-part one
+# B-candidate per (piece, descriptor, coefficient mod g) class, the
+# smallest vertex of the class.  Witnesses are the same as over the full
+# product: A-parts of one signature have equal size, so the lex order of
+# the concatenated A splits by component; B-vertices lie in distinct
+# pieces, so swapping each for its class minimum can only lower B; and the
+# gcd condition reads the coefficients mod g only.
 # ---------------------------------------------------------------------------
 
 _NORM_CODE = {NORM_LONG: 0, NORM_HALF: 1, NORM_SHORT: 2}
@@ -210,8 +229,19 @@ def _decode(code: int) -> ComponentType:
     return ct
 
 
+# Outcome graphs are interned: each distinct graph is one shared immutable
+# instance, however many results hold it.  Like the component-type table it
+# outlives clear_transform_cache, which drops enumeration results only.
+_GRAPH_MEMO: dict[tuple[int, ...], DynkinGraph] = {}
+
+
 def _decode_graph(codes: tuple[int, ...]) -> DynkinGraph:
-    return DynkinGraph(tuple(_decode(c) for c in codes))
+    """The graph of a sorted code tuple; one shared instance per graph."""
+    g = _GRAPH_MEMO.get(codes)
+    if g is None:
+        g = DynkinGraph(tuple(_decode(c) for c in codes))
+        _GRAPH_MEMO[codes] = g
+    return g
 
 
 def _bits(mask: int) -> list[int]:
@@ -226,7 +256,10 @@ def _bits(mask: int) -> list[int]:
 class _CompCore:
     """Mask-level view of one extended component plus residual caches."""
 
-    __slots__ = ("lo", "size", "full", "adj", "coeff", "norm", "gcd_table", "abits", "_residuals")
+    __slots__ = (
+        "lo", "size", "full", "adj", "coeff", "norm", "gcd_table", "abits",
+        "_residuals", "_tie_reps",
+    )
 
     def __init__(self, ext: ExtendedGraph, comp: tuple[int, ...]):
         self.lo = comp[0]
@@ -254,6 +287,7 @@ class _CompCore:
         self.gcd_table = table
         self.abits = abits
         self._residuals: dict[int, "_Residual"] = {}
+        self._tie_reps: list["_TieRep"] | None = None
 
     def residual(self, mask: int) -> "_Residual":
         res = self._residuals.get(mask)
@@ -261,6 +295,27 @@ class _CompCore:
             res = _Residual(self, mask)
             self._residuals[mask] = res
         return res
+
+    def tie_reps(self) -> list["_TieRep"]:
+        """The smallest A-part of every tie signature, in ascending mask order."""
+        reps = self._tie_reps
+        if reps is None:
+            coeff = self.coeff
+            smallest: dict[tuple, int] = {}
+            for a in range(1, self.full + 1):
+                res = self.residual(self.full ^ a)
+                g = self.gcd_table[a]
+                desc = res.desc
+                sig = (g, tuple(sorted(
+                    (res.types[pid], tuple(sorted((desc[v] or (), coeff[v] % g) for v in _bits(piece))))
+                    for pid, piece in enumerate(res.pieces)
+                )))
+                old = smallest.get(sig)
+                if old is None or self.abits[a] < self.abits[old]:
+                    smallest[sig] = a
+            reps = [_TieRep(self, a) for a in sorted(smallest.values())]
+            self._tie_reps = reps
+        return reps
 
 
 # Attachment descriptors: how the new tie vertex may fasten to a residual
@@ -275,11 +330,10 @@ _D_SHORT = 2  # (2,): isolated norm-2/3 vertex; new--short is the G2 shape
 class _Residual:
     """Decomposition of one residual submask into classified pieces."""
 
-    __slots__ = ("pieces", "types", "piece_id", "desc", "positions")
+    __slots__ = ("pieces", "types", "piece_id", "desc")
 
     def __init__(self, comp: _CompCore, mask: int):
         adj = comp.adj
-        lo = comp.lo
         pieces: list[int] = []
         piece_id = [-1] * comp.size
         todo = mask
@@ -310,7 +364,6 @@ class _Residual:
         self.pieces = pieces
         self.piece_id = piece_id
         self.types = tuple(_classify_piece(comp, piece) for piece in pieces)
-        self.positions = tuple(v + lo for v in _bits(mask))
         desc: list[tuple | None] = [None] * comp.size
         norm = comp.norm
         for piece in pieces:
@@ -458,40 +511,49 @@ def _fuse3(d1: tuple, d2: tuple, d3: tuple) -> int | None:
     return _legs_code(*legs)
 
 
-class _Core:
-    """Mask-level view of a full extended graph."""
+class _TieRep:
+    """One tie signature of a component: its smallest A-part and B-candidates.
 
-    __slots__ = ("ext", "n", "comps", "comp_of", "coeff", "norm", "adj")
+    ``cands`` holds one entry (vertex, piece id, descriptor, coefficient,
+    piece type) per (piece, descriptor, coefficient mod g) class, for its
+    smallest vertex, in ascending vertex order; vertices without an
+    attachment descriptor can never take part in a fusion and are left out.
+    """
 
-    def __init__(self, g: DynkinGraph):
-        ext = extend(g)
-        self.ext = ext
-        self.n = ext.n
-        self.comps = [_CompCore(ext, comp) for comp in ext.components]
-        comp_of = [0] * ext.n
-        for ci, comp in enumerate(ext.components):
-            for v in comp:
-                comp_of[v] = ci
-        self.comp_of = comp_of
-        self.coeff = list(ext.coefficients)
-        self.norm = [_NORM_CODE[ext.base.norm(v)] for v in range(ext.n)]
-        adj = [0] * ext.n
-        for i, j, _val in ext.base.edges:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        self.adj = adj
+    __slots__ = ("a", "g", "types", "cands")
+
+    def __init__(self, comp: _CompCore, a: int):
+        res = comp.residual(comp.full ^ a)
+        g = comp.gcd_table[a]
+        self.a = comp.abits[a]
+        self.g = g
+        self.types = res.types
+        seen = set()
+        cands = []
+        for v in _bits(comp.full ^ a):
+            d = res.desc[v]
+            if d is None:
+                continue
+            pid = res.piece_id[v]
+            cls = (pid, d, comp.coeff[v] % g)
+            if cls not in seen:
+                seen.add(cls)
+                cands.append((v + comp.lo, pid, d, comp.coeff[v], res.types[pid]))
+        self.cands = tuple(cands)
 
 
-_CORE_MEMO: dict[str, _Core] = {}
+_CORE_MEMO: dict[str, list[_CompCore]] = {}
 
 
-def _core(g: DynkinGraph) -> _Core:
+def _core(g: DynkinGraph) -> list[_CompCore]:
+    """Mask-level views of the extended components of ``g``, memoized by name."""
     key = canonical_name(g)
-    core = _CORE_MEMO.get(key)
-    if core is None:
-        core = _Core(g)
-        _CORE_MEMO[key] = core
-    return core
+    comps = _CORE_MEMO.get(key)
+    if comps is None:
+        ext = extend(g)
+        comps = [_CompCore(ext, comp) for comp in ext.components]
+        _CORE_MEMO[key] = comps
+    return comps
 
 
 _MEMO_ELEMENTARY: dict[str, list[tuple[DynkinGraph, ElementaryChoice]]] = {}
@@ -517,9 +579,8 @@ def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]
     cached = _MEMO_ELEMENTARY.get(key)
     if cached is not None:
         return list(cached)
-    core = _core(g)
     per_comp: list[dict[tuple[int, ...], tuple[int, ...]]] = []
-    for comp in core.comps:
+    for comp in _core(g):
         opts: dict[tuple[int, ...], tuple[int, ...]] = {}
         for removed in range(1, comp.full + 1):
             residual = comp.full ^ removed
@@ -547,18 +608,22 @@ def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]
 def tie_all(g: DynkinGraph) -> list[tuple[DynkinGraph, TieChoice]]:
     """All outcomes of tie transformations of ``g``.
 
-    Enumerates every admissible (A, B) over the extended graph: at least
-    one A-vertex per component, A and B disjoint, #B <= 3, per-component
-    gcd of the A-coefficients and the B-coefficient sum equal to 1.  Only
-    choices whose outcome is a Dynkin graph are kept; outcomes are
-    deduplicated by canonical name with the smallest (A, B) witness.
+    Covers every admissible (A, B) over the extended graph: at least one
+    A-vertex per component, A and B disjoint, #B <= 3, per-component gcd of
+    the A-coefficients and the B-coefficient sum equal to 1.  Only choices
+    whose outcome is a Dynkin graph are kept; outcomes are deduplicated by
+    canonical name with the smallest (A, B) witness.
+
+    The enumeration runs over one A-part per component signature and one
+    B-candidate per vertex class (see the notes on the enumeration core),
+    which finds every outcome and the same smallest witness as the full
+    product of A-submasks and vertex subsets.
     """
     key = canonical_name(g)
     cached = _MEMO_TIE.get(key)
     if cached is not None:
         return list(cached)
-    core = _core(g)
-    comps = core.comps
+    comps = _core(g)
     results: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     if not comps:
@@ -566,94 +631,60 @@ def tie_all(g: DynkinGraph) -> list[tuple[DynkinGraph, TieChoice]]:
         # lands isolated.
         results[(_CODE_A1,)] = ((), ())
     else:
-        coeff = core.coeff
-        comp_of = core.comp_of
         combinations = itertools.combinations
         resget = results.get
-        ncomps = len(comps)
-        los = [c.lo for c in comps]
-        ranges = [range(1, c.full + 1) for c in comps]
-        mixed_idx = [i for i, c in enumerate(comps) if any(x != 1 for x in c.coeff)]
-        for a_combo in itertools.product(*ranges):
-            bad = [i for i in mixed_idx if comps[i].gcd_table[a_combo[i]] != 1]
+        for combo in itertools.product(*(c.tie_reps() for c in comps)):
+            bad = [(ci, rep.g) for ci, rep in enumerate(combo) if rep.g != 1]
             if len(bad) > 3:
-                continue
-            residuals = []
-            a_parts = []
-            all_types: list[int] = []
-            positions: list[int] = []
-            descs: list[tuple | None] = [None] * core.n
-            for i in range(ncomps):
-                c = comps[i]
-                a = a_combo[i]
-                res = c.residual(c.full ^ a)
-                residuals.append(res)
-                a_parts.append(c.abits[a])
-                all_types.extend(res.types)
-                positions.extend(res.positions)
-                lo = c.lo
-                rdesc = res.desc
-                for p in res.positions:
-                    descs[p] = rdesc[p - lo]
-            a_tuple = tuple(v for part in a_parts for v in part)
+                continue  # every bad component needs a B-vertex of its own
+            a_tuple = tuple(v for rep in combo for v in rep.a)
+            all_types = [t for rep in combo for t in rep.types]
             if not bad:
                 types = tuple(sorted(all_types + [_CODE_A1]))
                 old = resget(types)
                 if old is None or (a_tuple, ()) < old:
                     results[types] = (a_tuple, ())
+            # (vertex, (component, piece id), descriptor, coefficient, piece type)
+            cands = [
+                (v, (ci, pid), d, coeff, ptype)
+                for ci, rep in enumerate(combo)
+                for v, pid, d, coeff, ptype in rep.cands
+            ]
             for k in (1, 2, 3):
-                for b in combinations(positions, k):
+                for bs in combinations(cands, k):
+                    # two B-vertices in one piece would close a cycle
+                    if k == 1:
+                        fused = _fuse1(bs[0][2])
+                    elif k == 2:
+                        c0, c1 = bs
+                        if c0[1] == c1[1]:
+                            continue
+                        fused = _fuse2(c0[2], c1[2])
+                    else:
+                        c0, c1, c2 = bs
+                        if c0[1] == c1[1] or c0[1] == c2[1] or c1[1] == c2[1]:
+                            continue
+                        fused = _fuse3(c0[2], c1[2], c2[2])
+                    if fused is None:
+                        continue
                     if bad:
                         ok = True
-                        for ci in bad:
+                        for ci, gc in bad:
                             nsum = 0
-                            for v in b:
-                                if comp_of[v] == ci:
-                                    nsum += coeff[v]
-                            if gcd(comps[ci].gcd_table[a_combo[ci]], nsum) != 1:
+                            for c in bs:
+                                if c[1][0] == ci:
+                                    nsum += c[3]
+                            if gcd(gc, nsum) != 1:
                                 ok = False
                                 break
                         if not ok:
                             continue
-                    if k == 1:
-                        v0 = b[0]
-                        d0 = descs[v0]
-                        if d0 is None:
-                            continue
-                        fused = _fuse1(d0)
-                        if fused is None:
-                            continue
-                        ci0 = comp_of[v0]
-                        touched = ((ci0, residuals[ci0].piece_id[v0 - los[ci0]]),)
-                    else:
-                        touched_list = []
-                        ds = []
-                        valid = True
-                        for v in b:
-                            d = descs[v]
-                            if d is None:
-                                valid = False
-                                break
-                            ci = comp_of[v]
-                            pid = residuals[ci].piece_id[v - los[ci]]
-                            tk = (ci, pid)
-                            if tk in touched_list:
-                                # two B-vertices in one piece close a cycle
-                                valid = False
-                                break
-                            touched_list.append(tk)
-                            ds.append(d)
-                        if not valid:
-                            continue
-                        fused = _fuse2(*ds) if k == 2 else _fuse3(*ds)
-                        if fused is None:
-                            continue
-                        touched = tuple(touched_list)
                     types_list = list(all_types)
-                    for ci, pid in touched:
-                        types_list.remove(residuals[ci].types[pid])
+                    for c in bs:
+                        types_list.remove(c[4])
                     types_list.append(fused)
                     types = tuple(sorted(types_list))
+                    b = tuple(c[0] for c in bs)
                     old = resget(types)
                     if old is None or (a_tuple, b) < old:
                         results[types] = (a_tuple, b)

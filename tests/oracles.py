@@ -121,24 +121,35 @@ def _tie_graph(ext, a: set[int], b: tuple[int, ...]) -> LabeledGraph:
     return LabeledGraph(verts, tuple(edges))
 
 
-def naive_elementary_all(g: DynkinGraph) -> set[str]:
-    """Outcome names of every elementary removal, replayed literally."""
+def naive_elementary_witnesses(g: DynkinGraph) -> dict[str, tuple[int, ...]]:
+    """Smallest removed set per outcome name over every elementary removal,
+    replayed literally."""
     ext = extend(g)
     per_comp = [
         [set(sub) for r in range(1, len(comp) + 1) for sub in itertools.combinations(comp, r)]
         for comp in ext.components
     ]
-    names: set[str] = set()
+    best: dict[str, tuple[int, ...]] = {}
     for pick in itertools.product(*per_comp) if per_comp else [()]:
         removed = set().union(*pick) if pick else set()
         out = oracle_classify(_removed_graph(ext, removed))
         assert out is not None, "elementary outcome failed oracle classification"
-        names.add(out.name)
-    return names
+        key = tuple(sorted(removed))
+        if out.name not in best or key < best[out.name]:
+            best[out.name] = key
+    return best
 
 
-def naive_tie_all(g: DynkinGraph, max_b: int = 3) -> set[str]:
-    """Outcome names of every admissible tie choice, replayed literally."""
+def naive_elementary_all(g: DynkinGraph) -> set[str]:
+    """Outcome names of every elementary removal, replayed literally."""
+    return set(naive_elementary_witnesses(g))
+
+
+def naive_tie_witnesses(
+    g: DynkinGraph, max_b: int = 3
+) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Smallest (A, B) per outcome name over every admissible tie choice,
+    replayed literally."""
     from math import gcd
 
     ext = extend(g)
@@ -146,7 +157,7 @@ def naive_tie_all(g: DynkinGraph, max_b: int = 3) -> set[str]:
         [set(sub) for r in range(1, len(comp) + 1) for sub in itertools.combinations(comp, r)]
         for comp in ext.components
     ]
-    names: set[str] = set()
+    best: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for pick in itertools.product(*per_comp) if per_comp else [()]:
         a = set().union(*pick) if pick else set()
         rest = [v for v in range(ext.n) if v not in a]
@@ -166,8 +177,15 @@ def naive_tie_all(g: DynkinGraph, max_b: int = 3) -> set[str]:
                     continue
                 out = oracle_classify(_tie_graph(ext, a, b))
                 if out is not None:
-                    names.add(out.name)
-    return names
+                    key = (tuple(sorted(a)), b)
+                    if out.name not in best or key < best[out.name]:
+                        best[out.name] = key
+    return best
+
+
+def naive_tie_all(g: DynkinGraph, max_b: int = 3) -> set[str]:
+    """Outcome names of every admissible tie choice, replayed literally."""
+    return set(naive_tie_witnesses(g, max_b))
 
 
 def reflection_root_closure(ct: ComponentType) -> set[tuple[int, ...]]:

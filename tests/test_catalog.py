@@ -155,6 +155,12 @@ class TestMembership:
             count += 1
         assert count > 100  # the family is substantial
 
+    def test_non_ade_query_rejected(self, catalog_cache_dir):
+        with pytest.raises(QueryNotADE):
+            membership("E12", parse_name("BC1"), cache_dir=catalog_cache_dir)
+        with pytest.raises(QueryNotADE):
+            membership("Z13", parse_name("A3+G2"), cache_dir=catalog_cache_dir)
+
 
 def _ade_graphs_with_total(total: int):
     """Every ADE graph (multiset of components) with the given vertex count."""
@@ -176,12 +182,6 @@ def _ade_graphs_with_total(total: int):
                 chosen.pop()
 
     yield from rec(total, 0, [])
-
-    def test_non_ade_query_rejected(self, catalog_cache_dir):
-        with pytest.raises(QueryNotADE):
-            membership("E12", parse_name("BC1"), cache_dir=catalog_cache_dir)
-        with pytest.raises(QueryNotADE):
-            membership("Z13", parse_name("A3+G2"), cache_dir=catalog_cache_dir)
 
 
 class TestSerialization:
@@ -220,6 +220,25 @@ class TestSerialization:
         second = build_catalog("Q10", cache=True, cache_dir=tmp_path)
         assert catalog_to_json(first) == catalog_to_json(second)
         assert second.get("E6") is not None
+
+    def test_wrong_shape_cache_file_is_recomputed(self, tmp_path, fresh_memory_cache):
+        # a well-formed JSON file whose "members" is an object, not a list
+        good = catalog_to_json(build_catalog("Q10", cache=False))
+        data = json.loads(good)
+        data["members"] = {e["name"]: e["witness"] for e in data["members"]}
+        path = tmp_path / "Q10-v1.json"
+        path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        from dynkintrans.catalog import clear_memory_cache
+
+        clear_memory_cache()
+        witness = membership("Q10", parse_name("A1"), cache_dir=tmp_path)
+        assert witness is not None and witness[1].replay() == parse_name("A1")
+        assert path.read_text(encoding="utf-8") == good
+
+    def test_unreadable_cache_entry_is_recomputed(self, tmp_path, fresh_memory_cache):
+        (tmp_path / "Q10-v1.json").write_bytes(b"\xff\xfe not utf-8")
+        catalog = build_catalog("Q10", cache=True, cache_dir=tmp_path)
+        assert catalog.get("E6") is not None
 
     def test_witness_replay_after_deserialization(self, all_catalogs):
         catalog = catalog_from_json(catalog_to_json(all_catalogs["Q10"]))

@@ -1,9 +1,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from dynkintrans.graphs import (
+    A,
+    BC1,
+    D,
+    DynkinGraph,
+    E,
     EMPTY,
+    G1,
+    G2,
     NotADynkinGraph,
     extend,
     parse_name,
@@ -19,7 +28,14 @@ from dynkintrans.transforms import (
     tie_all,
 )
 
-from oracles import gram_isomorphic, naive_elementary_all, naive_tie_all, oracle_classify
+from oracles import (
+    gram_isomorphic,
+    naive_elementary_all,
+    naive_elementary_witnesses,
+    naive_tie_all,
+    naive_tie_witnesses,
+    oracle_classify,
+)
 
 
 def names(results) -> set[str]:
@@ -214,3 +230,41 @@ class TestInvariants:
             for _, choice in tie_all(g)[:5]:
                 labels = {val for _, _, val in apply_labeled(g, choice).edges}
                 assert labels <= allowed
+
+
+# Component types for the witness-minimality property: the paths, plus every
+# type of at most six vertices whose extended graph has a coefficient above 1
+# (D4-D6, E6, G2, BC1), where the gcd condition and the classes of
+# coefficients mod gcd decide which choices are admissible.
+SMALL_TYPES = [A(k) for k in range(1, 7)] + [D(4), D(5), D(6), E(6), G2, G1, BC1]
+
+
+@st.composite
+def small_graphs(draw) -> DynkinGraph:
+    """Graphs with at most two components and at most six vertices."""
+    first = draw(st.sampled_from(SMALL_TYPES))
+    fits = [ct for ct in SMALL_TYPES if ct.vertex_count + first.vertex_count <= 6]
+    second = draw(st.lists(st.sampled_from(fits), max_size=1)) if fits else []
+    return DynkinGraph((first, *second))
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_graphs())
+@example(parse_name("E6"))
+@example(parse_name("D6"))
+@example(parse_name("D4+G2"))
+@example(parse_name("D4+BC1"))
+@example(parse_name("G2+BC1"))
+def test_witnesses_are_lexicographic_minima(g):
+    # the oracles replay every admissible choice literally and keep the
+    # smallest (A, B), or the smallest removed set, per outcome
+    ties = tie_all(g)
+    elems = elementary_all(g)
+    tie_minima = naive_tie_witnesses(g)
+    elem_minima = naive_elementary_witnesses(g)
+    assert names(ties) == set(tie_minima)
+    assert names(elems) == set(elem_minima)
+    for out, choice in ties + elems:
+        assert apply(g, choice) == out
+    assert {out.name: (choice.a, choice.b) for out, choice in ties} == tie_minima
+    assert {out.name: choice.removed for out, choice in elems} == elem_minima
