@@ -12,9 +12,9 @@ extended graph carrying maximal-root coefficients (``graphs.extend``).
   removes A and joins one new norm-2 vertex to every vertex of B.  Only
   choices whose outcome is again a Dynkin graph are kept.
 
-``elementary_all`` and ``tie_all`` enumerate every admissible choice,
-deduplicate outcomes by canonical name and keep one replayable witness per
-distinct outcome.  ``apply`` replays a single recorded choice through the
+``elementary_all`` and ``tie_all`` find the outcome of every admissible
+choice, deduplicate outcomes by canonical name and keep one replayable
+witness per distinct outcome, the smallest choice that gives it.  ``apply`` replays a single recorded choice through the
 generic labeled-graph path, independently of the enumeration engine.
 
 Choice indices always refer to the documented vertex ordering of
@@ -181,9 +181,10 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # as single integers whose natural order is the canonical component order
 # (family rank ascending, subscript descending), so result multisets are
 # plain sorted int tuples.  Residual structure is cached per component
-# because elementary and tie enumeration range over the same submasks, and
-# every vertex of a residual carries a precomputed attachment descriptor
-# from which the shape of any tie fusion follows arithmetically.
+# type, shared by every graph containing it, because elementary and tie
+# enumeration range over the same submasks, and every vertex of a residual
+# carries a precomputed attachment descriptor from which the shape of any
+# tie fusion follows arithmetically.
 #
 # Tie enumeration works on a quotient.  On one component, what an A-part
 # contributes depends only on its signature: the gcd g of its coefficients
@@ -254,28 +255,27 @@ def _bits(mask: int) -> list[int]:
 
 
 class _CompCore:
-    """Mask-level view of one extended component plus residual caches."""
+    """Mask-level view of the extended graph of one component type, with
+    residual caches; vertex indices are local to the component."""
 
     __slots__ = (
-        "lo", "size", "full", "adj", "coeff", "norm", "gcd_table", "abits",
+        "size", "full", "adj", "coeff", "norm", "gcd_table", "abits",
         "_residuals", "_tie_reps",
     )
 
-    def __init__(self, ext: ExtendedGraph, comp: tuple[int, ...]):
-        self.lo = comp[0]
-        self.size = len(comp)
+    def __init__(self, ct: ComponentType):
+        ext = extend(DynkinGraph((ct,)))
+        self.size = ext.n
         self.full = (1 << self.size) - 1
         adj = [0] * self.size
-        inside = set(comp)
         for i, j, _val in ext.base.edges:
-            if i in inside and j in inside:
-                adj[i - self.lo] |= 1 << (j - self.lo)
-                adj[j - self.lo] |= 1 << (i - self.lo)
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
         self.adj = adj
-        self.coeff = [ext.coefficients[v] for v in comp]
-        self.norm = [_NORM_CODE[ext.base.norm(v)] for v in comp]
+        self.coeff = list(ext.coefficients)
+        self.norm = [_NORM_CODE[ext.base.norm(v)] for v in range(self.size)]
         # gcd of the coefficients picked by each submask, and the submask's
-        # member list in ascending global indices
+        # member list in ascending order
         table = [0] * (1 << self.size)
         abits: list[tuple[int, ...]] = [()] * (1 << self.size)
         for m in range(1, 1 << self.size):
@@ -283,7 +283,7 @@ class _CompCore:
             v = low.bit_length() - 1
             rest = m ^ low
             table[m] = gcd(table[rest], self.coeff[v])
-            abits[m] = (v + self.lo,) + abits[rest]
+            abits[m] = (v,) + abits[rest]
         self.gcd_table = table
         self.abits = abits
         self._residuals: dict[int, "_Residual"] = {}
@@ -538,22 +538,29 @@ class _TieRep:
             cls = (pid, d, comp.coeff[v] % g)
             if cls not in seen:
                 seen.add(cls)
-                cands.append((v + comp.lo, pid, d, comp.coeff[v], res.types[pid]))
+                cands.append((v, pid, d, comp.coeff[v], res.types[pid]))
         self.cands = tuple(cands)
 
 
-_CORE_MEMO: dict[str, list[_CompCore]] = {}
+_CORE_MEMO: dict[ComponentType, _CompCore] = {}
 
 
-def _core(g: DynkinGraph) -> list[_CompCore]:
-    """Mask-level views of the extended components of ``g``, memoized by name."""
-    key = canonical_name(g)
-    comps = _CORE_MEMO.get(key)
-    if comps is None:
-        ext = extend(g)
-        comps = [_CompCore(ext, comp) for comp in ext.components]
-        _CORE_MEMO[key] = comps
-    return comps
+def _core(g: DynkinGraph) -> list[tuple[int, _CompCore]]:
+    """(first vertex index, core) of every component of ``extend(g)``.
+
+    ``extend`` lays the components out one after the other, each in the
+    vertex order of its own extended graph, so one core per component type
+    serves every graph that contains it.
+    """
+    out = []
+    lo = 0
+    for ct in g.components:
+        core = _CORE_MEMO.get(ct)
+        if core is None:
+            core = _CORE_MEMO[ct] = _CompCore(ct)
+        out.append((lo, core))
+        lo += core.size
+    return out
 
 
 _MEMO_ELEMENTARY: dict[str, list[tuple[DynkinGraph, ElementaryChoice]]] = {}
@@ -580,7 +587,7 @@ def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]
     if cached is not None:
         return list(cached)
     per_comp: list[dict[tuple[int, ...], tuple[int, ...]]] = []
-    for comp in _core(g):
+    for lo, comp in _core(g):
         opts: dict[tuple[int, ...], tuple[int, ...]] = {}
         for removed in range(1, comp.full + 1):
             residual = comp.full ^ removed
@@ -589,7 +596,7 @@ def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]
             old = opts.get(ts)
             if old is None or enc < old:
                 opts[ts] = enc
-        per_comp.append(opts)
+        per_comp.append({ts: tuple(v + lo for v in enc) for ts, enc in opts.items()})
     results: dict[tuple[int, ...], tuple[int, ...]] = {}
     for combo in itertools.product(*(list(o.items()) for o in per_comp)):
         types = tuple(sorted(t for ts, _ in combo for t in ts))
@@ -623,33 +630,43 @@ def tie_all(g: DynkinGraph) -> list[tuple[DynkinGraph, TieChoice]]:
     cached = _MEMO_TIE.get(key)
     if cached is not None:
         return list(cached)
-    comps = _core(g)
+    cores = _core(g)
     results: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
-    if not comps:
+    if not cores:
         # The empty graph has no components; A = B = {} and the new vertex
         # lands isolated.
         results[(_CODE_A1,)] = ((), ())
     else:
         combinations = itertools.combinations
         resget = results.get
-        for combo in itertools.product(*(c.tie_reps() for c in comps)):
-            bad = [(ci, rep.g) for ci, rep in enumerate(combo) if rep.g != 1]
+        # per component, its signature representatives in graph indices:
+        # (A-part, gcd, residual types, B-candidates), where a B-candidate is
+        # (vertex, (component, piece id), descriptor, coefficient, piece type)
+        options = [
+            [
+                (
+                    tuple(v + lo for v in rep.a),
+                    rep.g,
+                    rep.types,
+                    [(v + lo, (ci, pid), d, c, t) for v, pid, d, c, t in rep.cands],
+                )
+                for rep in core.tie_reps()
+            ]
+            for ci, (lo, core) in enumerate(cores)
+        ]
+        for combo in itertools.product(*options):
+            bad = [(ci, opt[1]) for ci, opt in enumerate(combo) if opt[1] != 1]
             if len(bad) > 3:
                 continue  # every bad component needs a B-vertex of its own
-            a_tuple = tuple(v for rep in combo for v in rep.a)
-            all_types = [t for rep in combo for t in rep.types]
+            a_tuple = tuple(v for opt in combo for v in opt[0])
+            all_types = [t for opt in combo for t in opt[2]]
             if not bad:
                 types = tuple(sorted(all_types + [_CODE_A1]))
                 old = resget(types)
                 if old is None or (a_tuple, ()) < old:
                     results[types] = (a_tuple, ())
-            # (vertex, (component, piece id), descriptor, coefficient, piece type)
-            cands = [
-                (v, (ci, pid), d, coeff, ptype)
-                for ci, rep in enumerate(combo)
-                for v, pid, d, coeff, ptype in rep.cands
-            ]
+            cands = [c for opt in combo for c in opt[3]]
             for k in (1, 2, 3):
                 for bs in combinations(cands, k):
                     # two B-vertices in one piece would close a cycle

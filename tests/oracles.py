@@ -38,6 +38,9 @@ def gram_isomorphic(left: LabeledGraph, right: LabeledGraph) -> bool:
     if left.n != right.n:
         return False
     gl, gr = gram(left), gram(right)
+    # isomorphic matrices have the same multiset of sorted rows
+    if sorted(sorted(row) for row in gl) != sorted(sorted(row) for row in gr):
+        return False
     n = left.n
     used = [False] * n
     image: list[int] = []
@@ -90,15 +93,30 @@ def _candidate_types(size: int) -> list[ComponentType]:
     return out
 
 
+# Component type by exact Gram matrix.  gram_isomorphic reads nothing but
+# the two Gram matrices, so equal matrices always get the same answer.
+_TYPE_BY_GRAM: dict[tuple, ComponentType | None] = {}
+
+
+def _component_type(comp: LabeledGraph) -> ComponentType | None:
+    key = tuple(map(tuple, gram(comp)))
+    if key not in _TYPE_BY_GRAM:
+        _TYPE_BY_GRAM[key] = next(
+            (
+                ct
+                for ct in _candidate_types(comp.n)
+                if gram_isomorphic(comp, realize(DynkinGraph((ct,))))
+            ),
+            None,
+        )
+    return _TYPE_BY_GRAM[key]
+
+
 def oracle_classify(lg: LabeledGraph) -> DynkinGraph | None:
     """Match every component against the realize() catalog by isomorphism."""
     found = []
     for comp in component_subgraphs(lg):
-        hit = None
-        for ct in _candidate_types(comp.n):
-            if gram_isomorphic(comp, realize(DynkinGraph((ct,)))):
-                hit = ct
-                break
+        hit = _component_type(comp)
         if hit is None:
             return None
         found.append(hit)

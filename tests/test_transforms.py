@@ -248,7 +248,7 @@ def small_graphs(draw) -> DynkinGraph:
     return DynkinGraph((first, *second))
 
 
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(small_graphs())
 @example(parse_name("E6"))
 @example(parse_name("D6"))
