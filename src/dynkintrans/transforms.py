@@ -52,7 +52,8 @@ def _sorted_tuple(ids: Iterable[int]) -> tuple[int, ...]:
     """``ids`` as a sorted tuple; an already sorted tuple is kept, not copied,
     so choices that share their A-part share one tuple."""
     t = tuple(ids)
-    return t if all(x <= y for x, y in zip(t, t[1:])) else tuple(sorted(t))
+    s = tuple(sorted(t))
+    return t if s == t else s
 
 
 @dataclass(frozen=True, slots=True)

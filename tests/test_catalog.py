@@ -221,24 +221,23 @@ class TestSerialization:
         assert catalog_to_json(first) == catalog_to_json(second)
         assert second.get("E6") is not None
 
-    def test_wrong_shape_cache_file_is_recomputed(self, tmp_path, fresh_memory_cache):
-        # a well-formed JSON file whose "members" is an object, not a list
+    @pytest.mark.parametrize("damage", ["members as an object", "not utf-8"])
+    def test_bad_cache_file_is_recomputed(self, tmp_path, fresh_memory_cache, damage):
         good = catalog_to_json(build_catalog("Q10", cache=False))
-        data = json.loads(good)
-        data["members"] = {e["name"]: e["witness"] for e in data["members"]}
         path = tmp_path / "Q10-v1.json"
-        path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        if damage == "not utf-8":
+            path.write_bytes(b"\xff\xfe" + good.encode("utf-8"))
+        else:
+            # well-formed JSON of the wrong shape
+            data = json.loads(good)
+            data["members"] = {e["name"]: e["witness"] for e in data["members"]}
+            path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         from dynkintrans.catalog import clear_memory_cache
 
         clear_memory_cache()
         witness = membership("Q10", parse_name("A1"), cache_dir=tmp_path)
         assert witness is not None and witness[1].replay() == parse_name("A1")
         assert path.read_text(encoding="utf-8") == good
-
-    def test_unreadable_cache_entry_is_recomputed(self, tmp_path, fresh_memory_cache):
-        (tmp_path / "Q10-v1.json").write_bytes(b"\xff\xfe not utf-8")
-        catalog = build_catalog("Q10", cache=True, cache_dir=tmp_path)
-        assert catalog.get("E6") is not None
 
     def test_witness_replay_after_deserialization(self, all_catalogs):
         catalog = catalog_from_json(catalog_to_json(all_catalogs["Q10"]))
