@@ -14,8 +14,9 @@ extended graph carrying maximal-root coefficients (``graphs.extend``).
 
 ``elementary_all`` and ``tie_all`` find the outcome of every admissible
 choice, deduplicate outcomes by canonical name and keep one replayable
-witness per distinct outcome, the smallest choice that gives it.  ``apply`` replays a single recorded choice through the
-generic labeled-graph path, independently of the enumeration engine.
+witness per distinct outcome, the smallest choice that gives it.
+``apply`` replays a single recorded choice through the generic
+labeled-graph path, independently of the enumeration engine.
 
 Choice indices always refer to the documented vertex ordering of
 ``graphs.extend`` on the input graph, so witnesses are stable across runs.
@@ -306,11 +307,12 @@ class _CompCore:
             for a in range(1, self.full + 1):
                 res = self.residual(self.full ^ a)
                 g = self.gcd_table[a]
-                desc = res.desc
-                sig = (g, tuple(sorted(
-                    (res.types[pid], tuple(sorted((desc[v] or (), coeff[v] % g) for v in _bits(piece))))
-                    for pid, piece in enumerate(res.pieces)
-                )))
+                pieces = []
+                for pid, piece in enumerate(res.pieces):
+                    # a None descriptor sorts as (), below every real one
+                    classes = sorted((res.desc[v] or (), coeff[v] % g) for v in _bits(piece))
+                    pieces.append((res.types[pid], tuple(classes)))
+                sig = (g, tuple(sorted(pieces)))
                 old = smallest.get(sig)
                 if old is None or self.abits[a] < self.abits[old]:
                     smallest[sig] = a
