@@ -232,9 +232,9 @@ class TestInvariants:
                 assert labels <= allowed
 
 
-# Component types for the witness-minimality property: the paths, plus every
-# type of at most six vertices whose extended graph has a coefficient above 1
-# (D4-D6, E6, G2, BC1), where the gcd condition and the classes of
+# Component types for the witness-minimality property: A1-A6 and G1, plus
+# every type of at most six vertices whose extended graph has a coefficient
+# above 1 (D4-D6, E6, G2, BC1), where the gcd condition and the classes of
 # coefficients mod gcd decide which choices are admissible.
 SMALL_TYPES = [A(k) for k in range(1, 7)] + [D(4), D(5), D(6), E(6), G2, G1, BC1]
 
