@@ -138,35 +138,76 @@ def _step_dict(step: TransformStep) -> dict:
     }
 
 
-def _encode_step(step: TransformStep) -> str:
-    return json.dumps(_step_dict(step), sort_keys=True, separators=(",", ":"))
+def _encode_step(choice: Choice, input_name: str) -> str:
+    """The compact JSON of the step applying ``choice`` to the graph named
+    ``input_name``: ``json.dumps(_step_dict(step), sort_keys=True,
+    separators=(",", ":"))``, built directly.  Names use only [A-Z0-9+] and
+    indices are ints, so nothing needs escaping."""
+    if isinstance(choice, ElementaryChoice):
+        return '{"input":"%s","kind":"elementary","removed":[%s]}' % (
+            input_name,
+            ",".join(map(str, choice.removed)),
+        )
+    return '{"a":[%s],"b":[%s],"input":"%s","kind":"tie"}' % (
+        ",".join(map(str, choice.a)),
+        ",".join(map(str, choice.b)),
+        input_name,
+    )
 
 
 def _compute_catalog(cls: SingularityClass) -> Catalog:
-    """Members with their witnesses; per member the witness whose compact
-    JSON encoding is shortest, then smallest, wins."""
+    """Members with their witnesses.
+
+    Per member the witness (s1, s2) whose compact JSON encoding
+    ``"[" + enc1 + "," + enc2 + "]"`` is shortest, then smallest, wins.
+    That key orders by ``(len(enc1), enc1)`` for a fixed s2, and by
+    ``(len(enc2), enc2)`` for a fixed s1: lengths add up, and among keys of
+    equal length the first difference lies inside the step that differs.
+    So the selection runs per intermediate graph, with no key built per
+    candidate:
+
+    - of the (at most two) first steps reaching one intermediate, keep the
+      one with the smaller ``(len(enc1), enc1)``;
+    - enumerate each intermediate's second steps once, and compare a
+      candidate with the member's best so far by ``len(enc1) + len(enc2)``,
+      building the two keys only when those lengths tie.
+
+    Second steps and members are made for the winners only.
+    """
     basic = cls.basic
-    first_steps: list[TransformStep] = []
+    basic_name = basic.name
+    # intermediate name -> (enc1, first step)
+    firsts: dict[str, tuple[str, TransformStep]] = {}
     for kind_all in (elementary_all, tie_all):
-        for out, choice in kind_all(basic):
-            first_steps.append(TransformStep(choice, basic, out))
-    best: dict[str, tuple[tuple[int, str], CatalogMember]] = {}
-    for s1 in first_steps:
-        mid = s1.output
-        # the compact encoding of (s1, s2), built without re-encoding s1
-        head = "[" + _encode_step(s1) + ","
+        for mid, choice in kind_all(basic):
+            enc1 = _encode_step(choice, basic_name)
+            name = mid.name
+            old = firsts.get(name)
+            if old is None or (len(enc1), enc1) < (len(old[0]), old[0]):
+                firsts[name] = (enc1, TransformStep(choice, basic, mid))
+    # member name -> (len(enc1) + len(enc2), enc1, enc2, first step,
+    # member graph, second-step choice)
+    best: dict[str, tuple[int, str, str, TransformStep, DynkinGraph, Choice]] = {}
+    for mid_name, (enc1, s1) in firsts.items():
+        len1 = len(enc1)
         for kind_all in (elementary_all, tie_all):
-            for out, choice in kind_all(mid):
+            for out, choice in kind_all(s1.output):
                 if not out.is_ade:
                     continue
-                s2 = TransformStep(choice, mid, out)
-                enc = head + _encode_step(s2) + "]"
-                key = (len(enc), enc)
+                enc2 = _encode_step(choice, mid_name)
+                length = len1 + len(enc2)
                 name = out.name
                 old = best.get(name)
-                if old is None or key < old[0]:
-                    best[name] = (key, CatalogMember(out, (s1, s2)))
-    members = tuple(member for _, (_, member) in sorted(best.items()))
+                if old is not None:
+                    if length > old[0]:
+                        continue
+                    if length == old[0] and enc1 + "," + enc2 >= old[1] + "," + old[2]:
+                        continue
+                best[name] = (length, enc1, enc2, s1, out, choice)
+    members = tuple(
+        CatalogMember(out, (s1, TransformStep(choice, s1.output, out)))
+        for _, _, _, s1, out, choice in (best[name] for name in sorted(best))
+    )
     return Catalog(cls, members)
 
 
@@ -249,9 +290,13 @@ def catalog_from_dict(data: dict) -> Catalog:
     if data["milnor"] != cls.milnor or parse_name(data["basic"]) != cls.basic:
         raise ValueError(f"catalog data inconsistent with class {cls.symbol}")
     members = []
+    mids: dict[str, DynkinGraph] = {}  # each intermediate name parsed once
     for entry in data["members"]:
         d1, d2 = entry["witness"]
-        mid = parse_name(d2["input"])
+        mid_name = d2["input"]
+        mid = mids.get(mid_name)
+        if mid is None:
+            mid = mids[mid_name] = parse_name(mid_name)
         graph = parse_name(entry["name"])
         s1 = TransformStep(_choice_from_dict(d1), cls.basic, mid)
         s2 = TransformStep(_choice_from_dict(d2), mid, graph)
@@ -291,16 +336,19 @@ def build_catalog(
     With ``cache=True`` the catalog is read from and written to
     ``cache_dir`` (default: $DYNKINTRANS_CACHE_DIR, else the user cache
     directory).  Writes are atomic; two independent computations serialize
-    to byte-identical JSON.
+    to byte-identical JSON.  A catalog served from the in-process memo is
+    also written to ``cache_dir`` when its file is missing there.
     """
     if isinstance(cls, str):
         cls = singularity_class(cls)
+    path = _cache_path(cls.symbol, cache_dir or default_cache_dir()) if cache else None
     memo = _CATALOG_MEMO.get(cls.symbol)
     if memo is not None:
+        # the memo may come from an uncached build or another directory
+        if path is not None and not path.is_file():
+            _write_cache(path, memo)
         return memo
-    path = None
-    if cache:
-        path = _cache_path(cls.symbol, cache_dir or default_cache_dir())
+    if path is not None:
         if path.is_file():
             try:
                 catalog = catalog_from_json(path.read_text(encoding="utf-8"))
@@ -311,18 +359,23 @@ def build_catalog(
                 return catalog
     catalog = _compute_catalog(cls)
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(catalog_to_json(catalog))
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _write_cache(path, catalog)
     _CATALOG_MEMO[cls.symbol] = catalog
     return catalog
+
+
+def _write_cache(path: Path, catalog: Catalog) -> None:
+    """Write the catalog's JSON to ``path`` atomically."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(catalog_to_json(catalog))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def clear_memory_cache() -> None:

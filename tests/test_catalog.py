@@ -4,11 +4,15 @@ import json
 
 import pytest
 
+from dynkintrans import catalog as catalog_module
 from dynkintrans.catalog import (
     BoundViolation,
     Catalog,
     QueryNotADE,
     SINGULARITY_CLASSES,
+    SingularityClass,
+    _encode_step,
+    _step_dict,
     build_catalog,
     catalog_from_json,
     catalog_to_json,
@@ -16,8 +20,19 @@ from dynkintrans.catalog import (
     milnor_bound_check,
     singularity_class,
 )
-from dynkintrans.graphs import parse_name
-from dynkintrans.transforms import elementary_all, tie_all
+from dynkintrans.graphs import EMPTY, parse_name
+from dynkintrans.transforms import (
+    ElementaryChoice,
+    TieChoice,
+    TransformStep,
+    apply,
+    elementary_all,
+    tie_all,
+)
+
+
+def _compact(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 BASIC_TABLE = {
@@ -109,6 +124,77 @@ class TestCatalogContents:
                         if out.is_ade:
                             union.add(out.name)
         assert union == set(all_catalogs["Q12"].names())
+
+
+class TestWitnessSelection:
+    def test_encoder_matches_json(self, all_catalogs):
+        steps = [s for c in all_catalogs.values() for m in c.members for s in m.witness]
+        a1, tie = parse_name("A1"), TieChoice((0,), ())  # B empty
+        steps.append(TransformStep(tie, a1, apply(a1, tie)))
+        for kind_all in (elementary_all, tie_all):  # the empty graph as input
+            steps += [TransformStep(choice, EMPTY, out) for out, choice in kind_all(EMPTY)]
+        for s in steps:
+            assert _encode_step(s.choice, s.input.name) == _compact(_step_dict(s))
+
+    def test_q10_witnesses_are_json_minima(self, all_catalogs):
+        catalog = all_catalogs["Q10"]
+        expected = _json_minima(catalog.singularity.basic, elementary_all, tie_all)
+        assert _witness_json(catalog) == expected
+
+    def test_selection_rule_on_made_up_transforms(self, monkeypatch):
+        # Made-up outcome tables over the basic graph A3: A1 is best reached
+        # through A2 by its elementary first step, although the tie step
+        # reaching A2 comes later; A3 is reached through A2 and through A1+A1
+        # by witnesses of equal length; G2 is not A/D/E.
+        g = parse_name
+        elementary = {
+            "A3": [(g("A2"), ElementaryChoice((0,))), (g("D4"), ElementaryChoice((0, 1, 2, 3)))],
+            "A2": [(g("A1"), ElementaryChoice((0,))), (g("G2"), ElementaryChoice((1,)))],
+            "A1+A1": [(g("A1"), ElementaryChoice((1,)))],
+            "D4": [],
+        }
+        tie = {
+            "A3": [(g("A2"), TieChoice((0, 1, 2, 3, 4), (5,))), (g("A1+A1"), TieChoice((1,), ()))],
+            "A2": [(g("A1"), TieChoice((0,), (1,))), (g("A3"), TieChoice((), ()))],
+            "A1+A1": [(g("A3"), TieChoice((0, 1), ())), (g("A2"), TieChoice((0,), ()))],
+            "D4": [(g("A1"), TieChoice((1,), (2,)))],
+        }
+
+        def fake_elementary(graph):
+            return elementary[graph.name]
+
+        def fake_tie(graph):
+            return tie[graph.name]
+
+        monkeypatch.setattr(catalog_module, "elementary_all", fake_elementary)
+        monkeypatch.setattr(catalog_module, "tie_all", fake_tie)
+        cls = SingularityClass("X7", 7, g("A3"))
+        catalog = catalog_module._compute_catalog(cls)
+        assert _witness_json(catalog) == _json_minima(cls.basic, fake_elementary, fake_tie)
+        assert catalog.get("A1").witness[0].choice == ElementaryChoice((0,))
+        assert catalog.get("A3").witness[0].output == g("A1+A1")
+
+
+def _json_minima(basic, elementary, tie) -> dict[str, str]:
+    """Per A/D/E outcome, the compact JSON of the two-step witness that is
+    shortest, then smallest, over every (first step, second step) pair."""
+    best: dict[str, tuple[int, str]] = {}
+    for first in (elementary, tie):
+        for mid, c1 in first(basic):
+            d1 = _step_dict(TransformStep(c1, basic, mid))
+            for second in (elementary, tie):
+                for out, c2 in second(mid):
+                    if not out.is_ade:
+                        continue
+                    enc = _compact([d1, _step_dict(TransformStep(c2, mid, out))])
+                    key = (len(enc), enc)
+                    if out.name not in best or key < best[out.name]:
+                        best[out.name] = key
+    return {name: enc for name, (_, enc) in best.items()}
+
+
+def _witness_json(catalog) -> dict[str, str]:
+    return {m.name: _compact([_step_dict(s) for s in m.witness]) for m in catalog.members}
 
 
 class TestMilnorBound:
@@ -220,6 +306,13 @@ class TestSerialization:
         second = build_catalog("Q10", cache=True, cache_dir=tmp_path)
         assert catalog_to_json(first) == catalog_to_json(second)
         assert second.get("E6") is not None
+
+    def test_memo_hit_writes_missing_cache_file(self, tmp_path, fresh_memory_cache):
+        uncached = build_catalog("Q10", cache=False)
+        build_catalog("Q10", cache=True, cache_dir=tmp_path)
+        path = tmp_path / "Q10-v1.json"
+        assert path.is_file()
+        assert path.read_text(encoding="utf-8") == catalog_to_json(uncached)
 
     @pytest.mark.parametrize("damage", ["members as an object", "not utf-8"])
     def test_bad_cache_file_is_recomputed(self, tmp_path, fresh_memory_cache, damage):

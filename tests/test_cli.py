@@ -149,3 +149,16 @@ class TestVerifyCommand:
         code, out, _ = cli("verify")
         assert code == 1
         assert "FAIL extension-coefficients" in out
+
+    def test_detects_broken_round_trip(self, cli, all_catalogs, monkeypatch):
+        from dynkintrans import cli as cli_mod
+        from dynkintrans.catalog import Catalog
+
+        def lossy(text):
+            catalog = catalog_from_json(text)
+            return Catalog(catalog.singularity, catalog.members[:-1])
+
+        monkeypatch.setattr(cli_mod, "catalog_from_json", lossy)
+        code, out, _ = cli("verify")
+        assert code == 1
+        assert "FAIL serialization-stable-Z13" in out
