@@ -290,9 +290,12 @@ def catalog_from_dict(data: dict) -> Catalog:
     if data["milnor"] != cls.milnor or parse_name(data["basic"]) != cls.basic:
         raise ValueError(f"catalog data inconsistent with class {cls.symbol}")
     members = []
+    basic = cls.basic.name
     mids: dict[str, DynkinGraph] = {}  # each intermediate name parsed once
     for entry in data["members"]:
         d1, d2 = entry["witness"]
+        if d1["input"] != basic:
+            raise ValueError(f"witness of {entry['name']!r} does not start at {basic}")
         mid_name = d2["input"]
         mid = mids.get(mid_name)
         if mid is None:

@@ -158,18 +158,6 @@ def _cmd_transform(args) -> int:
 
 def _verify_checks(full: bool, cache_kwargs: dict):
     """Yield (name, ok, detail) tuples for the regression suite."""
-    table = {
-        "E12": ("E8", 12), "Z11": ("E7", 11), "Q10": ("E6", 10),
-        "E13": ("E8+BC1", 13), "Z12": ("E7+BC1", 12), "Q11": ("E6+BC1", 11),
-        "E14": ("E8+G2", 14), "Z13": ("E7+G2", 13), "Q12": ("E6+G2", 12),
-    }
-    ok = all(
-        SINGULARITY_CLASSES[s].basic.name == basic
-        and SINGULARITY_CLASSES[s].milnor == mu
-        for s, (basic, mu) in table.items()
-    ) and set(SINGULARITY_CLASSES) == set(table)
-    yield "basic-graph-table", ok, "nine classes, basic graphs and Milnor numbers"
-
     from .graphs import A, BC1, D, E, G1, G2, check_extension_identity
 
     try:

@@ -451,79 +451,165 @@ def _connected_components(lg: LabeledGraph) -> list[list[int]]:
     return comps
 
 
-def _classify_component(lg: LabeledGraph, idxs: list[int]) -> ComponentType:
-    norms = [lg.norm(i) for i in idxs]
-    size = len(idxs)
+# ---------------------------------------------------------------------------
+# Shape recognition.
+#
+# One recognizer names every piece, for ``classify`` and for the enumeration
+# engine in ``transforms``.  It works on masks: ``adj[v]`` is the neighbour
+# mask of vertex v, ``norm[v]`` its norm code, and a piece is the mask of one
+# connected vertex set.  Component types are integer codes whose natural
+# order is the canonical component order (family rank ascending, subscript
+# descending), so a multiset of types is a sorted int tuple.
+# ---------------------------------------------------------------------------
+
+_NORM_CODE = {NORM_LONG: 0, NORM_HALF: 1, NORM_SHORT: 2}
+
+_SUB_LIMIT = 1 << 20  # subscripts stay below it, so codes stay below 2**30 (small ints)
+_FAMILY_BY_RANK = {rank: fam for fam, rank in _FAMILY_RANK.items()}
+_RANK_D, _RANK_A = _FAMILY_RANK["D"], _FAMILY_RANK["A"]
+
+
+def _code(rank: int, subscript: int) -> int:
+    return rank * _SUB_LIMIT + _SUB_LIMIT - subscript
+
+
+_CODE_A1 = _code(_RANK_A, 1)
+_CODE_G2 = _code(_FAMILY_RANK["G"], 2)
+_CODE_G1 = _code(_FAMILY_RANK["G"], 1)
+_CODE_BC1 = _code(_FAMILY_RANK["BC"], 1)
+_SINGLE_CODES = (_CODE_A1, _CODE_BC1, _CODE_G1)  # one vertex, by norm code
+_E_CODES = {(1, 2, n - 4): _code(_FAMILY_RANK["E"], n) for n in (6, 7, 8)}
+
+_DECODE_MEMO: dict[int, ComponentType] = {}
+
+
+def _decode(code: int) -> ComponentType:
+    ct = _DECODE_MEMO.get(code)
+    if ct is None:
+        rank, low = divmod(code, _SUB_LIMIT)
+        ct = _DECODE_MEMO[code] = ComponentType(_FAMILY_BY_RANK[rank], _SUB_LIMIT - low)
+    return ct
+
+
+def _legs_code(l1: int, l2: int, l3: int) -> int | None:
+    """Type code of a one-fork tree with sorted leg lengths l1 <= l2 <= l3:
+    (1, 1, l) is D(l+3), (1, 2, 2..4) is E6..E8, anything else is None."""
+    if l1 == 1 and l2 == 1:
+        return _code(_RANK_D, l3 + 3)
+    return _E_CODES.get((l1, l2, l3))
+
+
+def _bits(mask: int) -> list[int]:
+    """The vertices of a mask in ascending order."""
+    out = []
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out.append(b.bit_length() - 1)
+    return out
+
+
+def _pieces(adj: list[int], mask: int) -> list[int]:
+    """The connected pieces of ``mask``, in order of their lowest vertex."""
+    pieces = []
+    while mask:
+        piece = frontier = mask & -mask
+        while frontier:
+            grow = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                grow |= adj[b.bit_length() - 1]
+            frontier = grow & mask & ~piece
+            piece |= frontier
+        pieces.append(piece)
+        mask &= ~piece
+    return pieces
+
+
+def _walk(adj: list[int], piece: int, prev: int, cur: int) -> list[int]:
+    """Vertices from ``cur`` onward, away from ``prev``, to the end of a
+    stretch of vertices of degree at most 2."""
+    out = [cur]
+    seen = (1 << prev) | (1 << cur)
+    nxt = adj[cur] & piece & ~seen
+    while nxt:
+        cur = nxt.bit_length() - 1
+        out.append(cur)
+        seen |= nxt
+        nxt = adj[cur] & piece & ~seen
+    return out
+
+
+def _mask_view(lg: LabeledGraph) -> tuple[list[int], list[int]]:
+    """Neighbour mask and norm code of every vertex of ``lg``."""
+    norm = []
+    for v in lg.vertices:
+        code = _NORM_CODE.get(v.norm)
+        if code is None:
+            raise NotADynkinGraph(f"vertex of norm {v.norm}")
+        norm.append(code)
+    adj = [0] * lg.n
+    for i, j, _val in lg.edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj, norm
+
+
+def _recognize(adj: list[int], norm: list[int], piece: int) -> tuple[int, list[list[int]]]:
+    """Type code and legs of one connected piece, or NotADynkinGraph.
+
+    The legs of a fork-free piece are its one path, from the end with the
+    smaller index; a forked piece has three, each read outward from the
+    fork (fork excluded), in ascending order of their first vertex.
+    """
+    verts = _bits(piece)
+    size = len(verts)
     if size == 1:
-        norm = norms[0]
-        if norm == NORM_LONG:
-            return A(1)
-        if norm == NORM_HALF:
-            return BC1
-        if norm == NORM_SHORT:
-            return G1
-        raise NotADynkinGraph(f"isolated vertex of norm {norm}")
-    inside = set(idxs)
-    edges = [(i, j, val) for i, j, val in lg.edges if i in inside and j in inside]
-    if any(val != ORDINARY_EDGE for _, _, val in edges):
-        bad = [val for _, _, val in edges if val != ORDINARY_EDGE]
-        raise NotADynkinGraph(f"component with edge label {bad[0]} (only -1 allowed)")
-    if any(n == NORM_HALF for n in norms):
-        raise NotADynkinGraph("norm-1/2 vertex in a component of size > 1")
-    shorts = sum(1 for n in norms if n == NORM_SHORT)
-    if shorts:
-        if size == 2 and shorts == 1 and NORM_LONG in norms:
-            return G2
+        return _SINGLE_CODES[norm[verts[0]]], [verts]
+    odd = [norm[v] for v in verts if norm[v]]
+    if odd:
+        if 1 in odd:  # the norm code of 1/2
+            raise NotADynkinGraph("norm-1/2 vertex in a component of size > 1")
+        if size == 2 and len(odd) == 1:
+            return _CODE_G2, [verts]
         raise NotADynkinGraph(
             f"norm-2/3 vertex in a component of size {size} that is not the G2 shape"
         )
-    if any(n != NORM_LONG for n in norms):
-        raise NotADynkinGraph(f"unexpected vertex norm {set(norms)}")
-    # All vertices have norm 2 and all edges are -1: an A/D/E candidate.
-    if len(edges) != size - 1:
-        raise NotADynkinGraph(f"component with {len(edges)} edges on {size} vertices")
-    nbrs: dict[int, list[int]] = {i: [] for i in idxs}
-    for i, j, _ in edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    degrees = {i: len(v) for i, v in nbrs.items()}
-    if max(degrees.values()) > 3:
+    degs = [(adj[v] & piece).bit_count() for v in verts]
+    nedges = sum(degs) // 2
+    if nedges != size - 1:
+        raise NotADynkinGraph(f"component with {nedges} edges on {size} vertices")
+    if max(degs) > 3:
         raise NotADynkinGraph("vertex of degree > 3")
-    forks = [i for i, d in degrees.items() if d == 3]
+    forks = [v for v, d in zip(verts, degs) if d == 3]
     if not forks:
-        return A(size)
+        end = verts[degs.index(1)]
+        return _code(_RANK_A, size), [_walk(adj, piece, end, end)]
     if len(forks) > 1:
         raise NotADynkinGraph("more than one trivalent vertex")
-    legs = []
     fork = forks[0]
-    for first in nbrs[fork]:
-        length = 1
-        prev, cur = fork, first
-        while degrees[cur] == 2:
-            nxt = [w for w in nbrs[cur] if w != prev][0]
-            prev, cur = cur, nxt
-            length += 1
-        legs.append(length)
-    legs.sort()
-    if legs[0] == 1 and legs[1] == 1:
-        return D(size)
-    if legs == [1, 2, 2]:
-        return E(6)
-    if legs == [1, 2, 3]:
-        return E(7)
-    if legs == [1, 2, 4]:
-        return E(8)
-    raise NotADynkinGraph(f"trivalent tree with leg lengths {legs}")
+    legs = [_walk(adj, piece, fork, first) for first in _bits(adj[fork] & piece)]
+    lengths = sorted(len(leg) for leg in legs)
+    code = _legs_code(*lengths)
+    if code is None:
+        raise NotADynkinGraph(f"trivalent tree with leg lengths {lengths}")
+    return code, legs
 
 
 def classify(lg: LabeledGraph) -> DynkinGraph:
     """Recognize a labeled graph as a Dynkin graph, or raise NotADynkinGraph.
 
-    Each connected component is matched structurally (norm census, degree
-    sequence, fork and leg analysis) against the eight allowed shapes.
+    Every edge must be an ordinary -1 edge and every norm one of 2, 1/2 and
+    2/3; each connected piece is then named by the shape recognizer shared
+    with the enumeration engine (norm census, degrees, fork and legs).
     """
-    comps = _connected_components(lg)
-    return DynkinGraph(tuple(_classify_component(lg, c) for c in comps))
+    for _i, _j, val in lg.edges:
+        if val != ORDINARY_EDGE:
+            raise NotADynkinGraph(f"edge label {val} (only -1 allowed)")
+    adj, norm = _mask_view(lg)
+    pieces = _pieces(adj, (1 << lg.n) - 1)
+    return DynkinGraph(tuple(_decode(_recognize(adj, norm, p)[0]) for p in pieces))
 
 
 def component_subgraphs(lg: LabeledGraph) -> Iterator[LabeledGraph]:

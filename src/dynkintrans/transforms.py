@@ -34,11 +34,20 @@ from .graphs import (
     DynkinGraph,
     ExtendedGraph,
     LabeledGraph,
-    NORM_HALF,
     NORM_LONG,
-    NORM_SHORT,
     ORDINARY_EDGE,
     Vertex,
+    _CODE_A1,
+    _CODE_G1,
+    _CODE_G2,
+    _RANK_A,
+    _bits,
+    _code,
+    _decode,
+    _legs_code,
+    _mask_view,
+    _pieces,
+    _recognize,
     canonical_name,
     classify,
     extend,
@@ -179,14 +188,14 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # ---------------------------------------------------------------------------
 # Fast enumeration core.
 #
-# The engine mirrors extend(g) as bitmask data and encodes component types
-# as single integers whose natural order is the canonical component order
-# (family rank ascending, subscript descending), so result multisets are
-# plain sorted int tuples.  Residual structure is cached per component
-# type, shared by every graph containing it, because elementary and tie
-# enumeration range over the same submasks, and every vertex of a residual
-# carries a precomputed attachment descriptor from which the shape of any
-# tie fusion follows arithmetically.
+# The engine mirrors extend(g) as bitmask data and names residual pieces
+# with the shape recognizer of ``graphs`` that ``classify`` uses, so
+# component types are its integer codes and result multisets are plain
+# sorted int tuples.  Residual structure is cached per component type,
+# shared by every graph containing it, because elementary and tie
+# enumeration range over the same submasks.  The recognizer's walk of each
+# piece also gives every vertex an attachment descriptor, from which the
+# shape of any tie fusion follows arithmetically by the same legs rule.
 #
 # Tie enumeration works on a quotient.  On one component, what an A-part
 # contributes depends only on its signature: the gcd g of its coefficients
@@ -200,37 +209,6 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # pieces, so swapping each for its class minimum can only lower B; and the
 # gcd condition reads the coefficients mod g only.
 # ---------------------------------------------------------------------------
-
-_NORM_CODE = {NORM_LONG: 0, NORM_HALF: 1, NORM_SHORT: 2}
-
-_RANK_E, _RANK_D, _RANK_A, _RANK_G, _RANK_BC = 0, 1, 2, 3, 4
-_FAMILY_BY_RANK = {_RANK_E: "E", _RANK_D: "D", _RANK_A: "A", _RANK_G: "G", _RANK_BC: "BC"}
-
-
-def _code(rank: int, subscript: int) -> int:
-    return (rank << 10) | (1024 - subscript)
-
-
-_CODE_A1 = _code(_RANK_A, 1)
-_CODE_G2 = _code(_RANK_G, 2)
-_CODE_G1 = _code(_RANK_G, 1)
-_CODE_BC1 = _code(_RANK_BC, 1)
-_LEG_CODES = {
-    (1, 2, 2): _code(_RANK_E, 6),
-    (1, 2, 3): _code(_RANK_E, 7),
-    (1, 2, 4): _code(_RANK_E, 8),
-}
-
-_DECODE_MEMO: dict[int, ComponentType] = {}
-
-
-def _decode(code: int) -> ComponentType:
-    ct = _DECODE_MEMO.get(code)
-    if ct is None:
-        ct = ComponentType(_FAMILY_BY_RANK[code >> 10], 1024 - (code & 1023))
-        _DECODE_MEMO[code] = ct
-    return ct
-
 
 # Outcome graphs are interned: each distinct graph is one shared immutable
 # instance, however many results hold it.  Like the component-type table it
@@ -247,15 +225,6 @@ def _decode_graph(codes: tuple[int, ...]) -> DynkinGraph:
     return g
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        out.append(b.bit_length() - 1)
-    return out
-
-
 class _CompCore:
     """Mask-level view of the extended graph of one component type, with
     residual caches; vertex indices are local to the component."""
@@ -269,13 +238,8 @@ class _CompCore:
         ext = extend(DynkinGraph((ct,)))
         self.size = ext.n
         self.full = (1 << self.size) - 1
-        adj = [0] * self.size
-        for i, j, _val in ext.base.edges:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        self.adj = adj
+        self.adj, self.norm = _mask_view(ext.base)
         self.coeff = list(ext.coefficients)
-        self.norm = [_NORM_CODE[ext.base.norm(v)] for v in range(self.size)]
         # gcd of the coefficients picked by each submask, and the submask's
         # member list in ascending order
         table = [0] * (1 << self.size)
@@ -331,139 +295,42 @@ _D_SHORT = 2  # (2,): isolated norm-2/3 vertex; new--short is the G2 shape
 
 
 class _Residual:
-    """Decomposition of one residual submask into classified pieces."""
+    """Decomposition of one residual submask into recognized pieces.
+
+    One recognizer walk per piece gives both the piece's type code and the
+    attachment descriptors of its vertices.
+    """
 
     __slots__ = ("pieces", "types", "piece_id", "desc")
 
     def __init__(self, comp: _CompCore, mask: int):
         adj = comp.adj
-        pieces: list[int] = []
+        pieces = _pieces(adj, mask)
         piece_id = [-1] * comp.size
-        todo = mask
-        while todo:
-            low = todo & -todo
-            piece = low
-            frontier = low
-            while True:
-                grow = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    f ^= b
-                    grow |= adj[b.bit_length() - 1] & mask
-                grow &= ~piece
-                if not grow:
-                    break
-                piece |= grow
-                frontier = grow
-            idx = len(pieces)
-            pieces.append(piece)
-            p = piece
-            while p:
-                b = p & -p
-                p ^= b
-                piece_id[b.bit_length() - 1] = idx
-            todo &= ~piece
-        self.pieces = pieces
-        self.piece_id = piece_id
-        self.types = tuple(_classify_piece(comp, piece) for piece in pieces)
         desc: list[tuple | None] = [None] * comp.size
-        norm = comp.norm
-        for piece in pieces:
-            verts = _bits(piece)
-            size = len(verts)
-            if size == 1:
-                v = verts[0]
-                code = norm[v]
-                if code == 0:
-                    desc[v] = (_D_PATH, 1, 0, 0)
-                elif code == 2:
-                    desc[v] = (_D_SHORT,)
-                continue
-            if any(norm[v] for v in verts):
-                continue  # G2 piece: no attachment can stay a Dynkin shape
-            degs = {v: (adj[v] & piece).bit_count() for v in verts}
-            forks = [v for v in verts if degs[v] == 3]
-            if not forks:
-                ends = [v for v in verts if degs[v] == 1]
-                dist = {ends[0]: 0}
-                prev, cur = -1, ends[0]
-                for step in range(1, size):
-                    nxt_mask = adj[cur] & piece
-                    if prev >= 0:
-                        nxt_mask &= ~(1 << prev)
-                    prev, cur = cur, nxt_mask.bit_length() - 1
-                    dist[cur] = step
-                for v in verts:
-                    d1 = dist[v]
+        types = []
+        for pid, piece in enumerate(pieces):
+            code, legs = _recognize(adj, comp.norm, piece)
+            types.append(code)
+            for v in _bits(piece):
+                piece_id[v] = pid
+            if len(legs) == 3:  # D or E: only the leaves can take the new vertex
+                size = piece.bit_count()
+                for k, leg in enumerate(legs):
+                    others = [len(legs[j]) for j in range(3) if j != k]
+                    desc[leg[-1]] = (_D_FORK, size, others[0], others[1], len(leg))
+            elif code == _CODE_G1:
+                desc[legs[0][0]] = (_D_SHORT,)
+            elif code <= _CODE_A1:  # a path; G2 and BC1 sort after A1, take nothing
+                path = legs[0]
+                size = len(path)
+                for d1, v in enumerate(path):
                     d2 = size - 1 - d1
                     desc[v] = (_D_PATH, size, d1, d2) if d1 <= d2 else (_D_PATH, size, d2, d1)
-            else:
-                fork = forks[0]
-                legs: list[tuple[int, int]] = []  # (length, leaf vertex)
-                for first in _bits(adj[fork] & piece):
-                    length = 1
-                    prev, cur = fork, first
-                    while degs[cur] == 2:
-                        nxt_mask = adj[cur] & piece & ~(1 << prev)
-                        prev, cur = cur, nxt_mask.bit_length() - 1
-                        length += 1
-                    legs.append((length, cur))
-                for k, (length, leaf) in enumerate(legs):
-                    others = [legs[j][0] for j in range(3) if j != k]
-                    desc[leaf] = (_D_FORK, size, others[0], others[1], length)
+        self.pieces = pieces
+        self.piece_id = piece_id
+        self.types = tuple(types)
         self.desc = desc
-
-
-def _classify_piece(comp: _CompCore, piece: int) -> int:
-    """Type code of one connected residual piece of an extended component.
-
-    Residual pieces of the eight extended shapes are always one of the
-    eight shapes again, so any failure here is an engine bug.
-    """
-    verts = _bits(piece)
-    size = len(verts)
-    norm = comp.norm
-    if size == 1:
-        code = norm[verts[0]]
-        return _CODE_A1 if code == 0 else (_CODE_BC1 if code == 1 else _CODE_G1)
-    shorts = [v for v in verts if norm[v] == 2]
-    assert not any(norm[v] == 1 for v in verts), "norm-1/2 vertex in a large piece"
-    if shorts:
-        assert size == 2 and len(shorts) == 1, "unexpected short-root piece"
-        return _CODE_G2
-    adj = comp.adj
-    degs = {v: (adj[v] & piece).bit_count() for v in verts}
-    nedges = sum(degs.values()) // 2
-    assert nedges == size - 1, "cyclic residual piece"
-    forks = [v for v in verts if degs[v] == 3]
-    assert all(degs[v] <= 3 for v in verts), "degree > 3 in residual piece"
-    if not forks:
-        return _code(_RANK_A, size)
-    assert len(forks) == 1, "two trivalent vertices in residual piece"
-    legs = []
-    fork = forks[0]
-    for first in _bits(adj[fork] & piece):
-        length = 1
-        prev, cur = fork, first
-        while degs[cur] == 2:
-            nxt_mask = adj[cur] & piece & ~(1 << prev)
-            prev, cur = cur, nxt_mask.bit_length() - 1
-            length += 1
-        legs.append(length)
-    legs.sort()
-    if legs[0] == 1 and legs[1] == 1:
-        return _code(_RANK_D, size)
-    shape = _LEG_CODES.get(tuple(legs))
-    assert shape is not None, f"residual piece with legs {legs}"
-    return shape
-
-
-def _legs_code(l1: int, l2: int, l3: int) -> int | None:
-    """Shape code for a single-fork tree with sorted leg lengths l1<=l2<=l3."""
-    if l1 == 1 and l2 == 1:
-        return _code(_RANK_D, l3 + 3)
-    return _LEG_CODES.get((l1, l2, l3))
 
 
 def _fuse1(d: tuple) -> int | None:
@@ -473,9 +340,7 @@ def _fuse1(d: tuple) -> int | None:
         _, size, dnear, dfar = d
         if dnear == 0:
             return _code(_RANK_A, size + 1)
-        if dnear == 1:
-            return _code(_RANK_D, size + 1)
-        return _LEG_CODES.get((1, dnear, dfar))
+        return _legs_code(1, dnear, dfar)
     if tag == _D_SHORT:
         return _CODE_G2
     _, _size, la, lb, own = d

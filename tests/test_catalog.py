@@ -314,12 +314,19 @@ class TestSerialization:
         assert path.is_file()
         assert path.read_text(encoding="utf-8") == catalog_to_json(uncached)
 
-    @pytest.mark.parametrize("damage", ["members as an object", "not utf-8"])
+    @pytest.mark.parametrize(
+        "damage", ["members as an object", "not utf-8", "first step from A1"]
+    )
     def test_bad_cache_file_is_recomputed(self, tmp_path, fresh_memory_cache, damage):
         good = catalog_to_json(build_catalog("Q10", cache=False))
         path = tmp_path / "Q10-v1.json"
         if damage == "not utf-8":
             path.write_bytes(b"\xff\xfe" + good.encode("utf-8"))
+        elif damage == "first step from A1":
+            # a witness whose first step claims another input than the basic graph
+            data = json.loads(good)
+            data["members"][0]["witness"][0]["input"] = "A1"
+            path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         else:
             # well-formed JSON of the wrong shape
             data = json.loads(good)

@@ -319,6 +319,28 @@ class TestClassify:
         with pytest.raises(NotADynkinGraph):
             classify(lg)
 
+    @pytest.mark.parametrize(
+        "norms, edges",
+        [
+            ((Fraction(1),), ()),  # isolated vertex of norm 1
+            ((NORM_LONG, NORM_SHORT, NORM_LONG), ((0, 1), (1, 2))),  # short root in a path of 3
+            ((NORM_SHORT, NORM_SHORT), ((0, 1),)),  # two joined short roots
+            ((NORM_LONG, Fraction(1)), ((0, 1),)),  # norm-1 vertex in a 2-vertex component
+        ],
+        ids=["isolated-norm-1", "short-in-path-of-3", "two-shorts", "norm-1-in-pair"],
+    )
+    def test_bad_norm_pattern_rejected(self, norms, edges):
+        lg = LabeledGraph(
+            tuple(Vertex(f"v{i}", n) for i, n in enumerate(norms)),
+            tuple((i, j, Fraction(-1)) for i, j in edges),
+        )
+        with pytest.raises(NotADynkinGraph):
+            classify(lg)
+
+    def test_long_path(self):
+        # beyond any component of the nine catalogs, and beyond 1023 vertices
+        assert classify(realize(parse_name("A1100+D1030"))) == parse_name("A1100+D1030")
+
     def test_agrees_with_isomorphism_oracle(self, family12):
         for g in family12:
             assert oracle_classify(realize(g)) == g

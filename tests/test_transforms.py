@@ -155,12 +155,12 @@ class TestAgainstNaiveEnumeration:
         g = parse_name(name)
         assert names(tie_all(g)) == naive_tie_all(g)
 
-    @pytest.mark.parametrize("name", ["A5", "D5", "E6", "D4+G2", "A3+BC1+A1"])
+    @pytest.mark.parametrize("name", ["A5", "D5", "E6", "E7", "D7", "D4+G2", "A3+BC1+A1"])
     def test_medium_tie(self, name):
         g = parse_name(name)
         assert names(tie_all(g)) == naive_tie_all(g)
 
-    @pytest.mark.parametrize("name", ["A4+A2", "D5+A1", "E6+BC1"])
+    @pytest.mark.parametrize("name", ["A4+A2", "D5+A1", "E6+BC1", "E7", "E8", "D7"])
     def test_medium_elementary(self, name):
         g = parse_name(name)
         assert names(elementary_all(g)) == naive_elementary_all(g)
