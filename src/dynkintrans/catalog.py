@@ -332,7 +332,7 @@ def build_catalog(
     cls: SingularityClass | str,
     *,
     cache: bool = True,
-    cache_dir: Path | None = None,
+    cache_dir: str | os.PathLike | None = None,
 ) -> Catalog:
     """Compute (or load) the catalog of one class.
 
@@ -344,7 +344,7 @@ def build_catalog(
     """
     if isinstance(cls, str):
         cls = singularity_class(cls)
-    path = _cache_path(cls.symbol, cache_dir or default_cache_dir()) if cache else None
+    path = _cache_path(cls.symbol, Path(cache_dir or default_cache_dir())) if cache else None
     memo = _CATALOG_MEMO.get(cls.symbol)
     if memo is not None:
         # the memo may come from an uncached build or another directory
@@ -391,7 +391,7 @@ def membership(
     g: DynkinGraph,
     *,
     cache: bool = True,
-    cache_dir: Path | None = None,
+    cache_dir: str | os.PathLike | None = None,
 ) -> Witness | None:
     """The two-step witness for ``g`` in the class catalog, or None.
 

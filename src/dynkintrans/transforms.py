@@ -191,17 +191,20 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # The engine mirrors extend(g) as bitmask data and names residual pieces
 # with the shape recognizer of ``graphs`` that ``classify`` uses, so
 # component types are its integer codes and result multisets are plain
-# sorted int tuples.  Residual structure is cached per component type,
-# shared by every graph containing it, because elementary and tie
-# enumeration range over the same submasks.  The recognizer's walk of each
-# piece also gives every vertex an attachment descriptor, from which the
-# shape of any tie fusion follows arithmetically by the same legs rule.
+# sorted int tuples.  One core per component type is shared by every graph
+# containing it.  Elementary and tie enumeration range over every submask of
+# a component, and the same few connected pieces make up all their
+# residuals, so the core caches the piece, not the residual: one recognizer
+# walk per distinct piece gives its type and an attachment descriptor for
+# each of its vertices, from which the shape of any tie fusion follows
+# arithmetically by the same legs rule.
 #
 # Tie enumeration works on a quotient.  On one component, what an A-part
 # contributes depends only on its signature: the gcd g of its coefficients
 # and, per residual piece, the piece type with the multiset of (attachment
-# descriptor, coefficient mod g) over the piece's vertices.  Each component
-# keeps the smallest A-part per signature, and for that A-part one
+# descriptor, coefficient mod g) over the piece's vertices; that entry is
+# built once per (piece, g) and the signature is their sorted tuple.  Each
+# component keeps the smallest A-part per signature, and for that A-part one
 # B-candidate per (piece, descriptor, coefficient mod g) class, the
 # smallest vertex of the class.  Witnesses are the same as over the full
 # product: A-parts of one signature have equal size, so the lex order of
@@ -226,12 +229,16 @@ def _decode_graph(codes: tuple[int, ...]) -> DynkinGraph:
 
 
 class _CompCore:
-    """Mask-level view of the extended graph of one component type, with
-    residual caches; vertex indices are local to the component."""
+    """Mask-level view of the extended graph of one component type; vertex
+    indices are local to the component.
+
+    The connected piece is the cached unit: ``piece`` recognizes each
+    distinct piece mask once, however many residual masks contain it.
+    """
 
     __slots__ = (
         "size", "full", "adj", "coeff", "norm", "gcd_table", "abits",
-        "_residuals", "_tie_reps",
+        "_piece_memo", "_tie_reps",
     )
 
     def __init__(self, ct: ComponentType):
@@ -252,31 +259,57 @@ class _CompCore:
             abits[m] = (v,) + abits[rest]
         self.gcd_table = table
         self.abits = abits
-        self._residuals: dict[int, "_Residual"] = {}
+        self._piece_memo: dict[int, tuple[int, tuple]] = {}
         self._tie_reps: list["_TieRep"] | None = None
 
-    def residual(self, mask: int) -> "_Residual":
-        res = self._residuals.get(mask)
-        if res is None:
-            res = _Residual(self, mask)
-            self._residuals[mask] = res
-        return res
+    def piece(self, piece: int) -> tuple[int, tuple]:
+        """Type code of one connected piece and the (vertex, attachment
+        descriptor) pair of each of its vertices, in ascending vertex order.
+
+        One recognizer walk gives both.
+        """
+        info = self._piece_memo.get(piece)
+        if info is not None:
+            return info
+        code, legs = _recognize(self.adj, self.norm, piece)
+        desc: dict[int, tuple | None] = dict.fromkeys(_bits(piece))
+        if len(legs) == 3:  # D or E: only the leaves can take the new vertex
+            size = piece.bit_count()
+            for k, leg in enumerate(legs):
+                others = [len(legs[j]) for j in range(3) if j != k]
+                desc[leg[-1]] = (_D_FORK, size, others[0], others[1], len(leg))
+        elif code == _CODE_G1:
+            desc[legs[0][0]] = (_D_SHORT,)
+        elif code <= _CODE_A1:  # a path; G2 and BC1 sort after A1, take nothing
+            path = legs[0]
+            size = len(path)
+            for d1, v in enumerate(path):
+                d2 = size - 1 - d1
+                desc[v] = (_D_PATH, size, d1, d2) if d1 <= d2 else (_D_PATH, size, d2, d1)
+        info = self._piece_memo[piece] = (code, tuple(desc.items()))
+        return info
 
     def tie_reps(self) -> list["_TieRep"]:
         """The smallest A-part of every tie signature, in ascending mask order."""
         reps = self._tie_reps
         if reps is None:
-            coeff = self.coeff
+            adj, coeff = self.adj, self.coeff
+            # per (piece, g): the piece type with its sorted (descriptor,
+            # coefficient mod g) classes; a None descriptor sorts as (),
+            # below every real one
+            entries: dict[tuple[int, int], tuple] = {}
             smallest: dict[tuple, int] = {}
             for a in range(1, self.full + 1):
-                res = self.residual(self.full ^ a)
                 g = self.gcd_table[a]
-                pieces = []
-                for pid, piece in enumerate(res.pieces):
-                    # a None descriptor sorts as (), below every real one
-                    classes = sorted((res.desc[v] or (), coeff[v] % g) for v in _bits(piece))
-                    pieces.append((res.types[pid], tuple(classes)))
-                sig = (g, tuple(sorted(pieces)))
+                sig_pieces = []
+                for piece in _pieces(adj, self.full ^ a):
+                    entry = entries.get((piece, g))
+                    if entry is None:
+                        code, pairs = self.piece(piece)
+                        classes = sorted((d or (), coeff[v] % g) for v, d in pairs)
+                        entry = entries[(piece, g)] = (code, tuple(classes))
+                    sig_pieces.append(entry)
+                sig = (g, tuple(sorted(sig_pieces)))
                 old = smallest.get(sig)
                 if old is None or self.abits[a] < self.abits[old]:
                     smallest[sig] = a
@@ -292,45 +325,6 @@ class _CompCore:
 _D_PATH = 0  # (0, size, dnear, dfar): path piece, distances to its two ends
 _D_FORK = 1  # (1, size, leg_a, leg_b, leg_own): leaf of a one-fork piece
 _D_SHORT = 2  # (2,): isolated norm-2/3 vertex; new--short is the G2 shape
-
-
-class _Residual:
-    """Decomposition of one residual submask into recognized pieces.
-
-    One recognizer walk per piece gives both the piece's type code and the
-    attachment descriptors of its vertices.
-    """
-
-    __slots__ = ("pieces", "types", "piece_id", "desc")
-
-    def __init__(self, comp: _CompCore, mask: int):
-        adj = comp.adj
-        pieces = _pieces(adj, mask)
-        piece_id = [-1] * comp.size
-        desc: list[tuple | None] = [None] * comp.size
-        types = []
-        for pid, piece in enumerate(pieces):
-            code, legs = _recognize(adj, comp.norm, piece)
-            types.append(code)
-            for v in _bits(piece):
-                piece_id[v] = pid
-            if len(legs) == 3:  # D or E: only the leaves can take the new vertex
-                size = piece.bit_count()
-                for k, leg in enumerate(legs):
-                    others = [len(legs[j]) for j in range(3) if j != k]
-                    desc[leg[-1]] = (_D_FORK, size, others[0], others[1], len(leg))
-            elif code == _CODE_G1:
-                desc[legs[0][0]] = (_D_SHORT,)
-            elif code <= _CODE_A1:  # a path; G2 and BC1 sort after A1, take nothing
-                path = legs[0]
-                size = len(path)
-                for d1, v in enumerate(path):
-                    d2 = size - 1 - d1
-                    desc[v] = (_D_PATH, size, d1, d2) if d1 <= d2 else (_D_PATH, size, d2, d1)
-        self.pieces = pieces
-        self.piece_id = piece_id
-        self.types = tuple(types)
-        self.desc = desc
 
 
 def _fuse1(d: tuple) -> int | None:
@@ -391,22 +385,22 @@ class _TieRep:
     __slots__ = ("a", "g", "types", "cands")
 
     def __init__(self, comp: _CompCore, a: int):
-        res = comp.residual(comp.full ^ a)
         g = comp.gcd_table[a]
         self.a = comp.abits[a]
         self.g = g
-        self.types = res.types
-        seen = set()
+        types = []
         cands = []
-        for v in _bits(comp.full ^ a):
-            d = res.desc[v]
-            if d is None:
-                continue
-            pid = res.piece_id[v]
-            cls = (pid, d, comp.coeff[v] % g)
-            if cls not in seen:
-                seen.add(cls)
-                cands.append((v, pid, d, comp.coeff[v], res.types[pid]))
+        for pid, piece in enumerate(_pieces(comp.adj, comp.full ^ a)):
+            code, pairs = comp.piece(piece)
+            types.append(code)
+            seen = set()
+            for v, d in pairs:
+                cls = (d, comp.coeff[v] % g)
+                if d is not None and cls not in seen:
+                    seen.add(cls)
+                    cands.append((v, pid, d, comp.coeff[v], code))
+        cands.sort()  # by vertex across pieces, so every B combination is sorted
+        self.types = tuple(types)
         self.cands = tuple(cands)
 
 
@@ -459,7 +453,7 @@ def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]
         opts: dict[tuple[int, ...], tuple[int, ...]] = {}
         for removed in range(1, comp.full + 1):
             residual = comp.full ^ removed
-            ts = tuple(sorted(comp.residual(residual).types))
+            ts = tuple(sorted(comp.piece(p)[0] for p in _pieces(comp.adj, residual)))
             enc = comp.abits[removed]
             old = opts.get(ts)
             if old is None or enc < old:

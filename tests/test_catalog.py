@@ -307,6 +307,15 @@ class TestSerialization:
         assert catalog_to_json(first) == catalog_to_json(second)
         assert second.get("E6") is not None
 
+    def test_str_cache_dir(self, tmp_path, fresh_memory_cache):
+        built = build_catalog("Q10", cache=True, cache_dir=str(tmp_path / "a"))
+        path = tmp_path / "a" / "Q10-v1.json"
+        assert path.is_file()
+        assert path.read_text(encoding="utf-8") == catalog_to_json(built)
+        witness = membership("Q10", parse_name("A1"), cache_dir=str(tmp_path / "b"))
+        assert witness is not None and witness[1].replay() == parse_name("A1")
+        assert (tmp_path / "b" / "Q10-v1.json").is_file()
+
     def test_memo_hit_writes_missing_cache_file(self, tmp_path, fresh_memory_cache):
         uncached = build_catalog("Q10", cache=False)
         build_catalog("Q10", cache=True, cache_dir=tmp_path)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -155,12 +157,12 @@ class TestAgainstNaiveEnumeration:
         g = parse_name(name)
         assert names(tie_all(g)) == naive_tie_all(g)
 
-    @pytest.mark.parametrize("name", ["A5", "D5", "E6", "E7", "D7", "D4+G2", "A3+BC1+A1"])
+    @pytest.mark.parametrize("name", ["A5", "A6", "D5", "E6", "E7", "D7", "D4+G2", "A3+BC1+A1"])
     def test_medium_tie(self, name):
         g = parse_name(name)
         assert names(tie_all(g)) == naive_tie_all(g)
 
-    @pytest.mark.parametrize("name", ["A4+A2", "D5+A1", "E6+BC1", "E7", "E8", "D7"])
+    @pytest.mark.parametrize("name", ["A4+A2", "D5+A1", "E6+BC1", "E7", "E8", "D7", "A8", "D8"])
     def test_medium_elementary(self, name):
         g = parse_name(name)
         assert names(elementary_all(g)) == naive_elementary_all(g)
@@ -198,6 +200,44 @@ class TestInvariants:
         clear_transform_cache()
         assert elementary_all(g) == first_e
         assert tie_all(g) == first_t
+
+    @pytest.mark.parametrize(
+        "name, other", [("A2+A2+G2", "A2+G2"), ("D4+D4", "D4"), ("E6+A2+A2", "E6")]
+    )
+    def test_core_memo_is_order_independent(self, name, other):
+        # cores are shared per component type, so their memos may already be
+        # warm from another transform or another graph
+        from dynkintrans.transforms import clear_transform_cache
+
+        g = parse_name(name)
+        clear_transform_cache()
+        cold_tie = tie_all(g)
+        clear_transform_cache()
+        cold_elementary = elementary_all(g)
+        assert tie_all(g) == cold_tie
+        clear_transform_cache()
+        tie_all(parse_name(other))
+        assert tie_all(g) == cold_tie
+        assert elementary_all(g) == cold_elementary
+        clear_transform_cache()
+
+    def test_tie_witness_has_the_smallest_b_for_its_a(self):
+        # E6+A3 has an A-part whose residual pieces interleave by vertex, so
+        # the smallest B is found only if B-candidates are taken in vertex
+        # order across pieces
+        g = parse_name("E6+A3")
+        n = extend(g).n
+        for out, choice in tie_all(g):
+            rest = [v for v in range(n) if v not in choice.a]
+            for k in range(4):
+                for b in itertools.combinations(rest, k):
+                    if b >= choice.b:
+                        continue
+                    try:
+                        other = apply(g, TieChoice(choice.a, b))
+                    except (InvalidChoice, NotADynkinGraph):
+                        continue
+                    assert other != out, (out.name, choice, b)
 
     def test_results_sorted_by_name(self):
         for results in (elementary_all(parse_name("E7")), tie_all(parse_name("D5"))):
