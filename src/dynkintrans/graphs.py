@@ -509,21 +509,27 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _piece_at(adj: list[int], mask: int, start: int) -> int:
+    """The connected piece of ``mask`` that holds the vertex bit ``start``."""
+    piece = frontier = start
+    while frontier:
+        grow = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            grow |= adj[b.bit_length() - 1]
+        frontier = grow & mask & ~piece
+        piece |= frontier
+    return piece
+
+
 def _pieces(adj: list[int], mask: int) -> list[int]:
     """The connected pieces of ``mask``, in order of their lowest vertex."""
     pieces = []
     while mask:
-        piece = frontier = mask & -mask
-        while frontier:
-            grow = 0
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                grow |= adj[b.bit_length() - 1]
-            frontier = grow & mask & ~piece
-            piece |= frontier
+        piece = _piece_at(adj, mask, mask & -mask)
         pieces.append(piece)
-        mask &= ~piece
+        mask ^= piece
     return pieces
 
 

@@ -24,10 +24,9 @@ Choice indices always refer to the documented vertex ordering of
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .graphs import (
     ComponentType,
@@ -46,7 +45,7 @@ from .graphs import (
     _decode,
     _legs_code,
     _mask_view,
-    _pieces,
+    _piece_at,
     _recognize,
     canonical_name,
     classify,
@@ -192,25 +191,33 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # with the shape recognizer of ``graphs`` that ``classify`` uses, so
 # component types are its integer codes and result multisets are plain
 # sorted int tuples.  One core per component type is shared by every graph
-# containing it.  Elementary and tie enumeration range over every submask of
-# a component, and the same few connected pieces make up all their
-# residuals, so the core caches the piece, not the residual: one recognizer
-# walk per distinct piece gives its type and an attachment descriptor for
-# each of its vertices, from which the shape of any tie fusion follows
+# containing it, and it caches the connected piece: one recognizer walk per
+# distinct piece gives its type and an attachment descriptor for each of
+# its vertices, from which the shape of any tie fusion follows
 # arithmetically by the same legs rule.
 #
-# Tie enumeration works on a quotient.  On one component, what an A-part
-# contributes depends only on its signature: the gcd g of its coefficients
-# and, per residual piece, the piece type with the multiset of (attachment
-# descriptor, coefficient mod g) over the piece's vertices; that entry is
-# built once per (piece, g) and the signature is their sorted tuple.  Each
-# component keeps the smallest A-part per signature, and for that A-part one
-# B-candidate per (piece, descriptor, coefficient mod g) class, the
-# smallest vertex of the class.  Witnesses are the same as over the full
-# product: A-parts of one signature have equal size, so the lex order of
-# the concatenated A splits by component; B-vertices lie in distinct
-# pieces, so swapping each for its class minimum can only lower B; and the
-# gcd condition reads the coefficients mod g only.
+# Each core holds an option table per transform: the smallest local choice
+# per key, where the key is what the choice leaves for the other
+# components, the sorted types of its residual pieces and, for a tie, the
+# descriptors of its B-vertices that are still open.  ``_fold`` merges the
+# tables component by component into states keyed the same way.  A tie
+# option takes one A-part per signature: the gcd g of its coefficients and,
+# per residual piece, the piece type with its multiset of (descriptor,
+# coefficient mod g).  Its B is at most three B-candidates in distinct
+# pieces, one per (piece, descriptor, coefficient mod g) class, the smallest
+# vertex of the class, with gcd(g, B-coefficient sum) = 1, a condition on
+# the component's own vertices only.  ``_settle`` drops a B that cannot
+# fuse and fuses at once one that can take no more; it is then closed.
+#
+# Witnesses are the same as over the full product of choices.  A-parts of
+# one signature give the same options and have equal size, and swapping
+# each B-vertex for its class minimum can only lower B.  Choices with one
+# key have equal |A|, as the key fixes the number of residual vertices, and
+# equal |B| wherever more B may follow: an open key holds one descriptor
+# per B-vertex, and a closed one takes no more.  Indices grow from
+# component to component, so the lex order of the concatenated (A, B)
+# splits by component, and the smallest choice per key stays the smallest
+# after any suffix.
 # ---------------------------------------------------------------------------
 
 # Outcome graphs are interned: each distinct graph is one shared immutable
@@ -228,17 +235,18 @@ def _decode_graph(codes: tuple[int, ...]) -> DynkinGraph:
     return g
 
 
-class _CompCore:
-    """Mask-level view of the extended graph of one component type; vertex
-    indices are local to the component.
+# {open descriptors, or None once closed: {sorted residual types: local (A, B)}}
+_Table = dict[Union[tuple, None], dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]]
 
-    The connected piece is the cached unit: ``piece`` recognizes each
-    distinct piece mask once, however many residual masks contain it.
-    """
+
+class _CompCore:
+    """Mask-level view of the extended graph of one component type, with
+    vertex indices local to the component.  ``piece`` recognizes each
+    distinct piece mask once, and each option table is built once."""
 
     __slots__ = (
         "size", "full", "adj", "coeff", "norm", "gcd_table", "abits",
-        "_piece_memo", "_tie_reps",
+        "_piece_memo", "_tie_table", "_elementary_table",
     )
 
     def __init__(self, ct: ComponentType):
@@ -260,7 +268,8 @@ class _CompCore:
         self.gcd_table = table
         self.abits = abits
         self._piece_memo: dict[int, tuple[int, tuple]] = {}
-        self._tie_reps: list["_TieRep"] | None = None
+        self._tie_table: _Table | None = None
+        self._elementary_table: _Table | None = None
 
     def piece(self, piece: int) -> tuple[int, tuple]:
         """Type code of one connected piece and the (vertex, attachment
@@ -289,33 +298,114 @@ class _CompCore:
         info = self._piece_memo[piece] = (code, tuple(desc.items()))
         return info
 
-    def tie_reps(self) -> list["_TieRep"]:
-        """The smallest A-part of every tie signature, in ascending mask order."""
-        reps = self._tie_reps
-        if reps is None:
-            adj, coeff = self.adj, self.coeff
-            # per (piece, g): the piece type with its sorted (descriptor,
-            # coefficient mod g) classes; a None descriptor sorts as (),
-            # below every real one
-            entries: dict[tuple[int, int], tuple] = {}
-            smallest: dict[tuple, int] = {}
-            for a in range(1, self.full + 1):
-                g = self.gcd_table[a]
-                sig_pieces = []
-                for piece in _pieces(adj, self.full ^ a):
-                    entry = entries.get((piece, g))
-                    if entry is None:
-                        code, pairs = self.piece(piece)
-                        classes = sorted((d or (), coeff[v] % g) for v, d in pairs)
-                        entry = entries[(piece, g)] = (code, tuple(classes))
-                    sig_pieces.append(entry)
-                sig = (g, tuple(sorted(sig_pieces)))
-                old = smallest.get(sig)
-                if old is None or self.abits[a] < self.abits[old]:
-                    smallest[sig] = a
-            reps = [_TieRep(self, a) for a in sorted(smallest.values())]
-            self._tie_reps = reps
-        return reps
+    def residual_pieces(self) -> list[tuple[int, ...]]:
+        """The connected pieces of every residual mask below ``full``, in
+        order of their lowest vertex, found for each mask by its first piece."""
+        out: list[tuple[int, ...]] = [()] * self.full
+        for r in range(1, self.full):
+            piece = _piece_at(self.adj, r, r & -r)
+            out[r] = (piece,) + out[r ^ piece]
+        return out
+
+    def elementary_table(self) -> _Table:
+        """Per residual type multiset, the smallest removed set."""
+        table = self._elementary_table
+        if table is None:
+            best: dict[tuple, tuple] = {}
+            for r, pieces in enumerate(self.residual_pieces()):
+                types = tuple(sorted(self.piece(p)[0] for p in pieces))
+                w = (self.abits[self.full ^ r], ())
+                old = best.get(types)
+                if old is None or w < old:
+                    best[types] = w
+            table = self._elementary_table = {(): best}
+        return table
+
+    def tie_reps(self) -> list[tuple[int, tuple[int, ...]]]:
+        """The smallest A-part of every tie signature, in ascending mask
+        order, with the pieces of its residual."""
+        coeff = self.coeff
+        # per (piece, g): the piece type with its sorted (descriptor, coefficient
+        # mod g) classes; a None descriptor sorts as (), below every real one
+        entries: dict[tuple[int, int], tuple] = {}
+        smallest: dict[tuple, int] = {}
+        residual_pieces = self.residual_pieces()
+        for r, pieces in enumerate(residual_pieces):
+            a = self.full ^ r
+            g = self.gcd_table[a]
+            sig_pieces = []
+            for piece in pieces:
+                entry = entries.get((piece, g))
+                if entry is None:
+                    code, pairs = self.piece(piece)
+                    classes = sorted((d or (), coeff[v] % g) for v, d in pairs)
+                    entry = entries[(piece, g)] = (code, tuple(classes))
+                sig_pieces.append(entry)
+            sig = (g, tuple(sorted(sig_pieces)))
+            old = smallest.get(sig)
+            if old is None or self.abits[a] < self.abits[old]:
+                smallest[sig] = a
+        return [(a, residual_pieces[self.full ^ a]) for a in sorted(smallest.values())]
+
+    def tie_table(self) -> _Table:
+        """Per (residual types, open descriptors), the smallest local (A, B):
+        A is one of ``tie_reps``, and B at most three of its B-candidates in
+        distinct pieces with gcd(g, sum of their coefficients) = 1."""
+        table = self._tie_table
+        if table is None:
+            coeff = self.coeff
+            table = {}
+            settled: dict[tuple, tuple | None] = {}
+            for mask, pieces in self.tie_reps():
+                g, a = self.gcd_table[mask], self.abits[mask]
+                codes, ends, others = [], [], []
+                for pid, piece in enumerate(pieces):
+                    code, pairs = self.piece(piece)
+                    codes.append(code)
+                    seen = set()
+                    for v, d in pairs:  # vertices without a descriptor never fuse
+                        cls = (d, coeff[v] % g)
+                        if d is not None and cls not in seen:
+                            seen.add(cls)
+                            (ends if _is_end(d) else others).append((v, pid, d, coeff[v]))
+                rests: dict[tuple, tuple[int, ...]] = {}  # types beside B's pieces, plus B's fusion
+                for b, pids, descs, csum in _b_sets(ends, others):
+                    if gcd(g, csum) != 1:
+                        continue
+                    if descs not in settled:
+                        settled[descs] = _settle(descs)
+                    if settled[descs] is None:
+                        continue
+                    extra, still_open = settled[descs]
+                    types = rests.get((pids, extra))
+                    if types is None:
+                        kept = [t for i, t in enumerate(codes) if i not in pids]
+                        types = rests[(pids, extra)] = tuple(sorted(kept + list(extra)))
+                    group = table.setdefault(still_open, {})
+                    old = group.get(types)
+                    if old is None or (a, b) < old:
+                        group[types] = (a, b)
+            self._tie_table = table
+        return table
+
+
+def _b_sets(ends: list[tuple], others: list[tuple]) -> Iterator[tuple]:
+    """(sorted B, pieces, descriptors, coefficient sum) of each B that
+    ``_settle`` may keep, from candidates (vertex, piece, descriptor,
+    coefficient) that are path ends or not: at most three in distinct pieces,
+    as two in one piece close a cycle; a pair needs an end, a triple three."""
+    yield (), (), (), 0
+    cands = ends + others
+    for i, (v0, p0, d0, k0) in enumerate(cands):
+        yield (v0,), (p0,), (d0,), k0
+        for j in range(i + 1, len(cands) if i < len(ends) else 0):
+            v1, p1, d1, k1 = cands[j]
+            if p1 != p0:
+                yield ((v0, v1) if v0 < v1 else (v1, v0)), (p0, p1), (d0, d1), k0 + k1
+                for v2, p2, d2, k2 in ends[j + 1:]:
+                    if p2 != p0 and p2 != p1:
+                        b = tuple(sorted((v0, v1, v2)))
+                        yield b, (p0, p1, p2), (d0, d1, d2), k0 + k1 + k2
 
 
 # Attachment descriptors: how the new tie vertex may fasten to a residual
@@ -327,81 +417,76 @@ _D_FORK = 1  # (1, size, leg_a, leg_b, leg_own): leaf of a one-fork piece
 _D_SHORT = 2  # (2,): isolated norm-2/3 vertex; new--short is the G2 shape
 
 
-def _fuse1(d: tuple) -> int | None:
-    """Shape of: new vertex attached to one piece."""
-    tag = d[0]
-    if tag == _D_PATH:
-        _, size, dnear, dfar = d
-        if dnear == 0:
-            return _code(_RANK_A, size + 1)
-        return _legs_code(1, dnear, dfar)
-    if tag == _D_SHORT:
+def _is_end(d: tuple) -> bool:
+    """Whether a descriptor is an end of a path piece."""
+    return d[0] == _D_PATH and d[2] == 0
+
+
+def _fuse(descs: tuple) -> int | None:
+    """Shape of: new vertex joined to the pieces of ``descs``, one
+    descriptor per piece in any order, or standing alone."""
+    if len(descs) == 1 and descs[0][0] == _D_SHORT:
         return _CODE_G2
-    _, _size, la, lb, own = d
-    legs = sorted((la, lb, own + 1))
-    return _legs_code(*legs)
-
-
-def _fuse2(d1: tuple, d2: tuple) -> int | None:
-    """Shape of: new vertex joining two distinct pieces."""
-    t1, t2 = d1[0], d2[0]
-    if t1 == _D_SHORT or t2 == _D_SHORT:
+    ends = [d[1] for d in descs if _is_end(d)]  # path pieces, joined at an end
+    rest = [d for d in descs if not _is_end(d)]
+    if not rest:  # a path through the new vertex, or three legs at it
+        if len(ends) <= 2:
+            return _code(_RANK_A, sum(ends) + 1)
+        return _legs_code(*sorted(ends)) if len(ends) == 3 else None
+    if len(rest) > 1 or len(ends) > 1 or rest[0][0] == _D_SHORT:
         return None
-    end1 = t1 == _D_PATH and d1[2] == 0
-    end2 = t2 == _D_PATH and d2[2] == 0
-    if end1 and end2:
-        return _code(_RANK_A, d1[1] + d2[1] + 1)
-    if not (end1 or end2):
-        return None  # two branch points
-    if not end1:
-        d1, d2 = d2, d1  # d1 is the plain path end, d2 carries the branching
-    tail = d1[1] + 1  # leg through the new vertex and the whole path piece
-    if d2[0] == _D_PATH:
-        legs = sorted((d2[2], d2[3], tail))
-    else:
-        _, _size, la, lb, own = d2
-        legs = sorted((la, lb, own + tail))
-    return _legs_code(*legs)
+    tail = sum(ends) + 1  # leg through the new vertex and the joined path, if any
+    d = rest[0]
+    legs = (d[2], d[3], tail) if d[0] == _D_PATH else (d[2], d[3], d[4] + tail)
+    return _legs_code(*sorted(legs))
 
 
-def _fuse3(d1: tuple, d2: tuple, d3: tuple) -> int | None:
-    """Shape of: new vertex joining three distinct pieces (it is the fork)."""
-    for d in (d1, d2, d3):
-        if d[0] != _D_PATH or d[2] != 0:
-            return None
-    legs = sorted((d1[1], d2[1], d3[1]))
-    return _legs_code(*legs)
+def _settle(descs: tuple) -> tuple | None:
+    """What B, given by its descriptors, can still become: (types it adds,
+    its sorted descriptors if still open or None once fused), or None when
+    no Dynkin outcome holds it.  A short root fuses only alone; a pair needs
+    a path end, and two ends stay open for a third; a triple fuses at once."""
+    descs = tuple(sorted(descs))
+    n = len(descs)
+    if (n < 2 and descs != ((_D_SHORT,),)) or (n == 2 and all(map(_is_end, descs))):
+        return (), descs
+    fused = _fuse(descs)
+    return None if fused is None else ((fused,), None)
 
 
-class _TieRep:
-    """One tie signature of a component: its smallest A-part and B-candidates.
-
-    ``cands`` holds one entry (vertex, piece id, descriptor, coefficient,
-    piece type) per (piece, descriptor, coefficient mod g) class, for its
-    smallest vertex, in ascending vertex order; vertices without an
-    attachment descriptor can never take part in a fusion and are left out.
-    """
-
-    __slots__ = ("a", "g", "types", "cands")
-
-    def __init__(self, comp: _CompCore, a: int):
-        g = comp.gcd_table[a]
-        self.a = comp.abits[a]
-        self.g = g
-        types = []
-        cands = []
-        for pid, piece in enumerate(_pieces(comp.adj, comp.full ^ a)):
-            code, pairs = comp.piece(piece)
-            types.append(code)
-            seen = set()
-            for v, d in pairs:
-                cls = (d, comp.coeff[v] % g)
-                if d is not None and cls not in seen:
-                    seen.add(cls)
-                    cands.append((v, pid, d, comp.coeff[v], code))
-        cands.sort()  # by vertex across pieces, so every B combination is sorted
-        self.types = tuple(types)
-        self.cands = tuple(cands)
+def _fold(parts: list[tuple[int, _Table]]) -> _Table:
+    """Merge option tables, each given with the first vertex index of its
+    component, into one table of states in graph indices."""
+    states: _Table = {(): {(): ((), ())}}
+    joins: dict[tuple, tuple | None] = {}
+    for lo, table in parts:
+        nxt: _Table = {}
+        for descs, group in table.items():
+            opts = group.items()
+            if lo:  # local indices to graph indices
+                opts = [(t, (tuple(v + lo for v in a), tuple(v + lo for v in b)))
+                        for t, (a, b) in opts]
+            for held, held_group in states.items():
+                jk = (held, descs)
+                if jk not in joins:
+                    if held is None or descs is None:  # closed: the other side must be empty
+                        joins[jk] = ((), None) if () in jk else None
+                    else:
+                        joins[jk] = _settle(held + descs)
+                if joins[jk] is None:
+                    continue
+                extra, still_open = joins[jk]
+                out = nxt.setdefault(still_open, {})
+                for held_types, (held_a, held_b) in held_group.items():
+                    base = held_types + extra
+                    for types, (a, b) in opts:
+                        merged = tuple(sorted(base + types)) if base else types
+                        w = (held_a + a, held_b + b)
+                        old = out.get(merged)
+                        if old is None or w < old:
+                            out[merged] = w
+        states = nxt
+    return states
 
 
 _CORE_MEMO: dict[ComponentType, _CompCore] = {}
@@ -448,27 +533,8 @@ def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]
     cached = _MEMO_ELEMENTARY.get(key)
     if cached is not None:
         return list(cached)
-    per_comp: list[dict[tuple[int, ...], tuple[int, ...]]] = []
-    for lo, comp in _core(g):
-        opts: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for removed in range(1, comp.full + 1):
-            residual = comp.full ^ removed
-            ts = tuple(sorted(comp.piece(p)[0] for p in _pieces(comp.adj, residual)))
-            enc = comp.abits[removed]
-            old = opts.get(ts)
-            if old is None or enc < old:
-                opts[ts] = enc
-        per_comp.append({ts: tuple(v + lo for v in enc) for ts, enc in opts.items()})
-    results: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for combo in itertools.product(*(list(o.items()) for o in per_comp)):
-        types = tuple(sorted(t for ts, _ in combo for t in ts))
-        enc = tuple(v for _, part in combo for v in part)
-        old = results.get(types)
-        if old is None or enc < old:
-            results[types] = enc
-    out = [
-        (_decode_graph(types), ElementaryChoice(enc)) for types, enc in results.items()
-    ]
+    states = _fold([(lo, core.elementary_table()) for lo, core in _core(g)])[()]
+    out = [(_decode_graph(t), ElementaryChoice(a)) for t, (a, _) in states.items()]
     out.sort(key=lambda pair: canonical_name(pair[0]))
     _MEMO_ELEMENTARY[key] = out
     return list(out)
@@ -483,93 +549,27 @@ def tie_all(g: DynkinGraph) -> list[tuple[DynkinGraph, TieChoice]]:
     whose outcome is a Dynkin graph are kept; outcomes are deduplicated by
     canonical name with the smallest (A, B) witness.
 
-    The enumeration runs over one A-part per component signature and one
-    B-candidate per vertex class (see the notes on the enumeration core),
-    which finds every outcome and the same smallest witness as the full
-    product of A-submasks and vertex subsets.
+    Folding the components' option tables keeps the smallest (A, B) per
+    state, open or closed, which stays the smallest after any later
+    component (see the enumeration notes); each open state then fuses the
+    new vertex with its descriptors, or adds it alone as A1.
     """
     key = canonical_name(g)
     cached = _MEMO_TIE.get(key)
     if cached is not None:
         return list(cached)
-    cores = _core(g)
     results: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-
-    if not cores:
-        # The empty graph has no components; A = B = {} and the new vertex
-        # lands isolated.
-        results[(_CODE_A1,)] = ((), ())
-    else:
-        combinations = itertools.combinations
-        resget = results.get
-        # per component, its signature representatives in graph indices:
-        # (A-part, gcd, residual types, B-candidates), where a B-candidate is
-        # (vertex, (component, piece id), descriptor, coefficient, piece type)
-        options = [
-            [
-                (
-                    tuple(v + lo for v in rep.a),
-                    rep.g,
-                    rep.types,
-                    [(v + lo, (ci, pid), d, c, t) for v, pid, d, c, t in rep.cands],
-                )
-                for rep in core.tie_reps()
-            ]
-            for ci, (lo, core) in enumerate(cores)
-        ]
-        for combo in itertools.product(*options):
-            bad = [(ci, opt[1]) for ci, opt in enumerate(combo) if opt[1] != 1]
-            if len(bad) > 3:
-                continue  # every bad component needs a B-vertex of its own
-            a_tuple = tuple(v for opt in combo for v in opt[0])
-            all_types = [t for opt in combo for t in opt[2]]
-            if not bad:
-                types = tuple(sorted(all_types + [_CODE_A1]))
-                old = resget(types)
-                if old is None or (a_tuple, ()) < old:
-                    results[types] = (a_tuple, ())
-            cands = [c for opt in combo for c in opt[3]]
-            for k in (1, 2, 3):
-                for bs in combinations(cands, k):
-                    # two B-vertices in one piece would close a cycle
-                    if k == 1:
-                        fused = _fuse1(bs[0][2])
-                    elif k == 2:
-                        c0, c1 = bs
-                        if c0[1] == c1[1]:
-                            continue
-                        fused = _fuse2(c0[2], c1[2])
-                    else:
-                        c0, c1, c2 = bs
-                        if c0[1] == c1[1] or c0[1] == c2[1] or c1[1] == c2[1]:
-                            continue
-                        fused = _fuse3(c0[2], c1[2], c2[2])
-                    if fused is None:
-                        continue
-                    if bad:
-                        ok = True
-                        for ci, gc in bad:
-                            nsum = 0
-                            for c in bs:
-                                if c[1][0] == ci:
-                                    nsum += c[3]
-                            if gcd(gc, nsum) != 1:
-                                ok = False
-                                break
-                        if not ok:
-                            continue
-                    types_list = list(all_types)
-                    for c in bs:
-                        types_list.remove(c[4])
-                    types_list.append(fused)
-                    types = tuple(sorted(types_list))
-                    b = tuple(c[0] for c in bs)
-                    old = resget(types)
-                    if old is None or (a_tuple, b) < old:
-                        results[types] = (a_tuple, b)
-    out = [
-        (_decode_graph(types), TieChoice(a, b)) for types, (a, b) in results.items()
-    ]
+    for descs, states in _fold([(lo, core.tie_table()) for lo, core in _core(g)]).items():
+        extra = () if descs is None else (_fuse(descs),)  # the new vertex, if still open
+        if None in extra:
+            continue
+        for types, w in states.items():
+            types = tuple(sorted(types + extra)) if extra else types
+            old = results.get(types)
+            if old is None or w < old:
+                results[types] = w
+    seen: dict[tuple, tuple] = {}  # equal A-parts share one tuple, as the results keep them
+    out = [(_decode_graph(t), TieChoice(seen.setdefault(a, a), b)) for t, (a, b) in results.items()]
     out.sort(key=lambda pair: canonical_name(pair[0]))
     _MEMO_TIE[key] = out
     return list(out)

@@ -296,6 +296,31 @@ def small_graphs(draw) -> DynkinGraph:
 @example(parse_name("D4+BC1"))
 @example(parse_name("G2+BC1"))
 def test_witnesses_are_lexicographic_minima(g):
+    assert_witnesses_are_lexicographic_minima(g)
+
+
+# Three and four components: B-vertices spread over several components,
+# closed fusions (a short root, a pair with one path end, three path ends)
+# beside components that may take no further B, and open path ends that
+# meet across components.
+@pytest.mark.parametrize(
+    "name",
+    [
+        "A1+A1+A1",
+        "A1+A1+A1+A1",
+        "A2+A1+A1",
+        "A3+A1+A1",
+        "A2+A2+A1",
+        "A2+A1+A1+G1",
+        "A1+A1+G1+BC1",
+        "D4+A1+A1",
+    ],
+)
+def test_witnesses_are_lexicographic_minima_across_components(name):
+    assert_witnesses_are_lexicographic_minima(parse_name(name))
+
+
+def assert_witnesses_are_lexicographic_minima(g):
     # the oracles replay every admissible choice literally and keep the
     # smallest (A, B), or the smallest removed set, per outcome
     ties = tie_all(g)
