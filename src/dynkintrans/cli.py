@@ -27,6 +27,7 @@ from .catalog import (
     singularity_class,
 )
 from .graphs import (
+    EMPTY,
     DynkinGraph,
     ParseError,
     canonical_name,
@@ -45,10 +46,11 @@ from .transforms import (
 )
 
 USAGE_ERROR = 2
+_EMPTY_NAME = "(empty)"  # how the empty graph is printed, and read back
 
 
 def _display_name(name: str) -> str:
-    return name if name else "(empty)"
+    return name if name else _EMPTY_NAME
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -59,6 +61,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _parse_graph_arg(text: str) -> DynkinGraph:
+    if text.strip() == _EMPTY_NAME:
+        return EMPTY
     try:
         return parse_name(text)
     except ParseError as exc:

@@ -18,7 +18,7 @@ norm 1 never occurs here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -98,9 +98,16 @@ BC1 = ComponentType("BC", 1)
 
 @dataclass(frozen=True, slots=True)
 class DynkinGraph:
-    """A finite multiset of components; order never matters."""
+    """A finite multiset of components; order never matters.
+
+    Components are kept sorted E > D > A > G2 > G1 > BC1, so the graph is
+    A/D/E exactly when its last component is.  The name is a function of
+    the sorted components alone: it is built on first read and kept on the
+    instance; equality, hashing and ``repr`` see only the components.
+    """
 
     components: tuple[ComponentType, ...] = ()
+    _name: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         comps = tuple(sorted(self.components, key=lambda c: c.sort_key))
@@ -116,11 +123,16 @@ class DynkinGraph:
 
     @property
     def is_ade(self) -> bool:
-        return all(c.family in ("A", "D", "E") for c in self.components)
+        comps = self.components
+        return not comps or comps[-1].family in ("A", "D", "E")
 
     @property
     def name(self) -> str:
-        return canonical_name(self)
+        name = self._name
+        if name is None:
+            name = "+".join(c.name for c in self.components)
+            object.__setattr__(self, "_name", name)
+        return name
 
     def __str__(self) -> str:
         return self.name or "(empty)"
@@ -162,7 +174,7 @@ def parse_name(text: str) -> DynkinGraph:
 
 def canonical_name(g: DynkinGraph) -> str:
     """Deterministic name: components sorted E>D>A>G2>G1>BC1, subscripts descending."""
-    return "+".join(c.name for c in g.components)
+    return g.name
 
 
 @dataclass(frozen=True)

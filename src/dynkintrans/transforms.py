@@ -47,7 +47,6 @@ from .graphs import (
     _mask_view,
     _piece_at,
     _recognize,
-    canonical_name,
     classify,
     extend,
 )
@@ -529,13 +528,13 @@ def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]
     index tuple is kept.  Removing exactly the added vertices reproduces
     ``g``, and removing everything yields the empty graph.
     """
-    key = canonical_name(g)
+    key = g.name
     cached = _MEMO_ELEMENTARY.get(key)
     if cached is not None:
         return list(cached)
     states = _fold([(lo, core.elementary_table()) for lo, core in _core(g)])[()]
     out = [(_decode_graph(t), ElementaryChoice(a)) for t, (a, _) in states.items()]
-    out.sort(key=lambda pair: canonical_name(pair[0]))
+    out.sort(key=lambda pair: pair[0].name)
     _MEMO_ELEMENTARY[key] = out
     return list(out)
 
@@ -554,7 +553,7 @@ def tie_all(g: DynkinGraph) -> list[tuple[DynkinGraph, TieChoice]]:
     component (see the enumeration notes); each open state then fuses the
     new vertex with its descriptors, or adds it alone as A1.
     """
-    key = canonical_name(g)
+    key = g.name
     cached = _MEMO_TIE.get(key)
     if cached is not None:
         return list(cached)
@@ -570,6 +569,6 @@ def tie_all(g: DynkinGraph) -> list[tuple[DynkinGraph, TieChoice]]:
                 results[types] = w
     seen: dict[tuple, tuple] = {}  # equal A-parts share one tuple, as the results keep them
     out = [(_decode_graph(t), TieChoice(seen.setdefault(a, a), b)) for t, (a, b) in results.items()]
-    out.sort(key=lambda pair: canonical_name(pair[0]))
+    out.sort(key=lambda pair: pair[0].name)
     _MEMO_TIE[key] = out
     return list(out)

@@ -93,6 +93,11 @@ class TestCheckCommand:
         assert code == 2
         assert "D3" in err
 
+    def test_empty_graph_as_printed(self, cli, all_catalogs):
+        code, out, _ = cli("check", "Q10", "(empty)")
+        assert code == 0
+        assert out.startswith("yes: (empty) is reachable from Q10")
+
 
 class TestTransformCommand:
     def test_tie_text(self, cli):
@@ -109,6 +114,11 @@ class TestTransformCommand:
         code, out, _ = cli("transform", "A1", "--op", "elementary")
         assert code == 0
         assert set(out.splitlines()) == {"A1", "(empty)"}
+
+    def test_empty_graph_as_printed(self, cli):
+        code, out, _ = cli("transform", "(empty)", "--op", "tie")
+        assert code == 0
+        assert out.splitlines() == ["A1"]
 
     def test_json_witnesses_replay(self, cli):
         from dynkintrans.graphs import parse_name

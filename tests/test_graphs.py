@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 import sympy
@@ -98,6 +101,47 @@ class TestNaming:
         assert DynkinGraph((A(1), A(2))) == DynkinGraph((A(2), A(1)))
         assert parse_name("A1+A2") == parse_name("A2+A1")
         assert parse_name("2A2") != parse_name("A2")
+
+    def test_name_of_unsorted_input(self):
+        assert DynkinGraph((A(1), E(6))).name == "E6+A1"
+
+    def test_name_is_computed_on_first_read(self):
+        g = parse_name("E7+A1")
+        assert g._name is None
+        assert g == parse_name("A1+E7") and hash(g) == hash(DynkinGraph((A(1), E(7))))
+        assert g._name is None
+        assert g.name == "E7+A1"
+        assert g._name == "E7+A1"
+
+    def test_reading_name_keeps_identity(self):
+        fresh, read = parse_name("E6+G2+BC1"), parse_name("E6+G2+BC1")
+        assert read.name == "E6+G2+BC1"
+        for g in (read, pickle.loads(pickle.dumps(read)), copy.copy(read)):
+            assert g == fresh and hash(g) == hash(fresh)
+            assert repr(g) == repr(fresh) == "DynkinGraph('E6+G2+BC1')"
+            assert g.name == "E6+G2+BC1"
+        assert pickle.loads(pickle.dumps(fresh)).name == "E6+G2+BC1"
+
+    def test_is_ade_on_small_graphs(self, family12):
+        comps = [g.components[0] for g in family12 if g.total_vertices <= 10]
+        graphs = [EMPTY]
+        for k in range(1, 5):
+            for combo in combinations_with_replacement(comps, k):
+                if sum(c.vertex_count for c in combo) <= 10:
+                    graphs.append(DynkinGraph(combo[::-1]))
+        assert any(g.is_ade for g in graphs) and any(not g.is_ade for g in graphs)
+        for g in graphs:
+            assert g.is_ade == all(c.family in ("A", "D", "E") for c in g.components), g
+
+    def test_transforms_see_one_graph_whatever_the_input_order(self):
+        from dynkintrans.transforms import clear_transform_cache, elementary_all, tie_all
+
+        for enumerate_all in (tie_all, elementary_all):
+            clear_transform_cache()
+            unsorted = enumerate_all(DynkinGraph((A(1), E(6))))
+            assert enumerate_all(parse_name("E6+A1")) == unsorted
+            clear_transform_cache()
+            assert enumerate_all(parse_name("E6+A1")) == unsorted
 
 
 class TestRealize:
