@@ -14,10 +14,12 @@ symbol and engine version.
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import tempfile
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .graphs import DynkinGraph, parse_name
@@ -104,15 +106,9 @@ class Catalog:
         return [m.name for m in self.members]
 
     def get(self, name: str) -> CatalogMember | None:
-        lo, hi = 0, len(self.members)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.members[mid].name < name:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.members) and self.members[lo].name == name:
-            return self.members[lo]
+        i = bisect.bisect_left(self.members, name, key=attrgetter("name"))
+        if i < len(self.members) and self.members[i].name == name:
+            return self.members[i]
         return None
 
     def __contains__(self, g: DynkinGraph) -> bool:
@@ -281,30 +277,40 @@ def _choice_from_dict(d: dict) -> Choice:
     return TieChoice(tuple(d["a"]), tuple(d["b"]))
 
 
+def _checked_entries(data: dict, cls: SingularityClass) -> list:
+    """The member entries of a catalog dict, after one pass that checks the
+    header and each entry's name, order and first step, building no graph."""
+    basic = cls.basic.name
+    header = (data["class"], data["milnor"], data["basic"], data["engine_version"])
+    if header != (cls.symbol, cls.milnor, basic, ENGINE_VERSION):
+        raise ValueError(f"catalog header {header!r} does not match engine {ENGINE_VERSION}")
+    entries = data["members"]
+    last = None
+    for entry in entries:
+        name = entry["name"]
+        d1, _ = entry["witness"]
+        if type(name) is not str or (last is not None and name <= last) or d1["input"] != basic:
+            raise ValueError(f"malformed or unsorted catalog entry {name!r}")
+        last = name
+    return entries
+
+
+def _entry_witness(cls: SingularityClass, entry: dict, graph: DynkinGraph, mids: dict) -> Witness:
+    d1, d2 = entry["witness"]
+    mid = mids.get(d2["input"])
+    if mid is None:
+        mid = mids[d2["input"]] = parse_name(d2["input"])
+    s1 = TransformStep(_choice_from_dict(d1), cls.basic, mid)
+    return s1, TransformStep(_choice_from_dict(d2), mid, graph)
+
+
 def catalog_from_dict(data: dict) -> Catalog:
     cls = singularity_class(data["class"])
-    if data.get("engine_version") != ENGINE_VERSION:
-        raise ValueError(
-            f"catalog engine version {data.get('engine_version')!r} does not match {ENGINE_VERSION!r}"
-        )
-    if data["milnor"] != cls.milnor or parse_name(data["basic"]) != cls.basic:
-        raise ValueError(f"catalog data inconsistent with class {cls.symbol}")
     members = []
-    basic = cls.basic.name
     mids: dict[str, DynkinGraph] = {}  # each intermediate name parsed once
-    for entry in data["members"]:
-        d1, d2 = entry["witness"]
-        if d1["input"] != basic:
-            raise ValueError(f"witness of {entry['name']!r} does not start at {basic}")
-        mid_name = d2["input"]
-        mid = mids.get(mid_name)
-        if mid is None:
-            mid = mids[mid_name] = parse_name(mid_name)
+    for entry in _checked_entries(data, cls):
         graph = parse_name(entry["name"])
-        s1 = TransformStep(_choice_from_dict(d1), cls.basic, mid)
-        s2 = TransformStep(_choice_from_dict(d2), mid, graph)
-        members.append(CatalogMember(graph, (s1, s2)))
-    members.sort(key=lambda m: m.name)
+        members.append(CatalogMember(graph, _entry_witness(cls, entry, graph, mids)))
     return Catalog(cls, tuple(members))
 
 
@@ -321,11 +327,16 @@ def default_cache_dir() -> Path:
     return base / "dynkintrans"
 
 
-def _cache_path(symbol: str, cache_dir: Path) -> Path:
-    return cache_dir / f"{symbol}-v{ENGINE_VERSION}.json"
-
-
 _CATALOG_MEMO: dict[str, Catalog] = {}
+
+
+def _class_and_path(cls, cache, cache_dir) -> tuple[SingularityClass, Path | None]:
+    """The class, and its cache file when ``cache`` is set."""
+    if isinstance(cls, str):
+        cls = singularity_class(cls)
+    if not cache:
+        return cls, None
+    return cls, Path(cache_dir or default_cache_dir()) / f"{cls.symbol}-v{ENGINE_VERSION}.json"
 
 
 def build_catalog(
@@ -342,24 +353,26 @@ def build_catalog(
     to byte-identical JSON.  A catalog served from the in-process memo is
     also written to ``cache_dir`` when its file is missing there.
     """
-    if isinstance(cls, str):
-        cls = singularity_class(cls)
-    path = _cache_path(cls.symbol, Path(cache_dir or default_cache_dir())) if cache else None
+    cls, path = _class_and_path(cls, cache, cache_dir)
     memo = _CATALOG_MEMO.get(cls.symbol)
     if memo is not None:
         # the memo may come from an uncached build or another directory
         if path is not None and not path.is_file():
             _write_cache(path, memo)
         return memo
-    if path is not None:
-        if path.is_file():
-            try:
-                catalog = catalog_from_json(path.read_text(encoding="utf-8"))
-            except Exception:
-                pass  # unreadable, stale or malformed cache entry; recompute
-            else:
-                _CATALOG_MEMO[cls.symbol] = catalog
-                return catalog
+    if path is not None and path.is_file():
+        try:
+            catalog = catalog_from_json(path.read_text(encoding="utf-8"))
+        except Exception:
+            pass  # unreadable, stale or malformed cache entry; recompute
+        else:
+            _CATALOG_MEMO[cls.symbol] = catalog
+            return catalog
+    return _recompute(cls, path)
+
+
+def _recompute(cls: SingularityClass, path: Path | None) -> Catalog:
+    """The engine's catalog, memoized and written to ``path`` when given."""
     catalog = _compute_catalog(cls)
     if path is not None:
         _write_cache(path, catalog)
@@ -386,6 +399,11 @@ def clear_memory_cache() -> None:
     _CATALOG_MEMO.clear()
 
 
+def _witness_in(catalog: Catalog, name: str) -> Witness | None:
+    member = catalog.get(name)
+    return None if member is None else member.witness
+
+
 def membership(
     cls: SingularityClass | str,
     g: DynkinGraph,
@@ -397,9 +415,26 @@ def membership(
 
     Raises QueryNotADE when ``g`` contains a G2, G1 or BC1 component:
     membership is only defined for graphs with A/D/E components.
+
+    The answer comes from the in-process memo, else from the one entry for
+    ``g`` in the cache file, else from a build.  A "yes" is replayed; one
+    that does not replay, or a damaged file, is a miss, and the catalog is
+    recomputed and its file rewritten.  A "no" trusts the file.  Each call
+    re-reads the file; build_catalog keeps the catalog in memory instead.
     """
     if not g.is_ade:
         raise QueryNotADE(f"membership is undefined for non-ADE graph {g.name!r}")
-    catalog = build_catalog(cls, cache=cache, cache_dir=cache_dir)
-    member = catalog.get(g.name)
-    return None if member is None else member.witness
+    cls, path = _class_and_path(cls, cache, cache_dir)
+    try:
+        if cls.symbol in _CATALOG_MEMO or path is None or not path.is_file():
+            witness = _witness_in(build_catalog(cls, cache=cache, cache_dir=cache_dir), g.name)
+        else:
+            entries = _checked_entries(json.loads(path.read_text(encoding="utf-8")), cls)
+            i = bisect.bisect_left(entries, g.name, key=itemgetter("name"))
+            found = i < len(entries) and entries[i]["name"] == g.name
+            witness = _entry_witness(cls, entries[i], g, {}) if found else None
+        if witness is None or witness[0].replay() == witness[1].input and witness[1].replay() == g:
+            return witness
+    except Exception:
+        pass  # a damaged cache file or a witness that does not replay is a miss
+    return _witness_in(_recompute(cls, path), g.name)

@@ -369,15 +369,29 @@ def realize(g: DynkinGraph) -> LabeledGraph:
     return LabeledGraph(tuple(verts), tuple(edges))
 
 
+# (component type, coefficient table) pairs that passed the identity check.
+_VALIDATED: set[tuple[ComponentType, tuple[int, ...]]] = set()
+
+
 def extend(g: DynkinGraph) -> ExtendedGraph:
     """Replace each component by its extended graph and attach coefficients.
 
     Per component one vertex standing for the negative of the maximal root
     is appended after the base vertices (role ``x``, coefficient 1); the
-    base vertices carry the coefficients of the maximal root.  The identity
-    row(x) = -sum(coeff_i * row(i)) over each component's Gram rows is
-    asserted, which validates every coefficient table.
+    base vertices carry the coefficients of the maximal root.  Each
+    coefficient table is checked by check_extension_identity the first time
+    it is used for its component type.
     """
+    ext = _extend(g)
+    for ct, comp in zip(g.components, ext.components):
+        key = (ct, ext.coefficients[comp[0] : comp[-1]])
+        if key not in _VALIDATED:
+            check_extension_identity(ct)
+            _VALIDATED.add(key)
+    return ext
+
+
+def _extend(g: DynkinGraph) -> ExtendedGraph:
     verts: list[Vertex] = []
     edges: list[tuple[int, int, Fraction]] = []
     coeffs: list[int] = []
@@ -399,35 +413,25 @@ def extend(g: DynkinGraph) -> ExtendedGraph:
         added.add(offset + k)
         comps.append(tuple(range(offset, offset + k + 1)))
         offset += k + 1
-    ext = ExtendedGraph(
+    return ExtendedGraph(
         graph=g,
         base=LabeledGraph(tuple(verts), tuple(edges)),
         coefficients=tuple(coeffs),
         added=frozenset(added),
         components=tuple(comps),
     )
-    for ct, comp in zip(g.components, ext.components):
-        if not _extension_identity_holds(ext, comp):
-            raise AssertionError(f"maximal-root coefficient table broken for {ct.name}")
-    return ext
-
-
-def _extension_identity_holds(ext: ExtendedGraph, comp: tuple[int, ...]) -> bool:
-    """Check row(x) == -sum(n_i * row(i)) on one component of the Gram matrix."""
-    gm = gram(ext.base)
-    x = comp[-1]
-    for j in comp:
-        acc = sum((ext.coefficients[i] * gm[i][j] for i in comp[:-1]), Fraction(0))
-        if gm[x][j] != -acc:
-            return False
-    return True
 
 
 def check_extension_identity(ct: ComponentType) -> None:
-    """Raise if the extension of a single component violates the -eta identity."""
-    g = DynkinGraph((ct,))
-    ext = extend(g)  # extend itself asserts the identity
-    assert _extension_identity_holds(ext, ext.components[0])
+    """Raise AssertionError unless row(x) == -sum(n_i * row(i)) holds on the
+    Gram matrix of the extended component ``ct`` (x its added vertex)."""
+    ext = _extend(DynkinGraph((ct,)))
+    gm = gram(ext.base)
+    x = ext.n - 1
+    for j in range(ext.n):
+        acc = sum((ext.coefficients[i] * gm[i][j] for i in range(x)), Fraction(0))
+        if gm[x][j] != -acc:
+            raise AssertionError(f"maximal-root coefficient table broken for {ct.name}")
 
 
 def gram(lg: LabeledGraph) -> tuple[tuple[Fraction, ...], ...]:

@@ -354,3 +354,107 @@ class TestSerialization:
         assert member is not None
         s1, s2 = member.witness
         assert s2.replay() == member.graph
+
+
+def _steps(witness) -> list[dict]:
+    return [_step_dict(s) for s in witness]
+
+
+def _write_json(path, data) -> None:
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+class TestOneEntryMembership:
+    """``membership`` answers from one replayed entry of the cache file."""
+
+    @pytest.fixture()
+    def no_recompute(self, monkeypatch):
+        def refuse(cls):
+            raise AssertionError(f"{cls.symbol} recomputed from a good cache file")
+
+        monkeypatch.setattr(catalog_module, "_compute_catalog", refuse)
+
+    @pytest.mark.parametrize("symbol", ["Q10", "Z13"])
+    def test_every_member_matches_the_catalog(
+        self, symbol, all_catalogs, catalog_cache_dir, fresh_memory_cache, no_recompute
+    ):
+        path = catalog_cache_dir / f"{symbol}-v1.json"
+        before = path.read_bytes()
+        for member in all_catalogs[symbol].members:
+            catalog_module.clear_memory_cache()
+            witness = membership(symbol, member.graph, cache_dir=catalog_cache_dir)
+            assert witness is not None, member.name
+            assert _steps(witness) == _steps(member.witness), member.name
+        assert path.read_bytes() == before
+
+    def test_non_members(self, all_catalogs, catalog_cache_dir, fresh_memory_cache, no_recompute):
+        queries = [
+            (symbol, g)
+            for symbol in ("Q10", "Z13")
+            for total in (4, 8, 11)
+            for g in _ade_graphs_with_total(total)
+            if g not in all_catalogs[symbol]
+        ]
+        chosen = queries[:: max(1, len(queries) // 20)][:20]
+        assert len(chosen) == 20 and {s for s, _ in chosen} == {"Q10", "Z13"}
+        for symbol, g in chosen:
+            catalog_module.clear_memory_cache()
+            assert membership(symbol, g, cache_dir=catalog_cache_dir) is None, (symbol, g.name)
+
+    def test_whole_file_is_not_parsed(
+        self, all_catalogs, catalog_cache_dir, fresh_memory_cache, no_recompute, monkeypatch
+    ):
+        def refuse(data):
+            raise AssertionError("the whole catalog was parsed")
+
+        monkeypatch.setattr(catalog_module, "catalog_from_dict", refuse)
+        witness = membership("Z13", parse_name("A7+A4"), cache_dir=catalog_cache_dir)
+        assert _steps(witness) == _steps(all_catalogs["Z13"].get("A7+A4").witness)
+        assert membership("Z13", parse_name("A12"), cache_dir=catalog_cache_dir) is None
+
+
+class TestForgedCacheEntry:
+    """A cache entry whose witness does not replay is never served."""
+
+    def test_extra_member_is_a_miss(self, all_catalogs, tmp_path, fresh_memory_cache, capsys):
+        from dynkintrans.cli import main
+
+        good = catalog_to_json(all_catalogs["Z13"])
+        data = json.loads(good)
+        forged = json.loads(json.dumps(next(e for e in data["members"] if e["name"] == "A7+A4")))
+        forged["name"] = "A12"
+        data["members"] = sorted(data["members"] + [forged], key=lambda e: e["name"])
+        path = tmp_path / "Z13-v1.json"
+
+        _write_json(path, data)
+        assert membership("Z13", parse_name("A12"), cache_dir=tmp_path) is None
+        assert path.read_text(encoding="utf-8") == good
+
+        _write_json(path, data)
+        catalog_module.clear_memory_cache()
+        assert main(["check", "Z13", "A12", "--cache-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().out.startswith("no: A12")
+        assert path.read_text(encoding="utf-8") == good
+
+    @pytest.mark.parametrize("source", ["file", "memo"])
+    def test_step_that_replays_elsewhere_is_a_miss(
+        self, all_catalogs, tmp_path, fresh_memory_cache, source
+    ):
+        good = catalog_to_json(all_catalogs["Z13"])
+        data = json.loads(good)
+        entry = next(e for e in data["members"] if e["name"] == "A7+A4")
+        step = entry["witness"][1]
+        step["b"] = [1, 9]  # the same A with this B gives E7+A4
+        assert apply(parse_name(step["input"]), TieChoice(tuple(step["a"]), (1, 9))) == parse_name(
+            "E7+A4"
+        )
+        path = tmp_path / "Z13-v1.json"
+        _write_json(path, data)
+        if source == "memo":
+            # build_catalog trusts the file; the memo then holds the forged step
+            loaded = build_catalog("Z13", cache_dir=tmp_path)
+            assert loaded.get("A7+A4").witness[1].choice.b == (1, 9)
+        witness = membership("Z13", parse_name("A7+A4"), cache_dir=tmp_path)
+        assert witness is not None
+        assert _steps(witness) == _steps(all_catalogs["Z13"].get("A7+A4").witness)
+        assert path.read_text(encoding="utf-8") == good

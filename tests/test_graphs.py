@@ -289,6 +289,25 @@ class TestExtend:
         with pytest.raises(AssertionError):
             check_extension_identity(E(8))
 
+    def test_extend_checks_each_table_once(self, monkeypatch):
+        from dynkintrans import graphs as gmod
+
+        extend(parse_name("E7+A2"))
+        checked = []
+        real = gmod.check_extension_identity
+        monkeypatch.setattr(
+            gmod, "check_extension_identity", lambda ct: checked.append(ct) or real(ct)
+        )
+        extend(parse_name("E7+2A2"))
+        assert checked == []
+        # a changed table is a new one: extend checks it, and it fails
+        broken = dict(gmod._E_PATH_COEFFS)
+        broken[7] = (2, 3, 4, 3, 2, 2)
+        monkeypatch.setattr(gmod, "_E_PATH_COEFFS", broken)
+        with pytest.raises(AssertionError):
+            extend(parse_name("E7+A2"))
+        assert checked == [E(7)]
+
 
 class TestClassify:
     def test_round_trip(self, family12):
