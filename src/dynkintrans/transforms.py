@@ -56,14 +56,6 @@ class InvalidChoice(ValueError):
     """A transformation choice violates one of its defining conditions."""
 
 
-def _sorted_tuple(ids: Iterable[int]) -> tuple[int, ...]:
-    """``ids`` as a sorted tuple; an already sorted tuple is kept, not copied,
-    so choices that share their A-part share one tuple."""
-    t = tuple(ids)
-    s = tuple(sorted(t))
-    return t if s == t else s
-
-
 @dataclass(frozen=True, slots=True)
 class ElementaryChoice:
     """Vertex indices of the extended graph removed by an elementary step."""
@@ -71,7 +63,7 @@ class ElementaryChoice:
     removed: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "removed", _sorted_tuple(self.removed))
+        object.__setattr__(self, "removed", tuple(sorted(self.removed)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,11 +74,19 @@ class TieChoice:
     b: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _sorted_tuple(self.a))
-        object.__setattr__(self, "b", _sorted_tuple(self.b))
+        object.__setattr__(self, "a", tuple(sorted(self.a)))
+        object.__setattr__(self, "b", tuple(sorted(self.b)))
 
 
 Choice = Union[ElementaryChoice, TieChoice]
+
+
+def _choice(cls: type, *parts: tuple[int, ...]) -> Choice:
+    """A choice from index tuples the fold yields sorted, not sorted again."""
+    choice = object.__new__(cls)
+    for name, part in zip(cls.__slots__, parts):
+        object.__setattr__(choice, name, part)
+    return choice
 
 
 @dataclass(frozen=True)
@@ -202,11 +202,17 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # tables component by component into states keyed the same way.  A tie
 # option takes one A-part per signature: the gcd g of its coefficients and,
 # per residual piece, the piece type with its multiset of (descriptor,
-# coefficient mod g).  Its B is at most three B-candidates in distinct
+# coefficient mod g), held flat as one small int per distinct piece entry:
+# the sorted ids, then g.  (Without the mod-g classes, D9+BC1 loses its tie
+# outcome A5+A1+A1+A1+A1.)  Its B is at most three B-candidates in distinct
 # pieces, one per (piece, descriptor, coefficient mod g) class, the smallest
 # vertex of the class, with gcd(g, B-coefficient sum) = 1, a condition on
 # the component's own vertices only.  ``_settle`` drops a B that cannot
 # fuse and fuses at once one that can take no more; it is then closed.
+#
+# Both tables visit masks in lex order of the ascending member tuple, the
+# order in which witnesses compare, so the first mask met per key is the
+# smallest and is kept without comparing tuples.
 #
 # Witnesses are the same as over the full product of choices.  A-parts of
 # one signature give the same options and have equal size, and swapping
@@ -238,13 +244,23 @@ def _decode_graph(codes: tuple[int, ...]) -> DynkinGraph:
 _Table = dict[Union[tuple, None], dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]]
 
 
+def _lex_masks(n: int) -> list[int]:
+    """Every nonempty mask of ``n`` vertices in lex order of its ascending
+    member tuple: {v}, then v joined to each later set, then the later sets."""
+    order: list[int] = []
+    for v in reversed(range(n)):
+        bit = 1 << v
+        order = [bit] + [bit | m for m in order] + order
+    return order
+
+
 class _CompCore:
     """Mask-level view of the extended graph of one component type, with
     vertex indices local to the component.  ``piece`` recognizes each
     distinct piece mask once, and each option table is built once."""
 
     __slots__ = (
-        "size", "full", "adj", "coeff", "norm", "gcd_table", "abits",
+        "size", "full", "adj", "coeff", "norm", "gcd_table", "order",
         "_piece_memo", "_tie_table", "_elementary_table",
     )
 
@@ -254,18 +270,11 @@ class _CompCore:
         self.full = (1 << self.size) - 1
         self.adj, self.norm = _mask_view(ext.base)
         self.coeff = list(ext.coefficients)
-        # gcd of the coefficients picked by each submask, and the submask's
-        # member list in ascending order
-        table = [0] * (1 << self.size)
-        abits: list[tuple[int, ...]] = [()] * (1 << self.size)
-        for m in range(1, 1 << self.size):
-            low = m & -m
-            v = low.bit_length() - 1
-            rest = m ^ low
-            table[m] = gcd(table[rest], self.coeff[v])
-            abits[m] = (v,) + abits[rest]
+        table = [0]  # gcd of the coefficients picked by each submask
+        for c in self.coeff:
+            table += [gcd(c, t) for t in table]
         self.gcd_table = table
-        self.abits = abits
+        self.order = _lex_masks(self.size)
         self._piece_memo: dict[int, tuple[int, tuple]] = {}
         self._tie_table: _Table | None = None
         self._elementary_table: _Table | None = None
@@ -307,44 +316,50 @@ class _CompCore:
         return out
 
     def elementary_table(self) -> _Table:
-        """Per residual type multiset, the smallest removed set."""
+        """Per residual type multiset, the smallest (first in lex order) removed set."""
         table = self._elementary_table
         if table is None:
-            best: dict[tuple, tuple] = {}
-            for r, pieces in enumerate(self.residual_pieces()):
-                types = tuple(sorted(self.piece(p)[0] for p in pieces))
-                w = (self.abits[self.full ^ r], ())
-                old = best.get(types)
-                if old is None or w < old:
-                    best[types] = w
+            residual_pieces = self.residual_pieces()
+            codes: dict[int, int] = {}  # piece -> type code
+            first: dict[tuple[int, ...], int] = {}
+            for removed in self.order:
+                types = []
+                for piece in residual_pieces[self.full ^ removed]:
+                    code = codes.get(piece)
+                    if code is None:
+                        code = codes[piece] = self.piece(piece)[0]
+                    types.append(code)
+                types.sort()
+                first.setdefault(tuple(types), removed)
+            best = {t: (tuple(_bits(m)), ()) for t, m in first.items()}
             table = self._elementary_table = {(): best}
         return table
 
     def tie_reps(self) -> list[tuple[int, tuple[int, ...]]]:
-        """The smallest A-part of every tie signature, in ascending mask
-        order, with the pieces of its residual."""
-        coeff = self.coeff
-        # per (piece, g): the piece type with its sorted (descriptor, coefficient
-        # mod g) classes; a None descriptor sorts as (), below every real one
-        entries: dict[tuple[int, int], tuple] = {}
-        smallest: dict[tuple, int] = {}
+        """The smallest A-part of every tie signature, the first met in lex
+        order, in ascending mask order with the pieces of its residual."""
+        coeff, gcd_table = self.coeff, self.gcd_table
         residual_pieces = self.residual_pieces()
-        for r, pieces in enumerate(residual_pieces):
-            a = self.full ^ r
-            g = self.gcd_table[a]
-            sig_pieces = []
-            for piece in pieces:
-                entry = entries.get((piece, g))
-                if entry is None:
+        # per (piece, g): the id of the piece type with its sorted (descriptor,
+        # coefficient mod g) classes, one per distinct entry; a None
+        # descriptor sorts as (), below every real one
+        ids: dict[tuple, int] = {}
+        entry_ids: dict[tuple[int, int], int] = {}
+        first: dict[tuple[int, ...], int] = {}  # sorted entry ids, then g
+        for a in self.order:
+            g = gcd_table[a]
+            sig = []
+            for piece in residual_pieces[self.full ^ a]:
+                i = entry_ids.get((piece, g))
+                if i is None:
                     code, pairs = self.piece(piece)
-                    classes = sorted((d or (), coeff[v] % g) for v, d in pairs)
-                    entry = entries[(piece, g)] = (code, tuple(classes))
-                sig_pieces.append(entry)
-            sig = (g, tuple(sorted(sig_pieces)))
-            old = smallest.get(sig)
-            if old is None or self.abits[a] < self.abits[old]:
-                smallest[sig] = a
-        return [(a, residual_pieces[self.full ^ a]) for a in sorted(smallest.values())]
+                    entry = (code, tuple(sorted((d or (), coeff[v] % g) for v, d in pairs)))
+                    i = entry_ids[(piece, g)] = ids.setdefault(entry, len(ids))
+                sig.append(i)
+            sig.sort()
+            sig.append(g)
+            first.setdefault(tuple(sig), a)
+        return [(a, residual_pieces[self.full ^ a]) for a in sorted(first.values())]
 
     def tie_table(self) -> _Table:
         """Per (residual types, open descriptors), the smallest local (A, B):
@@ -356,7 +371,7 @@ class _CompCore:
             table = {}
             settled: dict[tuple, tuple | None] = {}
             for mask, pieces in self.tie_reps():
-                g, a = self.gcd_table[mask], self.abits[mask]
+                g, a = self.gcd_table[mask], tuple(_bits(mask))
                 codes, ends, others = [], [], []
                 for pid, piece in enumerate(pieces):
                     code, pairs = self.piece(piece)
@@ -459,12 +474,13 @@ def _fold(parts: list[tuple[int, _Table]]) -> _Table:
     states: _Table = {(): {(): ((), ())}}
     joins: dict[tuple, tuple | None] = {}
     for lo, table in parts:
+        if not lo:  # the first table, joined to the empty state, is itself
+            states = table
+            continue
         nxt: _Table = {}
         for descs, group in table.items():
-            opts = group.items()
-            if lo:  # local indices to graph indices
-                opts = [(t, (tuple(v + lo for v in a), tuple(v + lo for v in b)))
-                        for t, (a, b) in opts]
+            opts = [(t, (tuple(v + lo for v in a), tuple(v + lo for v in b)))
+                    for t, (a, b) in group.items()]  # local indices to graph indices
             for held, held_group in states.items():
                 jk = (held, descs)
                 if jk not in joins:
@@ -533,7 +549,7 @@ def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]
     if cached is not None:
         return list(cached)
     states = _fold([(lo, core.elementary_table()) for lo, core in _core(g)])[()]
-    out = [(_decode_graph(t), ElementaryChoice(a)) for t, (a, _) in states.items()]
+    out = [(_decode_graph(t), _choice(ElementaryChoice, a)) for t, (a, _) in states.items()]
     out.sort(key=lambda pair: pair[0].name)
     _MEMO_ELEMENTARY[key] = out
     return list(out)
@@ -568,7 +584,8 @@ def tie_all(g: DynkinGraph) -> list[tuple[DynkinGraph, TieChoice]]:
             if old is None or w < old:
                 results[types] = w
     seen: dict[tuple, tuple] = {}  # equal A-parts share one tuple, as the results keep them
-    out = [(_decode_graph(t), TieChoice(seen.setdefault(a, a), b)) for t, (a, b) in results.items()]
+    out = [(_decode_graph(t), _choice(TieChoice, seen.setdefault(a, a), b))
+           for t, (a, b) in results.items()]
     out.sort(key=lambda pair: pair[0].name)
     _MEMO_TIE[key] = out
     return list(out)

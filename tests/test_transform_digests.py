@@ -7,6 +7,12 @@ transform sweep.  A second covers a few large graphs.  Both pin every
 outcome and every smallest witness byte for byte, so a change to the
 enumeration engine that alters either shows here.  Memos are cleared
 before each graph, so no graph's result comes from another's.
+
+A third digest covers the tables of the component cores themselves, for
+every component type of at most 13 extended vertices: the tie
+representatives (one A-part per signature) and both option tables.  It
+pins the signature partition directly, also where no outcome changes and
+on D11 and D12, which no graph of the other two digests holds.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import hashlib
 
 from dynkintrans.graphs import A, BC1, D, DynkinGraph, E, G1, G2, parse_name
-from dynkintrans.transforms import clear_transform_cache, elementary_all, tie_all
+from dynkintrans.transforms import _CompCore, clear_transform_cache, elementary_all, tie_all
 
 POOL_MAX_VERTICES = 10
 POOL_MAX_COMPONENTS = 4
@@ -32,6 +38,11 @@ LARGE = [
     "E8+G2+BC1",
 ]
 LARGE_DIGEST = "4665909423d696eba2e07905ad07ebb2ea8cf5d90e7e23ef6bcbcbe23dc6584e"
+
+CORE_TYPES = (
+    [A(k) for k in range(1, 13)] + [D(k) for k in range(4, 13)] + [E(6), E(7), E(8), G2, G1, BC1]
+)
+CORE_DIGEST = "33496f2dda93a0420dfd63927d638bbaf404e1dc34c0d4a2dcc1a29a919c01b2"
 
 
 def sweep_pool() -> list[DynkinGraph]:
@@ -77,3 +88,21 @@ def test_sweep_pool_digest():
 
 def test_large_graph_digest():
     assert transform_digest([parse_name(name) for name in LARGE]) == LARGE_DIGEST
+
+
+def test_core_table_digest():
+    h = hashlib.sha256()
+    counts = {}
+    for ct in CORE_TYPES:
+        core = _CompCore(ct)
+        reps = core.tie_reps()
+        tie = sorted(
+            ((descs is None, descs or (), types), w)
+            for descs, group in core.tie_table().items()
+            for types, w in group.items()
+        )
+        elementary = sorted(core.elementary_table()[()].items())
+        name = DynkinGraph((ct,)).name
+        counts[name] = (len(reps), len(tie), len(elementary))
+        h.update(f"{name}\n{reps}\n{tie}\n{elementary}\n".encode())
+    assert h.hexdigest() == CORE_DIGEST, f"(reps, tie entries, elementary entries): {counts}"

@@ -20,12 +20,16 @@ from dynkintrans.graphs import (
     parse_name,
     realize,
 )
+from dynkintrans import transforms
 from dynkintrans.transforms import (
     ElementaryChoice,
     InvalidChoice,
     TieChoice,
+    _CompCore,
+    _lex_masks,
     apply,
     apply_labeled,
+    clear_transform_cache,
     elementary_all,
     tie_all,
 )
@@ -192,8 +196,6 @@ class TestInvariants:
             elementary_all(g)
 
     def test_deterministic_across_runs(self):
-        from dynkintrans.transforms import clear_transform_cache
-
         g = parse_name("E6+G2")
         first_e = elementary_all(g)
         first_t = tie_all(g)
@@ -207,8 +209,6 @@ class TestInvariants:
     def test_core_memo_is_order_independent(self, name, other):
         # cores are shared per component type, so their memos may already be
         # warm from another transform or another graph
-        from dynkintrans.transforms import clear_transform_cache
-
         g = parse_name(name)
         clear_transform_cache()
         cold_tie = tie_all(g)
@@ -219,6 +219,40 @@ class TestInvariants:
         tie_all(parse_name(other))
         assert tie_all(g) == cold_tie
         assert elementary_all(g) == cold_elementary
+        clear_transform_cache()
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_core_visits_masks_in_lex_order(self, n):
+        # a core keeps the first mask it meets per key as the smallest, so it
+        # must visit masks in the order in which witnesses compare
+        def members(mask):
+            return tuple(v for v in range(n) if mask >> v & 1)
+
+        expected = sorted(range(1, 1 << n), key=members)
+        assert _lex_masks(n) == expected
+        if n > 1:
+            assert _CompCore(A(n - 1)).order == expected
+
+    def test_clear_transform_cache_leaves_no_core(self, monkeypatch):
+        # the transform sweep measures per-call work only if a clear drops
+        # every core, so the next call builds its own
+        g = parse_name("D10")
+        clear_transform_cache()
+        first = tie_all(g)
+        clear_transform_cache()
+        assert not transforms._CORE_MEMO and not transforms._MEMO_TIE
+        built = []
+
+        class CountedCore(_CompCore):
+            __slots__ = ()
+
+            def __init__(self, ct):
+                built.append(ct)
+                super().__init__(ct)
+
+        monkeypatch.setattr(transforms, "_CompCore", CountedCore)
+        assert tie_all(g) == first
+        assert built == [D(10)]
         clear_transform_cache()
 
     def test_tie_witness_has_the_smallest_b_for_its_a(self):
