@@ -20,12 +20,11 @@ from .catalog import (
     build_catalog,
     catalog_from_json,
     catalog_to_json,
-    default_cache_dir,
     milnor_bound_check,
     membership,
     singularity_class,
 )
-from .graphs import EMPTY, DynkinGraph, ParseError, extend, parse_name
+from .graphs import EMPTY, DynkinGraph, ParseError, extended_vertex_ids, parse_name
 from .transforms import (
     ElementaryChoice,
     TransformStep,
@@ -89,8 +88,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _describe_step(step: TransformStep) -> str:
-    ext = extend(step.input)
-    ids = [v.id for v in ext.base.vertices]
+    ids = extended_vertex_ids(step.input)
 
     def show(indices) -> str:
         return "{" + ", ".join(ids[i] for i in indices) + "}"
@@ -231,7 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--cache-dir",
             default=None,
-            help=f"cache directory (default: ${CACHE_ENV_VAR} or {default_cache_dir()})",
+            help=(
+                f"cache directory (default: ${CACHE_ENV_VAR}, else"
+                " $XDG_CACHE_HOME/dynkintrans or ~/.cache/dynkintrans)"
+            ),
         )
 
     p = sub.add_parser("catalog", help="write the full catalog of one class")
@@ -261,9 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main() call
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         code = exc.code

@@ -349,6 +349,22 @@ def _occurrence_labels(g: DynkinGraph) -> list[str]:
     return labels
 
 
+def _named_layouts(g: DynkinGraph) -> Iterator[tuple[ComponentType, _Layout, list[str]]]:
+    """Type, layout and extended vertex ids of each component, in order.
+
+    The ids are ``<type>[<occurrence>].<role>`` for the base vertices in
+    layout order, then ``.x`` for the added vertex.
+    """
+    for ct, prefix in zip(g.components, _occurrence_labels(g)):
+        lay = _layout(ct)
+        yield ct, lay, [f"{prefix}.{role}" for role in lay.roles] + [f"{prefix}.x"]
+
+
+def extended_vertex_ids(g: DynkinGraph) -> list[str]:
+    """The vertex ids of ``extend(g)``, in its vertex order, without building it."""
+    return [vid for _, _, ids in _named_layouts(g) for vid in ids]
+
+
 def realize(g: DynkinGraph) -> LabeledGraph:
     """The standard labeled graph of ``g`` in the documented vertex order.
 
@@ -357,13 +373,9 @@ def realize(g: DynkinGraph) -> LabeledGraph:
     """
     verts: list[Vertex] = []
     edges: list[tuple[int, int, Fraction]] = []
-    prefixes = _occurrence_labels(g)
     offset = 0
-    for ct, prefix in zip(g.components, prefixes):
-        lay = _layout(ct)
-        verts.extend(
-            Vertex(f"{prefix}.{role}", norm) for role, norm in zip(lay.roles, lay.norms)
-        )
+    for ct, lay, ids in _named_layouts(g):
+        verts.extend(map(Vertex, ids[:-1], lay.norms))
         edges.extend((offset + i, offset + j, val) for i, j, val in lay.edges)
         offset += ct.vertex_count
     return LabeledGraph(tuple(verts), tuple(edges))
@@ -397,15 +409,10 @@ def _extend(g: DynkinGraph) -> ExtendedGraph:
     coeffs: list[int] = []
     added: set[int] = set()
     comps: list[tuple[int, ...]] = []
-    prefixes = _occurrence_labels(g)
     offset = 0
-    for ct, prefix in zip(g.components, prefixes):
-        lay = _layout(ct)
+    for ct, lay, ids in _named_layouts(g):
         k = ct.vertex_count
-        verts.extend(
-            Vertex(f"{prefix}.{role}", norm) for role, norm in zip(lay.roles, lay.norms)
-        )
-        verts.append(Vertex(f"{prefix}.x", lay.added_norm))
+        verts.extend(map(Vertex, ids, lay.norms + (lay.added_norm,)))
         edges.extend((offset + i, offset + j, val) for i, j, val in lay.edges)
         edges.extend((offset + i, offset + k, val) for i, val in lay.added_edges)
         coeffs.extend(lay.coeffs)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from dynkintrans.catalog import catalog_from_json
+from dynkintrans import cli as cli_mod
+from dynkintrans.catalog import ENGINE_VERSION, catalog_from_json, clear_memory_cache
 from dynkintrans.cli import main
 
 
@@ -97,6 +98,66 @@ class TestCheckCommand:
         code, out, _ = cli("check", "Q10", "(empty)")
         assert code == 0
         assert out.startswith("yes: (empty) is reachable from Q10")
+
+
+# Exact `check` output: the worked example, and two witnesses whose
+# intermediate graph repeats a component type, so occurrence labels matter.
+PINNED_CHECK_OUTPUT = {
+    ("Z13", "A7+A4"): (
+        "yes: A7+A4 is reachable from Z13 (E7+G2)\n"
+        "  step 1: tie on E7+G2: A = {E7[1].v6, G2[1].x}, B = {E7[1].x} -> E8+G2\n"
+        "  step 2: tie on E8+G2: A = {E8[1].v4, G2[1].short}, B = {E8[1].v1, G2[1].long}"
+        " -> A7+A4\n"
+    ),
+    ("Q10", "A3+A3+A2"): (
+        "yes: A3+A3+A2 is reachable from Q10 (E6)\n"
+        "  step 1: tie on E6: A = {E6[1].v3}, B = {E6[1].v1} -> A3+A2+A2\n"
+        "  step 2: tie on A3+A2+A2: A = {A3[1].v1, A2[1].v1, A2[2].v1}, B = {A2[1].v2}"
+        " -> A3+A3+A2\n"
+    ),
+    ("Z13", "A5+A3+A1+A1"): (
+        "yes: A5+A3+A1+A1 is reachable from Z13 (E7+G2)\n"
+        "  step 1: tie on E7+G2: A = {E7[1].v2, G2[1].short}, B = {E7[1].v1, G2[1].long}"
+        " -> A5+A5\n"
+        "  step 2: tie on A5+A5: A = {A5[1].v1, A5[1].v3, A5[2].v1}, B = {} -> A5+A3+A1+A1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("query", sorted(PINNED_CHECK_OUTPUT), ids="-".join)
+def test_check_output_is_pinned(cli, all_catalogs, fresh_memory_cache, query):
+    code, out, _ = cli("check", *query)
+    assert code == 0
+    assert out == PINNED_CHECK_OUTPUT[query]
+
+
+class TestMain:
+    @pytest.mark.parametrize("argv", [["check"], ["frob"]])
+    def test_usage_error_returns_two(self, argv, capsys):
+        assert main(argv) == 2
+        assert "usage: dynkintrans" in capsys.readouterr().err
+
+    def test_version_returns_zero(self, capsys):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out.strip() == "0.1.0"
+
+    def test_parser_is_built_once(self, monkeypatch):
+        built = []
+        real = cli_mod.build_parser
+        monkeypatch.setattr(cli_mod, "_PARSER", None)
+        monkeypatch.setattr(cli_mod, "build_parser", lambda: built.append(1) or real())
+        main(["--version"])
+        main(["check"])
+        main(["transform", "A2", "--op", "tie"])
+        assert len(built) == 1
+
+    def test_default_cache_dir_is_read_per_call(self, monkeypatch, tmp_path, fresh_memory_cache):
+        for name in ("first", "second"):
+            cache_dir = tmp_path / name
+            monkeypatch.setenv("DYNKINTRANS_CACHE_DIR", str(cache_dir))
+            clear_memory_cache()
+            assert main(["check", "Q10", "A5+A1"]) == 0
+            assert (cache_dir / f"Q10-v{ENGINE_VERSION}.json").is_file()
 
 
 class TestTransformCommand:

@@ -28,6 +28,7 @@ from dynkintrans.graphs import (
     check_extension_identity,
     classify,
     extend,
+    extended_vertex_ids,
     gram,
     parse_name,
     realize,
@@ -279,6 +280,23 @@ class TestExtend:
         for comp in ext.components:
             assert sum(1 for v in comp if v in ext.added) == 1
             assert comp[-1] in ext.added
+
+    @pytest.mark.parametrize(
+        "g",
+        [DynkinGraph((ct,)) for ct in [A(k) for k in range(1, 13)] + [D(l) for l in range(4, 13)]]
+        + [DynkinGraph((ct,)) for ct in (E(6), E(7), E(8), G2, G1, BC1)]
+        + [parse_name("E8+G2+BC1+G1"), parse_name("2A3+D4"), EMPTY],
+        ids=lambda g: g.name or "(empty)",
+    )
+    def test_vertex_ids_without_extending(self, g):
+        assert extended_vertex_ids(g) == [v.id for v in extend(g).base.vertices]
+
+    def test_vertex_ids_name_occurrences_and_roles(self):
+        assert extended_vertex_ids(parse_name("A2+A2+G1")) == [
+            "A2[1].v1", "A2[1].v2", "A2[1].x",
+            "A2[2].v1", "A2[2].v2", "A2[2].x",
+            "G1[1].v", "G1[1].x",
+        ]
 
     def test_corrupted_table_is_caught(self, monkeypatch):
         from dynkintrans import graphs as gmod
