@@ -28,6 +28,8 @@ from .transforms import (
     ElementaryChoice,
     TieChoice,
     TransformStep,
+    _ade_winners,
+    _decode_graph,
     elementary_all,
     tie_all,
 )
@@ -134,21 +136,26 @@ def _step_dict(step: TransformStep) -> dict:
     }
 
 
-def _encode_step(choice: Choice, input_name: str) -> str:
-    """The compact JSON of the step applying ``choice`` to the graph named
-    ``input_name``: ``json.dumps(_step_dict(step), sort_keys=True,
-    separators=(",", ":"))``, built directly.  Names use only [A-Z0-9+] and
-    indices are ints, so nothing needs escaping."""
-    if isinstance(choice, ElementaryChoice):
-        return '{"input":"%s","kind":"elementary","removed":[%s]}' % (
-            input_name,
-            ",".join(map(str, choice.removed)),
-        )
-    return '{"a":[%s],"b":[%s],"input":"%s","kind":"tie"}' % (
-        ",".join(map(str, choice.a)),
-        ",".join(map(str, choice.b)),
-        input_name,
-    )
+def _indices(choice: Choice) -> tuple[tuple[int, ...], ...]:  # (removed,) or (A, B)
+    return (choice.removed,) if isinstance(choice, ElementaryChoice) else (choice.a, choice.b)
+
+
+class _Lists(dict):
+    """The body of the JSON list of each index tuple, joined once."""
+
+    def __missing__(self, indices: tuple[int, ...]) -> str:
+        return self.setdefault(indices, ",".join(map(str, indices)))
+
+
+def _encode_step(lists: _Lists, input_name: str, a: tuple, b: tuple | None = None) -> str:
+    """The compact JSON of the elementary step removing ``a`` from the graph
+    named ``input_name``, or of its tie step (a, b) when ``b`` is given:
+    ``json.dumps(_step_dict(step), sort_keys=True, separators=(",", ":"))``,
+    built directly.  Names use only [A-Z0-9+] and indices are ints, so
+    nothing needs escaping."""
+    if b is None:
+        return '{"input":"%s","kind":"elementary","removed":[%s]}' % (input_name, lists[a])
+    return '{"a":[%s],"b":[%s],"input":"%s","kind":"tie"}' % (lists[a], lists[b], input_name)
 
 
 def _compute_catalog(cls: SingularityClass) -> Catalog:
@@ -164,47 +171,50 @@ def _compute_catalog(cls: SingularityClass) -> Catalog:
 
     - of the (at most two) first steps reaching one intermediate, keep the
       one with the smaller ``(len(enc1), enc1)``;
-    - enumerate each intermediate's second steps once, and compare a
+    - read each intermediate's second steps once, in name order, from the
+      A/D/E winner tables of ``transforms._ade_winners``, and compare a
       candidate with the member's best so far by ``len(enc1) + len(enc2)``,
       building the two keys only when those lengths tie.
 
-    Second steps and members are made for the winners only.
+    Members are keyed by type codes; only each member's winner gets its
+    graph, name, second-step choice and step.
     """
     basic = cls.basic
     basic_name = basic.name
+    lists = _Lists()
     # intermediate name -> (enc1, first step)
     firsts: dict[str, tuple[str, TransformStep]] = {}
     for kind_all in (elementary_all, tie_all):
         for mid, choice in kind_all(basic):
-            enc1 = _encode_step(choice, basic_name)
+            enc1 = _encode_step(lists, basic_name, *_indices(choice))
             name = mid.name
             old = firsts.get(name)
             if old is None or (len(enc1), enc1) < (len(old[0]), old[0]):
                 firsts[name] = (enc1, TransformStep(choice, basic, mid))
-    # member name -> (len(enc1) + len(enc2), enc1, enc2, first step,
-    # member graph, second-step choice)
-    best: dict[str, tuple[int, str, str, TransformStep, DynkinGraph, Choice]] = {}
-    for mid_name, (enc1, s1) in firsts.items():
+    # member type codes -> (len(enc1) + len(enc2), enc1, enc2, first step,
+    # second-step A, second-step B or None for an elementary step)
+    best: dict[tuple[int, ...], tuple] = {}
+    for mid_name, (enc1, s1) in sorted(firsts.items()):  # shared prefixes in a row
         len1 = len(enc1)
-        for kind_all in (elementary_all, tie_all):
-            for out, choice in kind_all(s1.output):
-                if not out.is_ade:
-                    continue
-                enc2 = _encode_step(choice, mid_name)
+        for tie, winners in enumerate(_ade_winners(s1.output)):  # elementary, then tie
+            for codes, (a, b) in winners.items():
+                b = b if tie else None
+                enc2 = _encode_step(lists, mid_name, a, b)
                 length = len1 + len(enc2)
-                name = out.name
-                old = best.get(name)
+                old = best.get(codes)
                 if old is not None:
                     if length > old[0]:
                         continue
                     if length == old[0] and enc1 + "," + enc2 >= old[1] + "," + old[2]:
                         continue
-                best[name] = (length, enc1, enc2, s1, out, choice)
-    members = tuple(
-        CatalogMember(out, (s1, TransformStep(choice, s1.output, out)))
-        for _, _, _, s1, out, choice in (best[name] for name in sorted(best))
-    )
-    return Catalog(cls, members)
+                best[codes] = (length, enc1, enc2, s1, a, b)
+    members = []
+    for codes, (_, _, _, s1, a, b) in best.items():
+        out = _decode_graph(codes)
+        choice = ElementaryChoice(a) if b is None else TieChoice(a, b)
+        members.append(CatalogMember(out, (s1, TransformStep(choice, s1.output, out))))
+    members.sort(key=attrgetter("name"))
+    return Catalog(cls, tuple(members))
 
 
 @dataclass(frozen=True)
@@ -350,8 +360,10 @@ def build_catalog(
     With ``cache=True`` the catalog is read from and written to
     ``cache_dir`` (default: $DYNKINTRANS_CACHE_DIR, else the user cache
     directory).  Writes are atomic; two independent computations serialize
-    to byte-identical JSON.  A catalog served from the in-process memo is
-    also written to ``cache_dir`` when its file is missing there.
+    to byte-identical JSON.  A cache file is served only when every
+    member's witness replays; otherwise the catalog is recomputed and the
+    file rewritten.  A catalog served from the in-process memo is also
+    written to ``cache_dir`` when its file is missing there.
     """
     cls, path = _class_and_path(cls, cache, cache_dir)
     memo = _CATALOG_MEMO.get(cls.symbol)
@@ -363,8 +375,10 @@ def build_catalog(
     if path is not None and path.is_file():
         try:
             catalog = catalog_from_json(path.read_text(encoding="utf-8"))
+            if not all(_replays(m.witness, m.graph) for m in catalog.members):
+                raise ValueError("a cached witness does not replay")
         except Exception:
-            pass  # unreadable, stale or malformed cache entry; recompute
+            pass  # unreadable, stale, malformed or forged cache entry; recompute
         else:
             _CATALOG_MEMO[cls.symbol] = catalog
             return catalog
@@ -397,6 +411,12 @@ def _write_cache(path: Path, catalog: Catalog) -> None:
 def clear_memory_cache() -> None:
     """Drop in-process catalog memoization (used by tests and --no-cache runs)."""
     _CATALOG_MEMO.clear()
+
+
+def _replays(witness: Witness, g: DynkinGraph) -> bool:
+    """Whether step 1 replays to its output, step 2's input, and step 2 to ``g``."""
+    s1, s2 = witness
+    return s1.replay() == s1.output == s2.input and s2.replay() == g
 
 
 def _witness_in(catalog: Catalog, name: str) -> Witness | None:
@@ -433,7 +453,7 @@ def membership(
             i = bisect.bisect_left(entries, g.name, key=itemgetter("name"))
             found = i < len(entries) and entries[i]["name"] == g.name
             witness = _entry_witness(cls, entries[i], g, {}) if found else None
-        if witness is None or witness[0].replay() == witness[1].input and witness[1].replay() == g:
+        if witness is None or _replays(witness, g):
             return witness
     except Exception:
         pass  # a damaged cache file or a witness that does not replay is a miss

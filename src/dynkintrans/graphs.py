@@ -453,27 +453,6 @@ def gram(lg: LabeledGraph) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
-def _connected_components(lg: LabeledGraph) -> list[list[int]]:
-    adj = lg.adjacency()
-    seen = [False] * lg.n
-    comps = []
-    for start in range(lg.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
 # ---------------------------------------------------------------------------
 # Shape recognition.
 #
@@ -532,25 +511,19 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _piece_at(adj: list[int], mask: int, start: int) -> int:
-    """The connected piece of ``mask`` that holds the vertex bit ``start``."""
-    piece = frontier = start
-    while frontier:
-        grow = 0
-        while frontier:
-            b = frontier & -frontier
-            frontier ^= b
-            grow |= adj[b.bit_length() - 1]
-        frontier = grow & mask & ~piece
-        piece |= frontier
-    return piece
-
-
 def _pieces(adj: list[int], mask: int) -> list[int]:
     """The connected pieces of ``mask``, in order of their lowest vertex."""
     pieces = []
     while mask:
-        piece = _piece_at(adj, mask, mask & -mask)
+        piece = frontier = mask & -mask  # grown from the lowest vertex left
+        while frontier:
+            grow = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                grow |= adj[b.bit_length() - 1]
+            frontier = grow & mask & ~piece
+            piece |= frontier
         pieces.append(piece)
         mask ^= piece
     return pieces
@@ -639,9 +612,3 @@ def classify(lg: LabeledGraph) -> DynkinGraph:
     adj, norm = _mask_view(lg)
     pieces = _pieces(adj, (1 << lg.n) - 1)
     return DynkinGraph(tuple(_decode(_recognize(adj, norm, p)[0]) for p in pieces))
-
-
-def component_subgraphs(lg: LabeledGraph) -> Iterator[LabeledGraph]:
-    """The connected components of ``lg`` as labeled graphs."""
-    for comp in _connected_components(lg):
-        yield lg.induced(comp)

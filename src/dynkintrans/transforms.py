@@ -45,7 +45,6 @@ from .graphs import (
     _decode,
     _legs_code,
     _mask_view,
-    _piece_at,
     _recognize,
     classify,
     extend,
@@ -223,6 +222,16 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # component to component, so the lex order of the concatenated (A, B)
 # splits by component, and the smallest choice per key stays the smallest
 # after any suffix.
+#
+# A catalog keeps only A/D/E second-step outcomes, so ``_ade_winners`` folds
+# tables cut to their A/D/E entries.  That is exact: types only accumulate
+# through the fold, and a lone short root closes as G2 at once, so an entry
+# with a G2, G1 or BC1 code never reaches an A/D/E outcome.  The states after
+# the first k components depend only on the kind of step and those k types,
+# as ``extend`` lays components out in order: ``_PREFIX_MEMO`` keeps, per
+# kind, the states after each strict prefix of the graph folded last, matched
+# by types, never by identity.  Catalogs fold intermediates in name order,
+# which puts graphs with shared leading components in a row.
 # ---------------------------------------------------------------------------
 
 # Outcome graphs are interned: each distinct graph is one shared immutable
@@ -240,8 +249,10 @@ def _decode_graph(codes: tuple[int, ...]) -> DynkinGraph:
     return g
 
 
+# {sorted type codes: smallest (A, B)}; an elementary step's B is ()
+_Winners = dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]
 # {open descriptors, or None once closed: {sorted residual types: local (A, B)}}
-_Table = dict[Union[tuple, None], dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]]
+_Table = dict[Union[tuple, None], _Winners]
 
 
 def _lex_masks(n: int) -> list[int]:
@@ -261,7 +272,7 @@ class _CompCore:
 
     __slots__ = (
         "size", "full", "adj", "coeff", "norm", "gcd_table", "order",
-        "_piece_memo", "_tie_table", "_elementary_table",
+        "_piece_memo", "_tables",
     )
 
     def __init__(self, ct: ComponentType):
@@ -276,8 +287,7 @@ class _CompCore:
         self.gcd_table = table
         self.order = _lex_masks(self.size)
         self._piece_memo: dict[int, tuple[int, tuple]] = {}
-        self._tie_table: _Table | None = None
-        self._elementary_table: _Table | None = None
+        self._tables: dict[tuple[str, bool], _Table] = {}  # by (kind, A/D/E only)
 
     def piece(self, piece: int) -> tuple[int, tuple]:
         """Type code of one connected piece and the (vertex, attachment
@@ -308,32 +318,35 @@ class _CompCore:
 
     def residual_pieces(self) -> list[tuple[int, ...]]:
         """The connected pieces of every residual mask below ``full``, in
-        order of their lowest vertex, found for each mask by its first piece."""
+        order of their lowest vertex: a mask's lowest vertex joins the pieces
+        of the rest that it touches, which all start above it."""
         out: list[tuple[int, ...]] = [()] * self.full
         for r in range(1, self.full):
-            piece = _piece_at(self.adj, r, r & -r)
-            out[r] = (piece,) + out[r ^ piece]
+            low = r & -r
+            near, piece, rest = self.adj[low.bit_length() - 1], low, []
+            for p in out[r ^ low]:
+                if p & near:
+                    piece |= p
+                else:
+                    rest.append(p)
+            out[r] = (piece, *rest)
         return out
 
     def elementary_table(self) -> _Table:
         """Per residual type multiset, the smallest (first in lex order) removed set."""
-        table = self._elementary_table
-        if table is None:
-            residual_pieces = self.residual_pieces()
-            codes: dict[int, int] = {}  # piece -> type code
-            first: dict[tuple[int, ...], int] = {}
-            for removed in self.order:
-                types = []
-                for piece in residual_pieces[self.full ^ removed]:
-                    code = codes.get(piece)
-                    if code is None:
-                        code = codes[piece] = self.piece(piece)[0]
-                    types.append(code)
-                types.sort()
-                first.setdefault(tuple(types), removed)
-            best = {t: (tuple(_bits(m)), ()) for t, m in first.items()}
-            table = self._elementary_table = {(): best}
-        return table
+        residual_pieces = self.residual_pieces()
+        codes: dict[int, int] = {}  # piece -> type code
+        first: dict[tuple[int, ...], int] = {}
+        for removed in self.order:
+            types = []
+            for piece in residual_pieces[self.full ^ removed]:
+                code = codes.get(piece)
+                if code is None:
+                    code = codes[piece] = self.piece(piece)[0]
+                types.append(code)
+            types.sort()
+            first.setdefault(tuple(types), removed)
+        return {(): {t: (tuple(_bits(m)), ()) for t, m in first.items()}}
 
     def tie_reps(self) -> list[tuple[int, tuple[int, ...]]]:
         """The smallest A-part of every tie signature, the first met in lex
@@ -365,42 +378,50 @@ class _CompCore:
         """Per (residual types, open descriptors), the smallest local (A, B):
         A is one of ``tie_reps``, and B at most three of its B-candidates in
         distinct pieces with gcd(g, sum of their coefficients) = 1."""
-        table = self._tie_table
-        if table is None:
-            coeff = self.coeff
-            table = {}
-            settled: dict[tuple, tuple | None] = {}
-            for mask, pieces in self.tie_reps():
-                g, a = self.gcd_table[mask], tuple(_bits(mask))
-                codes, ends, others = [], [], []
-                for pid, piece in enumerate(pieces):
-                    code, pairs = self.piece(piece)
-                    codes.append(code)
-                    seen = set()
-                    for v, d in pairs:  # vertices without a descriptor never fuse
-                        cls = (d, coeff[v] % g)
-                        if d is not None and cls not in seen:
-                            seen.add(cls)
-                            (ends if _is_end(d) else others).append((v, pid, d, coeff[v]))
-                rests: dict[tuple, tuple[int, ...]] = {}  # types beside B's pieces, plus B's fusion
-                for b, pids, descs, csum in _b_sets(ends, others):
-                    if gcd(g, csum) != 1:
-                        continue
-                    if descs not in settled:
-                        settled[descs] = _settle(descs)
-                    if settled[descs] is None:
-                        continue
-                    extra, still_open = settled[descs]
-                    types = rests.get((pids, extra))
-                    if types is None:
-                        kept = [t for i, t in enumerate(codes) if i not in pids]
-                        types = rests[(pids, extra)] = tuple(sorted(kept + list(extra)))
-                    group = table.setdefault(still_open, {})
-                    old = group.get(types)
-                    if old is None or (a, b) < old:
-                        group[types] = (a, b)
-            self._tie_table = table
+        coeff = self.coeff
+        table: _Table = {}
+        settled: dict[tuple, tuple | None] = {}
+        for mask, pieces in self.tie_reps():
+            g, a = self.gcd_table[mask], tuple(_bits(mask))
+            codes, ends, others = [], [], []
+            for pid, piece in enumerate(pieces):
+                code, pairs = self.piece(piece)
+                codes.append(code)
+                seen = set()
+                for v, d in pairs:  # vertices without a descriptor never fuse
+                    cls = (d, coeff[v] % g)
+                    if d is not None and cls not in seen:
+                        seen.add(cls)
+                        (ends if _is_end(d) else others).append((v, pid, d, coeff[v]))
+            rests: dict[tuple, tuple[int, ...]] = {}  # types beside B's pieces, plus B's fusion
+            for b, pids, descs, csum in _b_sets(ends, others):
+                if gcd(g, csum) != 1:
+                    continue
+                if descs not in settled:
+                    settled[descs] = _settle(descs)
+                if settled[descs] is None:
+                    continue
+                extra, still_open = settled[descs]
+                types = rests.get((pids, extra))
+                if types is None:
+                    kept = [t for i, t in enumerate(codes) if i not in pids]
+                    types = rests[(pids, extra)] = tuple(sorted(kept + list(extra)))
+                group = table.setdefault(still_open, {})
+                old = group.get(types)
+                if old is None or (a, b) < old:
+                    group[types] = (a, b)
         return table
+
+    def table(self, kind: str, ade: bool = False) -> _Table:
+        """The "elementary" or "tie" option table, built once; with ``ade``,
+        only its entries whose residual types are all A/D/E."""
+        table = self._tables.get((kind, ade))
+        if table is None and ade:
+            table = {descs: {t: w for t, w in group.items() if not t or t[-1] <= _CODE_A1}
+                     for descs, group in self.table(kind).items()}
+        elif table is None:
+            table = self.tie_table() if kind == "tie" else self.elementary_table()
+        return self._tables.setdefault((kind, ade), table)
 
 
 def _b_sets(ends: list[tuple], others: list[tuple]) -> Iterator[tuple]:
@@ -468,12 +489,22 @@ def _settle(descs: tuple) -> tuple | None:
     return None if fused is None else ((fused,), None)
 
 
-def _fold(parts: list[tuple[int, _Table]]) -> _Table:
+def _fold(parts: list[tuple[int, _Table]], prefix: tuple | None = None) -> _Table:
     """Merge option tables, each given with the first vertex index of its
-    component, into one table of states in graph indices."""
-    states: _Table = {(): {(): ((), ())}}
+    component, into states in graph indices; ``prefix``: see ``_PREFIX_MEMO``."""
+    start, states = 0, {(): {(): ((), ())}}
+    if prefix is not None:
+        kind, comps = prefix
+        last, chain = _PREFIX_MEMO.get(kind, ((), []))
+        shared = 0  # leading types in common, short of either whole graph
+        while shared < min(len(comps), len(last)) - 1 and comps[shared] == last[shared]:
+            shared += 1
+        chain = chain[:max(shared - 1, 0)]  # the states after 2, 3, ..., shared types
+        if chain:
+            start, states = shared, chain[-1]
     joins: dict[tuple, tuple | None] = {}
-    for lo, table in parts:
+    for k in range(start, len(parts)):
+        lo, table = parts[k]
         if not lo:  # the first table, joined to the empty state, is itself
             states = table
             continue
@@ -501,10 +532,16 @@ def _fold(parts: list[tuple[int, _Table]]) -> _Table:
                         if old is None or w < old:
                             out[merged] = w
         states = nxt
+        if prefix is not None and k + 1 < len(parts):
+            chain.append(states)
+    if prefix is not None:  # only a finished fold replaces the last graph
+        _PREFIX_MEMO[kind] = (comps, chain)
     return states
 
 
 _CORE_MEMO: dict[ComponentType, _CompCore] = {}
+# kind -> (types of the last graph, its A/D/E states after 2, 3, ... of them)
+_PREFIX_MEMO: dict[str, tuple[tuple[ComponentType, ...], list[_Table]]] = {}
 
 
 def _core(g: DynkinGraph) -> list[tuple[int, _CompCore]]:
@@ -527,13 +564,47 @@ def _core(g: DynkinGraph) -> list[tuple[int, _CompCore]]:
 
 _MEMO_ELEMENTARY: dict[str, list[tuple[DynkinGraph, ElementaryChoice]]] = {}
 _MEMO_TIE: dict[str, list[tuple[DynkinGraph, TieChoice]]] = {}
+_MEMO_ADE: dict[str, tuple[_Winners, _Winners]] = {}
 
 
 def clear_transform_cache() -> None:
     """Drop the in-process enumeration memos (mostly for benchmarks/tests)."""
     _CORE_MEMO.clear()
+    _PREFIX_MEMO.clear()
     _MEMO_ELEMENTARY.clear()
     _MEMO_TIE.clear()
+    _MEMO_ADE.clear()
+
+
+def _winners(g: DynkinGraph, kind: str, ade: bool = False) -> _Winners:
+    """{sorted type codes: smallest (A, B)} over the outcomes of ``kind`` on
+    ``g``, only the A/D/E ones when ``ade``.  The fold keeps the smallest
+    (A, B) per state, which stays the smallest after any later component
+    (see the enumeration notes); each open tie state then fuses the new
+    vertex with its descriptors, or adds it alone as A1."""
+    folded = _fold([(lo, core.table(kind, ade)) for lo, core in _core(g)],
+                   (kind, g.components) if ade else None)
+    if kind == "elementary":
+        return folded[()]
+    results: _Winners = {}
+    for descs, states in folded.items():
+        extra = () if descs is None else (_fuse(descs),)  # the new vertex, if still open
+        if extra and (extra[0] is None or ade and extra[0] > _CODE_A1):
+            continue
+        for types, w in states.items():
+            types = tuple(sorted(types + extra)) if extra else types
+            old = results.get(types)
+            if old is None or w < old:
+                results[types] = w
+    return results
+
+
+def _ade_winners(g: DynkinGraph) -> tuple[_Winners, _Winners]:
+    """The A/D/E rows of ``elementary_all(g)`` and ``tie_all(g)`` as winner
+    tables: what a catalog keeps of its second steps, no graph or choice built."""
+    if g.name not in _MEMO_ADE:
+        _MEMO_ADE[g.name] = (_winners(g, "elementary", True), _winners(g, "tie", True))
+    return _MEMO_ADE[g.name]
 
 
 def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]:
@@ -548,8 +619,8 @@ def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]
     cached = _MEMO_ELEMENTARY.get(key)
     if cached is not None:
         return list(cached)
-    states = _fold([(lo, core.elementary_table()) for lo, core in _core(g)])[()]
-    out = [(_decode_graph(t), _choice(ElementaryChoice, a)) for t, (a, _) in states.items()]
+    out = [(_decode_graph(t), _choice(ElementaryChoice, a))
+           for t, (a, _) in _winners(g, "elementary").items()]
     out.sort(key=lambda pair: pair[0].name)
     _MEMO_ELEMENTARY[key] = out
     return list(out)
@@ -563,29 +634,14 @@ def tie_all(g: DynkinGraph) -> list[tuple[DynkinGraph, TieChoice]]:
     the A-coefficients and the B-coefficient sum equal to 1.  Only choices
     whose outcome is a Dynkin graph are kept; outcomes are deduplicated by
     canonical name with the smallest (A, B) witness.
-
-    Folding the components' option tables keeps the smallest (A, B) per
-    state, open or closed, which stays the smallest after any later
-    component (see the enumeration notes); each open state then fuses the
-    new vertex with its descriptors, or adds it alone as A1.
     """
     key = g.name
     cached = _MEMO_TIE.get(key)
     if cached is not None:
         return list(cached)
-    results: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for descs, states in _fold([(lo, core.tie_table()) for lo, core in _core(g)]).items():
-        extra = () if descs is None else (_fuse(descs),)  # the new vertex, if still open
-        if None in extra:
-            continue
-        for types, w in states.items():
-            types = tuple(sorted(types + extra)) if extra else types
-            old = results.get(types)
-            if old is None or w < old:
-                results[types] = w
     seen: dict[tuple, tuple] = {}  # equal A-parts share one tuple, as the results keep them
     out = [(_decode_graph(t), _choice(TieChoice, seen.setdefault(a, a), b))
-           for t, (a, b) in results.items()]
+           for t, (a, b) in _winners(g, "tie").items()]
     out.sort(key=lambda pair: pair[0].name)
     _MEMO_TIE[key] = out
     return list(out)

@@ -11,7 +11,9 @@ from dynkintrans.catalog import (
     QueryNotADE,
     SINGULARITY_CLASSES,
     SingularityClass,
+    _Lists,
     _encode_step,
+    _indices,
     _step_dict,
     build_catalog,
     catalog_from_json,
@@ -20,7 +22,7 @@ from dynkintrans.catalog import (
     milnor_bound_check,
     singularity_class,
 )
-from dynkintrans.graphs import EMPTY, parse_name
+from dynkintrans.graphs import _FAMILY_RANK, EMPTY, _code, parse_name
 from dynkintrans.transforms import (
     ElementaryChoice,
     TieChoice,
@@ -133,8 +135,9 @@ class TestWitnessSelection:
         steps.append(TransformStep(tie, a1, apply(a1, tie)))
         for kind_all in (elementary_all, tie_all):  # the empty graph as input
             steps += [TransformStep(choice, EMPTY, out) for out, choice in kind_all(EMPTY)]
+        lists = _Lists()  # shared by every step, as in a catalog build
         for s in steps:
-            assert _encode_step(s.choice, s.input.name) == _compact(_step_dict(s))
+            assert _encode_step(lists, s.input.name, *_indices(s.choice)) == _compact(_step_dict(s))
 
     def test_q10_witnesses_are_json_minima(self, all_catalogs):
         catalog = all_catalogs["Q10"]
@@ -145,7 +148,9 @@ class TestWitnessSelection:
         # Made-up outcome tables over the basic graph A3: A1 is best reached
         # through A2 by its elementary first step, although the tie step
         # reaching A2 comes later; A3 is reached through A2 and through A1+A1
-        # by witnesses of equal length; G2 is not A/D/E.
+        # by witnesses of equal length; G2 is not A/D/E.  First steps come
+        # from elementary_all and tie_all, second steps from the winner
+        # tables of _ade_winners, made here from the same rows.
         g = parse_name
         elementary = {
             "A3": [(g("A2"), ElementaryChoice((0,))), (g("D4"), ElementaryChoice((0, 1, 2, 3)))],
@@ -166,13 +171,27 @@ class TestWitnessSelection:
         def fake_tie(graph):
             return tie[graph.name]
 
+        def fake_winners(graph):
+            # {sorted type codes: (A, B)} over the A/D/E rows only
+            return (
+                {_codes(out): (c.removed, ()) for out, c in elementary[graph.name] if out.is_ade},
+                {_codes(out): (c.a, c.b) for out, c in tie[graph.name] if out.is_ade},
+            )
+
         monkeypatch.setattr(catalog_module, "elementary_all", fake_elementary)
         monkeypatch.setattr(catalog_module, "tie_all", fake_tie)
+        monkeypatch.setattr(catalog_module, "_ade_winners", fake_winners)
         cls = SingularityClass("X7", 7, g("A3"))
         catalog = catalog_module._compute_catalog(cls)
         assert _witness_json(catalog) == _json_minima(cls.basic, fake_elementary, fake_tie)
         assert catalog.get("A1").witness[0].choice == ElementaryChoice((0,))
         assert catalog.get("A3").witness[0].output == g("A1+A1")
+        assert catalog.get("G2") is None
+
+
+def _codes(g) -> tuple[int, ...]:
+    """The sorted type codes of a graph, as the enumeration engine keys it."""
+    return tuple(_code(_FAMILY_RANK[c.family], c.subscript) for c in g.components)
 
 
 def _json_minima(basic, elementary, tie) -> dict[str, str]:
@@ -413,6 +432,15 @@ class TestOneEntryMembership:
         assert membership("Z13", parse_name("A12"), cache_dir=catalog_cache_dir) is None
 
 
+def _with_forged_a12(good: str) -> dict:
+    """A Z13 catalog dict that also lists A12, with the witness of A7+A4."""
+    data = json.loads(good)
+    forged = json.loads(json.dumps(next(e for e in data["members"] if e["name"] == "A7+A4")))
+    forged["name"] = "A12"
+    data["members"] = sorted(data["members"] + [forged], key=lambda e: e["name"])
+    return data
+
+
 class TestForgedCacheEntry:
     """A cache entry whose witness does not replay is never served."""
 
@@ -420,10 +448,7 @@ class TestForgedCacheEntry:
         from dynkintrans.cli import main
 
         good = catalog_to_json(all_catalogs["Z13"])
-        data = json.loads(good)
-        forged = json.loads(json.dumps(next(e for e in data["members"] if e["name"] == "A7+A4")))
-        forged["name"] = "A12"
-        data["members"] = sorted(data["members"] + [forged], key=lambda e: e["name"])
+        data = _with_forged_a12(good)
         path = tmp_path / "Z13-v1.json"
 
         _write_json(path, data)
@@ -434,6 +459,23 @@ class TestForgedCacheEntry:
         catalog_module.clear_memory_cache()
         assert main(["check", "Z13", "A12", "--cache-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().out.startswith("no: A12")
+        assert path.read_text(encoding="utf-8") == good
+
+    def test_load_replays_every_member(self, all_catalogs, tmp_path, fresh_memory_cache, capsys):
+        from dynkintrans.cli import main
+
+        good = catalog_to_json(all_catalogs["Z13"])
+        path = tmp_path / "Z13-v1.json"
+        _write_json(path, _with_forged_a12(good))
+        loaded = build_catalog("Z13", cache_dir=tmp_path)
+        assert loaded.names() == all_catalogs["Z13"].names()
+        assert path.read_text(encoding="utf-8") == good
+
+        _write_json(path, _with_forged_a12(good))
+        catalog_module.clear_memory_cache()
+        assert main(["catalog", "Z13", "--cache-dir", str(tmp_path)]) == 0
+        listed = capsys.readouterr().out.splitlines()
+        assert "A7+A4" in listed and "A12" not in listed
         assert path.read_text(encoding="utf-8") == good
 
     @pytest.mark.parametrize("source", ["file", "memo"])
@@ -451,9 +493,11 @@ class TestForgedCacheEntry:
         path = tmp_path / "Z13-v1.json"
         _write_json(path, data)
         if source == "memo":
-            # build_catalog trusts the file; the memo then holds the forged step
-            loaded = build_catalog("Z13", cache_dir=tmp_path)
-            assert loaded.get("A7+A4").witness[1].choice.b == (1, 9)
+            # a memoized catalog is not replayed again, so membership must
+            # replay what it answers from the memo
+            forged = catalog_from_json(path.read_text(encoding="utf-8"))
+            assert forged.get("A7+A4").witness[1].choice.b == (1, 9)
+            catalog_module._CATALOG_MEMO["Z13"] = forged
         witness = membership("Z13", parse_name("A7+A4"), cache_dir=tmp_path)
         assert witness is not None
         assert _steps(witness) == _steps(all_catalogs["Z13"].get("A7+A4").witness)

@@ -21,11 +21,14 @@ from dynkintrans.graphs import (
     realize,
 )
 from dynkintrans import transforms
+from dynkintrans.catalog import SINGULARITY_CLASSES
 from dynkintrans.transforms import (
     ElementaryChoice,
     InvalidChoice,
     TieChoice,
     _CompCore,
+    _ade_winners,
+    _decode_graph,
     _lex_masks,
     apply,
     apply_labeled,
@@ -178,6 +181,10 @@ class TestAgainstNaiveEnumeration:
         assert naive_tie_all(g, max_b=4) == naive_tie_all(g, max_b=3)
 
 
+def _named(winners) -> dict:
+    return {_decode_graph(codes).name: w for codes, w in winners.items()}
+
+
 class TestInvariants:
     def test_vertex_count_monotonicity(self, family12):
         for g in family12:
@@ -235,12 +242,17 @@ class TestInvariants:
 
     def test_clear_transform_cache_leaves_no_core(self, monkeypatch):
         # the transform sweep measures per-call work only if a clear drops
-        # every core, so the next call builds its own
-        g = parse_name("D10")
+        # every core, so the next call builds its own; the catalog's A/D/E
+        # tables, winner memo and prefix memo go with them
+        g, h = parse_name("D10"), parse_name("D4+A3+A1")
         clear_transform_cache()
         first = tie_all(g)
+        winners = _ade_winners(h)
+        old = {ct: c._tables["tie", True] for ct, c in transforms._CORE_MEMO.items() if ct != D(10)}
+        assert len(old) == 3 and transforms._PREFIX_MEMO and transforms._MEMO_ADE
         clear_transform_cache()
         assert not transforms._CORE_MEMO and not transforms._MEMO_TIE
+        assert not transforms._MEMO_ADE and not transforms._PREFIX_MEMO
         built = []
 
         class CountedCore(_CompCore):
@@ -253,6 +265,40 @@ class TestInvariants:
         monkeypatch.setattr(transforms, "_CompCore", CountedCore)
         assert tie_all(g) == first
         assert built == [D(10)]
+        assert _ade_winners(h) == winners
+        assert built == [D(10), D(4), A(3), A(1)]
+        for ct, table in old.items():
+            assert transforms._CORE_MEMO[ct]._tables["tie", True] is not table
+        clear_transform_cache()
+
+    @pytest.mark.parametrize("symbol", ["Q10", "Z12", "Q12"])
+    def test_ade_winners_agree_with_public_results(self, symbol):
+        # a catalog reads its second steps from A/D/E-only folds that share
+        # component prefixes; they must give the A/D/E rows of the public
+        # functions, outcome and witness
+        basic = SINGULARITY_CLASSES[symbol].basic
+        clear_transform_cache()
+        mids = {mid.name: mid for first in (elementary_all, tie_all) for mid, _ in first(basic)}
+        def two_type_states():
+            return transforms._PREFIX_MEMO.get("tie", ((), []))[1][:1]
+
+        tables, reused = {}, 0
+        for name in sorted(mids):  # the catalog's order
+            before = two_type_states()
+            tables[name] = _ade_winners(mids[name])
+            after = two_type_states()
+            reused += bool(before and after and before[0] is after[0])
+        assert reused  # some tie folds started from the states of a shared prefix
+        for name, mid in mids.items():
+            elementary, tie = tables[name]
+            for table in (elementary, tie):
+                assert all(codes == tuple(sorted(codes)) for codes in table)
+            assert _named(elementary) == {
+                out.name: (c.removed, ()) for out, c in elementary_all(mid) if out.is_ade
+            }, name
+            assert _named(tie) == {
+                out.name: (c.a, c.b) for out, c in tie_all(mid) if out.is_ade
+            }, name
         clear_transform_cache()
 
     def test_tie_witness_has_the_smallest_b_for_its_a(self):
