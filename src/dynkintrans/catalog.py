@@ -171,8 +171,8 @@ def _compute_catalog(cls: SingularityClass) -> Catalog:
 
     - of the (at most two) first steps reaching one intermediate, keep the
       one with the smaller ``(len(enc1), enc1)``;
-    - read each intermediate's second steps once, in name order, from the
-      A/D/E winner tables of ``transforms._ade_winners``, and compare a
+    - read each intermediate's second steps once, from the A/D/E winner
+      tables of ``transforms._ade_winners``, and compare a
       candidate with the member's best so far by ``len(enc1) + len(enc2)``,
       building the two keys only when those lengths tie.
 
@@ -194,7 +194,7 @@ def _compute_catalog(cls: SingularityClass) -> Catalog:
     # member type codes -> (len(enc1) + len(enc2), enc1, enc2, first step,
     # second-step A, second-step B or None for an elementary step)
     best: dict[tuple[int, ...], tuple] = {}
-    for mid_name, (enc1, s1) in sorted(firsts.items()):  # shared prefixes in a row
+    for mid_name, (enc1, s1) in firsts.items():
         len1 = len(enc1)
         for tie, winners in enumerate(_ade_winners(s1.output)):  # elementary, then tie
             for codes, (a, b) in winners.items():

@@ -453,6 +453,27 @@ def gram(lg: LabeledGraph) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
+def _connected_components(lg: LabeledGraph) -> list[list[int]]:
+    adj = lg.adjacency()
+    seen = [False] * lg.n
+    comps = []
+    for start in range(lg.n):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
 # ---------------------------------------------------------------------------
 # Shape recognition.
 #
@@ -612,3 +633,9 @@ def classify(lg: LabeledGraph) -> DynkinGraph:
     adj, norm = _mask_view(lg)
     pieces = _pieces(adj, (1 << lg.n) - 1)
     return DynkinGraph(tuple(_decode(_recognize(adj, norm, p)[0]) for p in pieces))
+
+
+def component_subgraphs(lg: LabeledGraph) -> Iterator[LabeledGraph]:
+    """The connected components of ``lg`` as labeled graphs."""
+    for comp in _connected_components(lg):
+        yield lg.induced(comp)

@@ -226,12 +226,7 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # A catalog keeps only A/D/E second-step outcomes, so ``_ade_winners`` folds
 # tables cut to their A/D/E entries.  That is exact: types only accumulate
 # through the fold, and a lone short root closes as G2 at once, so an entry
-# with a G2, G1 or BC1 code never reaches an A/D/E outcome.  The states after
-# the first k components depend only on the kind of step and those k types,
-# as ``extend`` lays components out in order: ``_PREFIX_MEMO`` keeps, per
-# kind, the states after each strict prefix of the graph folded last, matched
-# by types, never by identity.  Catalogs fold intermediates in name order,
-# which puts graphs with shared leading components in a row.
+# with a G2, G1 or BC1 code never reaches an A/D/E outcome.
 # ---------------------------------------------------------------------------
 
 # Outcome graphs are interned: each distinct graph is one shared immutable
@@ -414,14 +409,18 @@ class _CompCore:
 
     def table(self, kind: str, ade: bool = False) -> _Table:
         """The "elementary" or "tie" option table, built once; with ``ade``,
-        only its entries whose residual types are all A/D/E."""
+        only its entries whose residual types are all A/D/E (the whole table
+        is then kept only if it was already)."""
         table = self._tables.get((kind, ade))
-        if table is None and ade:
-            table = {descs: {t: w for t, w in group.items() if not t or t[-1] <= _CODE_A1}
-                     for descs, group in self.table(kind).items()}
-        elif table is None:
-            table = self.tie_table() if kind == "tie" else self.elementary_table()
-        return self._tables.setdefault((kind, ade), table)
+        if table is None:
+            table = self._tables.get((kind, False))
+            if table is None:
+                table = self.tie_table() if kind == "tie" else self.elementary_table()
+            if ade:
+                table = {descs: {t: w for t, w in group.items() if not t or t[-1] <= _CODE_A1}
+                         for descs, group in table.items()}
+            self._tables[kind, ade] = table
+        return table
 
 
 def _b_sets(ends: list[tuple], others: list[tuple]) -> Iterator[tuple]:
@@ -489,22 +488,12 @@ def _settle(descs: tuple) -> tuple | None:
     return None if fused is None else ((fused,), None)
 
 
-def _fold(parts: list[tuple[int, _Table]], prefix: tuple | None = None) -> _Table:
+def _fold(parts: list[tuple[int, _Table]]) -> _Table:
     """Merge option tables, each given with the first vertex index of its
-    component, into states in graph indices; ``prefix``: see ``_PREFIX_MEMO``."""
-    start, states = 0, {(): {(): ((), ())}}
-    if prefix is not None:
-        kind, comps = prefix
-        last, chain = _PREFIX_MEMO.get(kind, ((), []))
-        shared = 0  # leading types in common, short of either whole graph
-        while shared < min(len(comps), len(last)) - 1 and comps[shared] == last[shared]:
-            shared += 1
-        chain = chain[:max(shared - 1, 0)]  # the states after 2, 3, ..., shared types
-        if chain:
-            start, states = shared, chain[-1]
+    component, into one table of states in graph indices."""
+    states: _Table = {(): {(): ((), ())}}
     joins: dict[tuple, tuple | None] = {}
-    for k in range(start, len(parts)):
-        lo, table = parts[k]
+    for lo, table in parts:
         if not lo:  # the first table, joined to the empty state, is itself
             states = table
             continue
@@ -532,16 +521,10 @@ def _fold(parts: list[tuple[int, _Table]], prefix: tuple | None = None) -> _Tabl
                         if old is None or w < old:
                             out[merged] = w
         states = nxt
-        if prefix is not None and k + 1 < len(parts):
-            chain.append(states)
-    if prefix is not None:  # only a finished fold replaces the last graph
-        _PREFIX_MEMO[kind] = (comps, chain)
     return states
 
 
 _CORE_MEMO: dict[ComponentType, _CompCore] = {}
-# kind -> (types of the last graph, its A/D/E states after 2, 3, ... of them)
-_PREFIX_MEMO: dict[str, tuple[tuple[ComponentType, ...], list[_Table]]] = {}
 
 
 def _core(g: DynkinGraph) -> list[tuple[int, _CompCore]]:
@@ -570,7 +553,6 @@ _MEMO_ADE: dict[str, tuple[_Winners, _Winners]] = {}
 def clear_transform_cache() -> None:
     """Drop the in-process enumeration memos (mostly for benchmarks/tests)."""
     _CORE_MEMO.clear()
-    _PREFIX_MEMO.clear()
     _MEMO_ELEMENTARY.clear()
     _MEMO_TIE.clear()
     _MEMO_ADE.clear()
@@ -582,8 +564,7 @@ def _winners(g: DynkinGraph, kind: str, ade: bool = False) -> _Winners:
     (A, B) per state, which stays the smallest after any later component
     (see the enumeration notes); each open tie state then fuses the new
     vertex with its descriptors, or adds it alone as A1."""
-    folded = _fold([(lo, core.table(kind, ade)) for lo, core in _core(g)],
-                   (kind, g.components) if ade else None)
+    folded = _fold([(lo, core.table(kind, ade)) for lo, core in _core(g)])
     if kind == "elementary":
         return folded[()]
     results: _Winners = {}

@@ -26,6 +26,7 @@ from dynkintrans.graphs import (
     NORM_LONG,
     ORDINARY_EDGE,
     Vertex,
+    component_subgraphs,
     extend,
     gram,
     realize,
@@ -111,31 +112,10 @@ def _component_type(comp: LabeledGraph) -> ComponentType | None:
     return _TYPE_BY_GRAM[key]
 
 
-def _component_subgraphs(lg: LabeledGraph) -> list[LabeledGraph]:
-    """The connected components of ``lg`` as labeled graphs, by depth-first search."""
-    adj = lg.adjacency()
-    seen: set[int] = set()
-    comps = []
-    for start in range(lg.n):
-        if start in seen:
-            continue
-        seen.add(start)
-        stack, comp = [start], []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(lg.induced(sorted(comp)))
-    return comps
-
-
 def oracle_classify(lg: LabeledGraph) -> DynkinGraph | None:
     """Match every component against the realize() catalog by isomorphism."""
     found = []
-    for comp in _component_subgraphs(lg):
+    for comp in component_subgraphs(lg):
         hit = _component_type(comp)
         if hit is None:
             return None

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from dynkintrans import catalog as catalog_module
+from dynkintrans import transforms
 from dynkintrans.catalog import (
     BoundViolation,
     Catalog,
@@ -149,8 +150,9 @@ class TestWitnessSelection:
         # through A2 by its elementary first step, although the tie step
         # reaching A2 comes later; A3 is reached through A2 and through A1+A1
         # by witnesses of equal length; G2 is not A/D/E.  First steps come
-        # from elementary_all and tie_all, second steps from the winner
-        # tables of _ade_winners, made here from the same rows.
+        # from elementary_all and tie_all; second steps come from the real
+        # _ade_winners, over one made-up core per graph that holds the same
+        # rows as its option tables, so the A/D/E cut is the engine's own.
         g = parse_name
         elementary = {
             "A3": [(g("A2"), ElementaryChoice((0,))), (g("D4"), ElementaryChoice((0, 1, 2, 3)))],
@@ -171,16 +173,23 @@ class TestWitnessSelection:
         def fake_tie(graph):
             return tie[graph.name]
 
-        def fake_winners(graph):
-            # {sorted type codes: (A, B)} over the A/D/E rows only
-            return (
-                {_codes(out): (c.removed, ()) for out, c in elementary[graph.name] if out.is_ade},
-                {_codes(out): (c.a, c.b) for out, c in tie[graph.name] if out.is_ade},
-            )
+        class MadeUpCore(transforms._CompCore):
+            # a graph's rows as the tables of one core: elementary states stay
+            # open with no descriptor, tie states are closed
+            def __init__(self, name):
+                self._tables, self.name = {}, name
+
+            def elementary_table(self):
+                return {(): {_codes(out): (c.removed, ()) for out, c in elementary[self.name]}}
+
+            def tie_table(self):
+                return {None: {_codes(out): (c.a, c.b) for out, c in tie[self.name]}}
 
         monkeypatch.setattr(catalog_module, "elementary_all", fake_elementary)
         monkeypatch.setattr(catalog_module, "tie_all", fake_tie)
-        monkeypatch.setattr(catalog_module, "_ade_winners", fake_winners)
+        monkeypatch.setattr(transforms, "_core", lambda graph: [(0, MadeUpCore(graph.name))])
+        monkeypatch.setattr(transforms, "_MEMO_ADE", {})
+        assert transforms._winners(g("A2"), "elementary")[_codes(g("G2"))] == ((1,), ())  # a row to drop
         cls = SingularityClass("X7", 7, g("A3"))
         catalog = catalog_module._compute_catalog(cls)
         assert _witness_json(catalog) == _json_minima(cls.basic, fake_elementary, fake_tie)

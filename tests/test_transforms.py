@@ -243,16 +243,17 @@ class TestInvariants:
     def test_clear_transform_cache_leaves_no_core(self, monkeypatch):
         # the transform sweep measures per-call work only if a clear drops
         # every core, so the next call builds its own; the catalog's A/D/E
-        # tables, winner memo and prefix memo go with them
+        # tables and winner memo go with them
         g, h = parse_name("D10"), parse_name("D4+A3+A1")
         clear_transform_cache()
         first = tie_all(g)
         winners = _ade_winners(h)
         old = {ct: c._tables["tie", True] for ct, c in transforms._CORE_MEMO.items() if ct != D(10)}
-        assert len(old) == 3 and transforms._PREFIX_MEMO and transforms._MEMO_ADE
+        assert len(old) == 3 and transforms._MEMO_ADE
+        # a core reached only for its A/D/E cut keeps the cut alone
+        assert all(("tie", False) not in transforms._CORE_MEMO[ct]._tables for ct in old)
         clear_transform_cache()
-        assert not transforms._CORE_MEMO and not transforms._MEMO_TIE
-        assert not transforms._MEMO_ADE and not transforms._PREFIX_MEMO
+        assert not transforms._CORE_MEMO and not transforms._MEMO_TIE and not transforms._MEMO_ADE
         built = []
 
         class CountedCore(_CompCore):
@@ -273,22 +274,12 @@ class TestInvariants:
 
     @pytest.mark.parametrize("symbol", ["Q10", "Z12", "Q12"])
     def test_ade_winners_agree_with_public_results(self, symbol):
-        # a catalog reads its second steps from A/D/E-only folds that share
-        # component prefixes; they must give the A/D/E rows of the public
-        # functions, outcome and witness
+        # a catalog reads its second steps from A/D/E-only folds; they must
+        # give the A/D/E rows of the public functions, outcome and witness
         basic = SINGULARITY_CLASSES[symbol].basic
         clear_transform_cache()
         mids = {mid.name: mid for first in (elementary_all, tie_all) for mid, _ in first(basic)}
-        def two_type_states():
-            return transforms._PREFIX_MEMO.get("tie", ((), []))[1][:1]
-
-        tables, reused = {}, 0
-        for name in sorted(mids):  # the catalog's order
-            before = two_type_states()
-            tables[name] = _ade_winners(mids[name])
-            after = two_type_states()
-            reused += bool(before and after and before[0] is after[0])
-        assert reused  # some tie folds started from the states of a shared prefix
+        tables = {name: _ade_winners(mid) for name, mid in mids.items()}  # before any public call
         for name, mid in mids.items():
             elementary, tie = tables[name]
             for table in (elementary, tie):
