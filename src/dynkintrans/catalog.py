@@ -28,8 +28,8 @@ from .transforms import (
     ElementaryChoice,
     TieChoice,
     TransformStep,
-    _ade_winners,
     _decode_graph,
+    _winners,
     elementary_all,
     tie_all,
 )
@@ -172,9 +172,9 @@ def _compute_catalog(cls: SingularityClass) -> Catalog:
     - of the (at most two) first steps reaching one intermediate, keep the
       one with the smaller ``(len(enc1), enc1)``;
     - read each intermediate's second steps once, from the A/D/E winner
-      tables of ``transforms._ade_winners``, and compare a
-      candidate with the member's best so far by ``len(enc1) + len(enc2)``,
-      building the two keys only when those lengths tie.
+      tables of ``transforms._winners``, and compare a candidate with the
+      member's best so far by ``len(enc1) + len(enc2)``, building the two
+      keys only when those lengths tie.
 
     Members are keyed by type codes; only each member's winner gets its
     graph, name, second-step choice and step.
@@ -196,9 +196,9 @@ def _compute_catalog(cls: SingularityClass) -> Catalog:
     best: dict[tuple[int, ...], tuple] = {}
     for mid_name, (enc1, s1) in firsts.items():
         len1 = len(enc1)
-        for tie, winners in enumerate(_ade_winners(s1.output)):  # elementary, then tie
-            for codes, (a, b) in winners.items():
-                b = b if tie else None
+        for kind in ("elementary", "tie"):
+            for codes, (a, b) in _winners(s1.output, kind, True).items():
+                b = b if kind == "tie" else None
                 enc2 = _encode_step(lists, mid_name, a, b)
                 length = len1 + len(enc2)
                 old = best.get(codes)

@@ -25,6 +25,7 @@ Choice indices always refer to the documented vertex ordering of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 from typing import Iterable, Iterator, Union
 
@@ -223,10 +224,10 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # splits by component, and the smallest choice per key stays the smallest
 # after any suffix.
 #
-# A catalog keeps only A/D/E second-step outcomes, so ``_ade_winners`` folds
-# tables cut to their A/D/E entries.  That is exact: types only accumulate
-# through the fold, and a lone short root closes as G2 at once, so an entry
-# with a G2, G1 or BC1 code never reaches an A/D/E outcome.
+# A catalog keeps only A/D/E second-step outcomes: ``_winners(g, kind,
+# True)`` folds tables cut to their A/D/E entries.  That is exact: types
+# only accumulate through the fold, and a lone short root closes as G2 at
+# once, so an entry with a G2, G1 or BC1 code never reaches an A/D/E outcome.
 # ---------------------------------------------------------------------------
 
 # Outcome graphs are interned: each distinct graph is one shared immutable
@@ -375,7 +376,6 @@ class _CompCore:
         distinct pieces with gcd(g, sum of their coefficients) = 1."""
         coeff = self.coeff
         table: _Table = {}
-        settled: dict[tuple, tuple | None] = {}
         for mask, pieces in self.tie_reps():
             g, a = self.gcd_table[mask], tuple(_bits(mask))
             codes, ends, others = [], [], []
@@ -392,11 +392,10 @@ class _CompCore:
             for b, pids, descs, csum in _b_sets(ends, others):
                 if gcd(g, csum) != 1:
                     continue
-                if descs not in settled:
-                    settled[descs] = _settle(descs)
-                if settled[descs] is None:
+                join = _settle((), descs)
+                if join is None:
                     continue
-                extra, still_open = settled[descs]
+                extra, still_open = join
                 types = rests.get((pids, extra))
                 if types is None:
                     kept = [t for i, t in enumerate(codes) if i not in pids]
@@ -456,6 +455,7 @@ def _is_end(d: tuple) -> bool:
     return d[0] == _D_PATH and d[2] == 0
 
 
+@cache
 def _fuse(descs: tuple) -> int | None:
     """Shape of: new vertex joined to the pieces of ``descs``, one
     descriptor per piece in any order, or standing alone."""
@@ -475,12 +475,16 @@ def _fuse(descs: tuple) -> int | None:
     return _legs_code(*sorted(legs))
 
 
-def _settle(descs: tuple) -> tuple | None:
-    """What B, given by its descriptors, can still become: (types it adds,
-    its sorted descriptors if still open or None once fused), or None when
-    no Dynkin outcome holds it.  A short root fuses only alone; a pair needs
-    a path end, and two ends stay open for a third; a triple fuses at once."""
-    descs = tuple(sorted(descs))
+@cache
+def _settle(held: tuple | None, descs: tuple | None) -> tuple | None:
+    """What B, holding descriptors ``held`` and adding ``descs``, can still
+    become: (types it adds, its sorted descriptors if still open or None
+    once fused), or None when no Dynkin outcome holds it.  A closed side
+    (None) joins only an empty one; a short root fuses only alone; a pair
+    needs a path end, and two ends stay open for a third; a triple fuses at once."""
+    if held is None or descs is None:
+        return ((), None) if held == () or descs == () else None
+    descs = tuple(sorted(held + descs))
     n = len(descs)
     if (n < 2 and descs != ((_D_SHORT,),)) or (n == 2 and all(map(_is_end, descs))):
         return (), descs
@@ -492,7 +496,6 @@ def _fold(parts: list[tuple[int, _Table]]) -> _Table:
     """Merge option tables, each given with the first vertex index of its
     component, into one table of states in graph indices."""
     states: _Table = {(): {(): ((), ())}}
-    joins: dict[tuple, tuple | None] = {}
     for lo, table in parts:
         if not lo:  # the first table, joined to the empty state, is itself
             states = table
@@ -502,15 +505,10 @@ def _fold(parts: list[tuple[int, _Table]]) -> _Table:
             opts = [(t, (tuple(v + lo for v in a), tuple(v + lo for v in b)))
                     for t, (a, b) in group.items()]  # local indices to graph indices
             for held, held_group in states.items():
-                jk = (held, descs)
-                if jk not in joins:
-                    if held is None or descs is None:  # closed: the other side must be empty
-                        joins[jk] = ((), None) if () in jk else None
-                    else:
-                        joins[jk] = _settle(held + descs)
-                if joins[jk] is None:
+                join = _settle(held, descs)
+                if join is None:
                     continue
-                extra, still_open = joins[jk]
+                extra, still_open = join
                 out = nxt.setdefault(still_open, {})
                 for held_types, (held_a, held_b) in held_group.items():
                     base = held_types + extra
@@ -545,47 +543,43 @@ def _core(g: DynkinGraph) -> list[tuple[int, _CompCore]]:
     return out
 
 
-_MEMO_ELEMENTARY: dict[str, list[tuple[DynkinGraph, ElementaryChoice]]] = {}
-_MEMO_TIE: dict[str, list[tuple[DynkinGraph, TieChoice]]] = {}
-_MEMO_ADE: dict[str, tuple[_Winners, _Winners]] = {}
+_MEMO_WINNERS: dict[tuple[str, str, bool], _Winners] = {}  # by (name, kind, ade)
 
 
 def clear_transform_cache() -> None:
     """Drop the in-process enumeration memos (mostly for benchmarks/tests)."""
     _CORE_MEMO.clear()
-    _MEMO_ELEMENTARY.clear()
-    _MEMO_TIE.clear()
-    _MEMO_ADE.clear()
+    _MEMO_WINNERS.clear()
+    _settle.cache_clear()
+    _fuse.cache_clear()
 
 
 def _winners(g: DynkinGraph, kind: str, ade: bool = False) -> _Winners:
     """{sorted type codes: smallest (A, B)} over the outcomes of ``kind`` on
-    ``g``, only the A/D/E ones when ``ade``.  The fold keeps the smallest
-    (A, B) per state, which stays the smallest after any later component
-    (see the enumeration notes); each open tie state then fuses the new
-    vertex with its descriptors, or adds it alone as A1."""
+    ``g``, only the A/D/E ones when ``ade``, built once per graph.  The fold
+    keeps the smallest (A, B) per state, which stays the smallest after any
+    later component (see the enumeration notes); each open tie state then
+    fuses the new vertex with its descriptors, or adds it alone as A1."""
+    key = (g.name, kind, ade)
+    results = _MEMO_WINNERS.get(key)
+    if results is not None:
+        return results
     folded = _fold([(lo, core.table(kind, ade)) for lo, core in _core(g)])
     if kind == "elementary":
-        return folded[()]
-    results: _Winners = {}
-    for descs, states in folded.items():
-        extra = () if descs is None else (_fuse(descs),)  # the new vertex, if still open
-        if extra and (extra[0] is None or ade and extra[0] > _CODE_A1):
-            continue
-        for types, w in states.items():
-            types = tuple(sorted(types + extra)) if extra else types
-            old = results.get(types)
-            if old is None or w < old:
-                results[types] = w
+        results = folded[()]
+    else:
+        results = {}
+        for descs, states in folded.items():
+            extra = () if descs is None else (_fuse(descs),)  # the new vertex, if still open
+            if extra and (extra[0] is None or ade and extra[0] > _CODE_A1):
+                continue
+            for types, w in states.items():
+                types = tuple(sorted(types + extra)) if extra else types
+                old = results.get(types)
+                if old is None or w < old:
+                    results[types] = w
+    _MEMO_WINNERS[key] = results
     return results
-
-
-def _ade_winners(g: DynkinGraph) -> tuple[_Winners, _Winners]:
-    """The A/D/E rows of ``elementary_all(g)`` and ``tie_all(g)`` as winner
-    tables: what a catalog keeps of its second steps, no graph or choice built."""
-    if g.name not in _MEMO_ADE:
-        _MEMO_ADE[g.name] = (_winners(g, "elementary", True), _winners(g, "tie", True))
-    return _MEMO_ADE[g.name]
 
 
 def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]:
@@ -596,15 +590,10 @@ def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]
     index tuple is kept.  Removing exactly the added vertices reproduces
     ``g``, and removing everything yields the empty graph.
     """
-    key = g.name
-    cached = _MEMO_ELEMENTARY.get(key)
-    if cached is not None:
-        return list(cached)
     out = [(_decode_graph(t), _choice(ElementaryChoice, a))
            for t, (a, _) in _winners(g, "elementary").items()]
     out.sort(key=lambda pair: pair[0].name)
-    _MEMO_ELEMENTARY[key] = out
-    return list(out)
+    return out
 
 
 def tie_all(g: DynkinGraph) -> list[tuple[DynkinGraph, TieChoice]]:
@@ -616,13 +605,8 @@ def tie_all(g: DynkinGraph) -> list[tuple[DynkinGraph, TieChoice]]:
     whose outcome is a Dynkin graph are kept; outcomes are deduplicated by
     canonical name with the smallest (A, B) witness.
     """
-    key = g.name
-    cached = _MEMO_TIE.get(key)
-    if cached is not None:
-        return list(cached)
     seen: dict[tuple, tuple] = {}  # equal A-parts share one tuple, as the results keep them
     out = [(_decode_graph(t), _choice(TieChoice, seen.setdefault(a, a), b))
            for t, (a, b) in _winners(g, "tie").items()]
     out.sort(key=lambda pair: pair[0].name)
-    _MEMO_TIE[key] = out
-    return list(out)
+    return out

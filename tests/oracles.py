@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Iterator
 
 from dynkintrans.graphs import (
     A,
@@ -26,7 +27,6 @@ from dynkintrans.graphs import (
     NORM_LONG,
     ORDINARY_EDGE,
     Vertex,
-    component_subgraphs,
     extend,
     gram,
     realize,
@@ -110,6 +110,27 @@ def _component_type(comp: LabeledGraph) -> ComponentType | None:
             None,
         )
     return _TYPE_BY_GRAM[key]
+
+
+def component_subgraphs(lg: LabeledGraph) -> Iterator[LabeledGraph]:
+    """The connected components of ``lg`` as labeled graphs, found by
+    depth-first search over its edges."""
+    adj = lg.adjacency()
+    seen = [False] * lg.n
+    for start in range(lg.n):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        yield lg.induced(sorted(comp))
 
 
 def oracle_classify(lg: LabeledGraph) -> DynkinGraph | None:

@@ -151,7 +151,7 @@ class TestWitnessSelection:
         # reaching A2 comes later; A3 is reached through A2 and through A1+A1
         # by witnesses of equal length; G2 is not A/D/E.  First steps come
         # from elementary_all and tie_all; second steps come from the real
-        # _ade_winners, over one made-up core per graph that holds the same
+        # _winners, over one made-up core per graph that holds the same
         # rows as its option tables, so the A/D/E cut is the engine's own.
         g = parse_name
         elementary = {
@@ -188,7 +188,7 @@ class TestWitnessSelection:
         monkeypatch.setattr(catalog_module, "elementary_all", fake_elementary)
         monkeypatch.setattr(catalog_module, "tie_all", fake_tie)
         monkeypatch.setattr(transforms, "_core", lambda graph: [(0, MadeUpCore(graph.name))])
-        monkeypatch.setattr(transforms, "_MEMO_ADE", {})
+        monkeypatch.setattr(transforms, "_MEMO_WINNERS", {})
         assert transforms._winners(g("A2"), "elementary")[_codes(g("G2"))] == ((1,), ())  # a row to drop
         cls = SingularityClass("X7", 7, g("A3"))
         catalog = catalog_module._compute_catalog(cls)

@@ -27,9 +27,9 @@ from dynkintrans.transforms import (
     InvalidChoice,
     TieChoice,
     _CompCore,
-    _ade_winners,
     _decode_graph,
     _lex_masks,
+    _winners,
     apply,
     apply_labeled,
     clear_transform_cache,
@@ -210,6 +210,20 @@ class TestInvariants:
         assert elementary_all(g) == first_e
         assert tie_all(g) == first_t
 
+    @pytest.mark.parametrize("fn", [elementary_all, tie_all])
+    def test_returned_list_is_the_callers_own(self, fn):
+        # results are built once per graph; a caller that reorders, trims or
+        # extends the list it got must not change what the next call returns
+        g = parse_name("E6+G2")
+        clear_transform_cache()
+        first = fn(g)
+        expected = list(first)
+        first.reverse()
+        first.append(first.pop(0))
+        del first[1:]
+        assert fn(g) == expected
+        assert fn(g) is not fn(g)
+
     @pytest.mark.parametrize(
         "name, other", [("A2+A2+G2", "A2+G2"), ("D4+D4", "D4"), ("E6+A2+A2", "E6")]
     )
@@ -243,17 +257,21 @@ class TestInvariants:
     def test_clear_transform_cache_leaves_no_core(self, monkeypatch):
         # the transform sweep measures per-call work only if a clear drops
         # every core, so the next call builds its own; the catalog's A/D/E
-        # tables and winner memo go with them
+        # tables, the winner memo and the cached join rule go with them
         g, h = parse_name("D10"), parse_name("D4+A3+A1")
         clear_transform_cache()
         first = tie_all(g)
-        winners = _ade_winners(h)
+        winners = _winners(h, "tie", True)
         old = {ct: c._tables["tie", True] for ct, c in transforms._CORE_MEMO.items() if ct != D(10)}
-        assert len(old) == 3 and transforms._MEMO_ADE
+        assert len(old) == 3
+        # one memo holds every winner table, keyed by graph, kind and A/D/E cut
+        assert set(transforms._MEMO_WINNERS) == {("D10", "tie", False), ("D4+A3+A1", "tie", True)}
+        assert transforms._settle.cache_info().currsize and transforms._fuse.cache_info().currsize
         # a core reached only for its A/D/E cut keeps the cut alone
         assert all(("tie", False) not in transforms._CORE_MEMO[ct]._tables for ct in old)
         clear_transform_cache()
-        assert not transforms._CORE_MEMO and not transforms._MEMO_TIE and not transforms._MEMO_ADE
+        assert not transforms._CORE_MEMO and not transforms._MEMO_WINNERS
+        assert not transforms._settle.cache_info().currsize and not transforms._fuse.cache_info().currsize
         built = []
 
         class CountedCore(_CompCore):
@@ -266,7 +284,7 @@ class TestInvariants:
         monkeypatch.setattr(transforms, "_CompCore", CountedCore)
         assert tie_all(g) == first
         assert built == [D(10)]
-        assert _ade_winners(h) == winners
+        assert _winners(h, "tie", True) == winners
         assert built == [D(10), D(4), A(3), A(1)]
         for ct, table in old.items():
             assert transforms._CORE_MEMO[ct]._tables["tie", True] is not table
@@ -279,7 +297,10 @@ class TestInvariants:
         basic = SINGULARITY_CLASSES[symbol].basic
         clear_transform_cache()
         mids = {mid.name: mid for first in (elementary_all, tie_all) for mid, _ in first(basic)}
-        tables = {name: _ade_winners(mid) for name, mid in mids.items()}  # before any public call
+        tables = {  # before any public call
+            name: [_winners(mid, kind, True) for kind in ("elementary", "tie")]
+            for name, mid in mids.items()
+        }
         for name, mid in mids.items():
             elementary, tie = tables[name]
             for table in (elementary, tie):
