@@ -20,8 +20,9 @@ from dynkintrans import (
 def show_extended(name: str) -> None:
     ext = extend(parse_name(name))
     print(f"extended {name}: {ext.n} vertices")
+    added = {comp[-1] for comp in ext.components}
     for i, vertex in enumerate(ext.base.vertices):
-        marker = "*" if i in ext.added else " "
+        marker = "*" if i in added else " "
         print(f"  [{i:2d}]{marker} {vertex.id:<12} norm {vertex.norm}  coeff {ext.coefficients[i]}")
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 from . import __version__
 from .catalog import (
     CACHE_ENV_VAR,
+    BoundViolation,
     QueryNotADE,
     SINGULARITY_CLASSES,
     _replays,
@@ -34,11 +35,6 @@ from .transforms import (
 )
 
 USAGE_ERROR = 2
-_EMPTY_NAME = "(empty)"  # how the empty graph is printed, and read back
-
-
-def _display_name(name: str) -> str:
-    return name if name else _EMPTY_NAME
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -49,7 +45,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _parse_graph_arg(text: str) -> DynkinGraph:
-    if text.strip() == _EMPTY_NAME:
+    if text.strip() == str(EMPTY):  # the empty graph is read back as printed
         return EMPTY
     try:
         return parse_name(text)
@@ -82,8 +78,7 @@ def _cmd_catalog(args) -> int:
     if args.json:
         text = catalog_to_json(catalog)
     else:
-        lines = [_display_name(name) for name in catalog.names()]
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(str(m.graph) for m in catalog.members) + "\n"
     _emit(text, args.out)
     return 0
 
@@ -99,10 +94,7 @@ def _describe_step(step: TransformStep) -> str:
         detail = f"remove {show(choice.removed)}"
     else:
         detail = f"A = {show(choice.a)}, B = {show(choice.b)}"
-    return (
-        f"{step.kind} on {_display_name(step.input.name)}: {detail}"
-        f" -> {_display_name(step.output.name)}"
-    )
+    return f"{step.kind} on {step.input}: {detail} -> {step.output}"
 
 
 def _cmd_check(args) -> int:
@@ -113,9 +105,9 @@ def _cmd_check(args) -> int:
     except QueryNotADE as exc:
         return _usage_error(str(exc))
     if witness is None:
-        print(f"no: {_display_name(g.name)} is not reachable from {cls.symbol}")
+        print(f"no: {g} is not reachable from {cls.symbol}")
         return 1
-    print(f"yes: {_display_name(g.name)} is reachable from {cls.symbol} ({cls.basic.name})")
+    print(f"yes: {g} is reachable from {cls.symbol} ({cls.basic})")
     for k, step in enumerate(witness, start=1):
         print(f"  step {k}: {_describe_step(step)}")
     return 0
@@ -142,7 +134,7 @@ def _cmd_transform(args) -> int:
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        text = "\n".join(_display_name(out.name) for out, _ in results) + "\n"
+        text = "\n".join(str(out) for out, _ in results) + "\n"
     _emit(text, args.out)
     return 0
 
@@ -168,13 +160,15 @@ def _verify_checks(full: bool, cache_kwargs: dict):
     symbols = list(SINGULARITY_CLASSES) if full else ["Z13"]
     for symbol in symbols:
         catalog = build_catalog(symbol, **cache_kwargs)
-        report = milnor_bound_check(catalog)
-        ok = report.max_vertices <= report.bound
-        yield (
-            f"vertex-bound-{symbol}",
-            ok,
-            f"{len(catalog)} members, max {report.max_vertices} <= {report.bound} vertices",
-        )
+        try:
+            report = milnor_bound_check(catalog)
+            yield (
+                f"vertex-bound-{symbol}",
+                True,
+                f"{len(catalog)} members, max {report.max_vertices} <= {report.bound} vertices",
+            )
+        except BoundViolation as exc:
+            yield f"vertex-bound-{symbol}", False, str(exc)
         replayed = all(_replays(m.witness, m.graph) for m in catalog.members)
         yield f"witness-replay-{symbol}", replayed, "every stored witness replays"
         text = catalog_to_json(catalog)
@@ -188,20 +182,13 @@ def _verify_checks(full: bool, cache_kwargs: dict):
 
 def _cmd_verify(args) -> int:
     failures = 0
-    checks = _verify_checks(args.full, _cache_kwargs(args))
-    while True:
-        try:
-            name, ok, detail = next(checks)
-        except StopIteration:
-            break
-        except Exception as exc:  # a crashed check is a failed check
-            print(f"FAIL verify-crashed: {type(exc).__name__}: {exc}")
-            failures += 1
-            break
-        status = "ok  " if ok else "FAIL"
-        print(f"{status} {name}: {detail}")
-        if not ok:
-            failures += 1
+    try:
+        for name, ok, detail in _verify_checks(args.full, _cache_kwargs(args)):
+            print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
+            failures += not ok
+    except Exception as exc:  # a crashed check is a failed check
+        print(f"FAIL verify-crashed: {type(exc).__name__}: {exc}")
+        failures += 1
     if failures:
         print(f"{failures} check(s) failed")
         return 1

@@ -28,8 +28,14 @@ NORM_SHORT = Fraction(2, 3)
 
 ORDINARY_EDGE = Fraction(-1)
 
-# Canonical component order: E > D > A > G2 > G1 > BC1, subscripts descending.
+# Canonical component order: E > D > A > G2 > G1 > BC1, subscripts descending,
+# which is the natural order of the type codes.
 _FAMILY_RANK = {"E": 0, "D": 1, "A": 2, "G": 3, "BC": 4}
+_SUB_LIMIT = 1 << 20  # subscripts stay below it, so codes stay below 2**30 (small ints)
+
+
+def _code(rank: int, subscript: int) -> int:
+    return rank * _SUB_LIMIT + _SUB_LIMIT - subscript
 
 
 class ParseError(ValueError):
@@ -72,8 +78,8 @@ class ComponentType:
         return f"{self.family}{self.subscript}"
 
     @property
-    def sort_key(self) -> tuple[int, int]:
-        return (_FAMILY_RANK[self.family], -self.subscript)
+    def sort_key(self) -> int:
+        return _code(_FAMILY_RANK[self.family], self.subscript)
 
     def __repr__(self) -> str:
         return f"ComponentType({self.name})"
@@ -116,10 +122,6 @@ class DynkinGraph:
     @property
     def total_vertices(self) -> int:
         return sum(c.vertex_count for c in self.components)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.components
 
     @property
     def is_ade(self) -> bool:
@@ -223,13 +225,6 @@ class LabeledGraph:
     def norm(self, i: int) -> Fraction:
         return self.vertices[i].norm
 
-    def adjacency(self) -> list[dict[int, Fraction]]:
-        adj: list[dict[int, Fraction]] = [{} for _ in range(self.n)]
-        for i, j, val in self.edges:
-            adj[i][j] = val
-            adj[j][i] = val
-        return adj
-
     def induced(self, indices: Iterable[int]) -> "LabeledGraph":
         """The induced subgraph on the given vertex indices."""
         idx = sorted(set(indices))
@@ -250,15 +245,13 @@ class ExtendedGraph:
     ``coefficients[i]`` is the coefficient of vertex ``i`` in the maximal
     root of its component; every added vertex, which stands for the
     negative of the maximal root, carries coefficient 1.  ``components``
-    lists the vertex indices of each connected component (added vertex
-    last) in the documented deterministic ordering used by all
-    transformation witnesses.
+    lists the vertex indices of each connected component in the documented
+    deterministic ordering used by all transformation witnesses; the last
+    index of each is its added vertex.
     """
 
-    graph: DynkinGraph
     base: LabeledGraph
     coefficients: tuple[int, ...]
-    added: frozenset[int]
     components: tuple[tuple[int, ...], ...]
 
     @property
@@ -370,15 +363,10 @@ def realize(g: DynkinGraph) -> LabeledGraph:
 
     Components appear in canonical order; within a component the vertices
     follow the layout order (path vertices, then fork/branch vertices).
+    It is ``extend(g)`` without its added vertices.
     """
-    verts: list[Vertex] = []
-    edges: list[tuple[int, int, Fraction]] = []
-    offset = 0
-    for ct, lay, ids in _named_layouts(g):
-        verts.extend(map(Vertex, ids[:-1], lay.norms))
-        edges.extend((offset + i, offset + j, val) for i, j, val in lay.edges)
-        offset += ct.vertex_count
-    return LabeledGraph(tuple(verts), tuple(edges))
+    ext = _extend(g)
+    return ext.base.induced(v for comp in ext.components for v in comp[:-1])
 
 
 # (component type, coefficient table) pairs that passed the identity check.
@@ -407,7 +395,6 @@ def _extend(g: DynkinGraph) -> ExtendedGraph:
     verts: list[Vertex] = []
     edges: list[tuple[int, int, Fraction]] = []
     coeffs: list[int] = []
-    added: set[int] = set()
     comps: list[tuple[int, ...]] = []
     offset = 0
     for ct, lay, ids in _named_layouts(g):
@@ -417,14 +404,11 @@ def _extend(g: DynkinGraph) -> ExtendedGraph:
         edges.extend((offset + i, offset + k, val) for i, val in lay.added_edges)
         coeffs.extend(lay.coeffs)
         coeffs.append(1)
-        added.add(offset + k)
         comps.append(tuple(range(offset, offset + k + 1)))
         offset += k + 1
     return ExtendedGraph(
-        graph=g,
         base=LabeledGraph(tuple(verts), tuple(edges)),
         coefficients=tuple(coeffs),
-        added=frozenset(added),
         components=tuple(comps),
     )
 
@@ -466,14 +450,8 @@ def gram(lg: LabeledGraph) -> tuple[tuple[Fraction, ...], ...]:
 
 _NORM_CODE = {NORM_LONG: 0, NORM_HALF: 1, NORM_SHORT: 2}
 
-_SUB_LIMIT = 1 << 20  # subscripts stay below it, so codes stay below 2**30 (small ints)
 _FAMILY_BY_RANK = {rank: fam for fam, rank in _FAMILY_RANK.items()}
 _RANK_D, _RANK_A = _FAMILY_RANK["D"], _FAMILY_RANK["A"]
-
-
-def _code(rank: int, subscript: int) -> int:
-    return rank * _SUB_LIMIT + _SUB_LIMIT - subscript
-
 
 _CODE_A1 = _code(_RANK_A, 1)
 _CODE_G2 = _code(_FAMILY_RANK["G"], 2)

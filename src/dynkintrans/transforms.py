@@ -158,10 +158,11 @@ def apply_labeled(g: DynkinGraph, choice: Choice) -> LabeledGraph:
     ext = extend(g)
     if isinstance(choice, ElementaryChoice):
         _check_elementary(ext, choice)
-        keep = [i for i in range(ext.n) if i not in set(choice.removed)]
-        return ext.base.induced(keep)
+        removed = set(choice.removed)
+        return ext.base.induced(i for i in range(ext.n) if i not in removed)
     _check_tie(ext, choice)
-    keep = [i for i in range(ext.n) if i not in set(choice.a)]
+    aset = set(choice.a)
+    keep = [i for i in range(ext.n) if i not in aset]
     pos = {v: k for k, v in enumerate(keep)}
     verts = tuple(ext.base.vertices[v] for v in keep) + (Vertex("new", NORM_LONG),)
     new_idx = len(keep)
@@ -388,7 +389,6 @@ class _CompCore:
                     if d is not None and cls not in seen:
                         seen.add(cls)
                         (ends if _is_end(d) else others).append((v, pid, d, coeff[v]))
-            rests: dict[tuple, tuple[int, ...]] = {}  # types beside B's pieces, plus B's fusion
             for b, pids, descs, csum in _b_sets(ends, others):
                 if gcd(g, csum) != 1:
                     continue
@@ -396,10 +396,8 @@ class _CompCore:
                 if join is None:
                     continue
                 extra, still_open = join
-                types = rests.get((pids, extra))
-                if types is None:
-                    kept = [t for i, t in enumerate(codes) if i not in pids]
-                    types = rests[(pids, extra)] = tuple(sorted(kept + list(extra)))
+                kept = [t for i, t in enumerate(codes) if i not in pids]  # beside B's pieces
+                types = tuple(sorted(kept + list(extra)))
                 group = table.setdefault(still_open, {})
                 old = group.get(types)
                 if old is None or (a, b) < old:

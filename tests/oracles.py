@@ -112,10 +112,19 @@ def _component_type(comp: LabeledGraph) -> ComponentType | None:
     return _TYPE_BY_GRAM[key]
 
 
+def adjacency(lg: LabeledGraph) -> list[dict[int, Fraction]]:
+    """Per vertex of ``lg``, its neighbours and the inner product with each."""
+    adj: list[dict[int, Fraction]] = [{} for _ in range(lg.n)]
+    for i, j, val in lg.edges:
+        adj[i][j] = val
+        adj[j][i] = val
+    return adj
+
+
 def component_subgraphs(lg: LabeledGraph) -> Iterator[LabeledGraph]:
     """The connected components of ``lg`` as labeled graphs, found by
     depth-first search over its edges."""
-    adj = lg.adjacency()
+    adj = adjacency(lg)
     seen = [False] * lg.n
     for start in range(lg.n):
         if seen[start]:

@@ -23,7 +23,7 @@ from dynkintrans.catalog import (
     milnor_bound_check,
     singularity_class,
 )
-from dynkintrans.graphs import _FAMILY_RANK, EMPTY, _code, parse_name
+from dynkintrans.graphs import EMPTY, parse_name
 from dynkintrans.transforms import (
     ElementaryChoice,
     TieChoice,
@@ -200,7 +200,7 @@ class TestWitnessSelection:
 
 def _codes(g) -> tuple[int, ...]:
     """The sorted type codes of a graph, as the enumeration engine keys it."""
-    return tuple(_code(_FAMILY_RANK[c.family], c.subscript) for c in g.components)
+    return tuple(c.sort_key for c in g.components)
 
 
 def _json_minima(basic, elementary, tie) -> dict[str, str]:

@@ -233,3 +233,16 @@ class TestVerifyCommand:
         code, out, _ = cli("verify")
         assert code == 1
         assert "FAIL serialization-stable-Z13" in out
+
+    def test_bound_violation_is_a_failed_check(self, cli, all_catalogs, monkeypatch):
+        from dynkintrans.catalog import BoundViolation
+
+        def violated(catalog):
+            raise BoundViolation(f"{catalog.singularity.symbol}: members exceed 11 vertices")
+
+        monkeypatch.setattr(cli_mod, "milnor_bound_check", violated)
+        code, out, _ = cli("verify")
+        assert code == 1
+        assert "FAIL vertex-bound-Z13: Z13: members exceed 11 vertices" in out
+        assert "ok   worked-example-membership" in out
+        assert "verify-crashed" not in out

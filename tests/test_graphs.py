@@ -245,8 +245,8 @@ class TestExtend:
     def test_a_cycle(self):
         ext = extend(DynkinGraph((A(3),)))
         # extended A3 is a 4-cycle
-        adj = ext.base.adjacency()
-        assert all(len(adj[v]) == 2 for v in range(4))
+        assert len(ext.base.edges) == 4
+        assert all(sum(v in (i, j) for i, j, _ in ext.base.edges) == 2 for v in range(4))
 
     @pytest.mark.parametrize("ct", ALL_TYPES, ids=lambda ct: ct.name)
     def test_added_vertex_realizes_minus_maximal_root(self, ct):
@@ -276,10 +276,10 @@ class TestExtend:
 
     def test_one_added_vertex_per_component(self):
         ext = extend(parse_name("E7+G2+A2"))
-        assert len(ext.added) == 3
-        for comp in ext.components:
-            assert sum(1 for v in comp if v in ext.added) == 1
-            assert comp[-1] in ext.added
+        assert len(ext.components) == 3
+        added = [v for v in range(ext.n) if ext.base.vertices[v].id.endswith(".x")]
+        assert added == [comp[-1] for comp in ext.components]
+        assert all(ext.coefficients[v] == 1 for v in added)
 
     @pytest.mark.parametrize(
         "g",
