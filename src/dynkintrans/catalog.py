@@ -9,7 +9,8 @@ only the final outcomes are filtered to A/D/E.
 
 Every member carries one replayable two-step witness.  Catalogs serialize
 to a byte-stable JSON format and can be cached on disk keyed by class
-symbol and engine version.
+symbol and engine version; a cache file is served only when its SHA-256
+is the published digest of its class.
 """
 
 from __future__ import annotations
@@ -19,8 +20,16 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
+
+try:  # the builtin hash: hashlib loads OpenSSL, which is heavy for one digest
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .graphs import DynkinGraph, parse_name
 from .transforms import (
@@ -35,6 +44,20 @@ from .transforms import (
 )
 
 ENGINE_VERSION = "1"
+
+# SHA-256 of catalog_to_json for every class, frozen from the exhaustive
+# enumeration engine; any change to a member set or to a witness shows here.
+GOLDEN_DIGESTS = {
+    "E12": "ac4231312e3a8a4adc5d568db287f02d24d4d0dbf7216cdb95a4237a0f117e15",
+    "Z11": "ea3efd65d72ce21ab10bdc6714d04df44a6baaa65d427b37ff3e12780e2c823e",
+    "Q10": "134540cd1ab3ac6d789f5d536acb702c4842f6e10a2e1357d9e2aa0aa148c090",
+    "E13": "1660a0ac3b56f793177e84713971600faa419fddfd20990ed97c4c66ddb612aa",
+    "Z12": "49dfac0a37ef805b513055cf7d364ea65f10cbdc2ebea51bfe9c0f95329ff1f7",
+    "Q11": "441fcb6ec4a3edefdebfd08cc3c179a1eea6e627b83bbbd0a57b36875bc4fe01",
+    "E14": "b6146511ad48210bafa42804de564f4162d30d8d56e4a10179f3d77d891287e4",
+    "Z13": "44e61d400d636de1fe3244bd445c9cde0cc4c35918cbf8e1183a1c3551f7c830",
+    "Q12": "7d08bb640f6ed8117631e52b08bb4f07132913f0e3ac4db35190ff44e401a033",
+}
 
 CACHE_ENV_VAR = "DYNKINTRANS_CACHE_DIR"
 
@@ -287,24 +310,6 @@ def _choice_from_dict(d: dict) -> Choice:
     return TieChoice(tuple(d["a"]), tuple(d["b"]))
 
 
-def _checked_entries(data: dict, cls: SingularityClass) -> list:
-    """The member entries of a catalog dict, after one pass that checks the
-    header and each entry's name, order and first step, building no graph."""
-    basic = cls.basic.name
-    header = (data["class"], data["milnor"], data["basic"], data["engine_version"])
-    if header != (cls.symbol, cls.milnor, basic, ENGINE_VERSION):
-        raise ValueError(f"catalog header {header!r} does not match engine {ENGINE_VERSION}")
-    entries = data["members"]
-    last = None
-    for entry in entries:
-        name = entry["name"]
-        d1, _ = entry["witness"]
-        if type(name) is not str or (last is not None and name <= last) or d1["input"] != basic:
-            raise ValueError(f"malformed or unsorted catalog entry {name!r}")
-        last = name
-    return entries
-
-
 def _entry_witness(cls: SingularityClass, entry: dict, graph: DynkinGraph, mids: dict) -> Witness:
     d1, d2 = entry["witness"]
     mid = mids.get(d2["input"])
@@ -315,11 +320,23 @@ def _entry_witness(cls: SingularityClass, entry: dict, graph: DynkinGraph, mids:
 
 
 def catalog_from_dict(data: dict) -> Catalog:
+    """The catalog of a dict parsed from outside the program: its header and
+    each entry's name, order and first step are checked."""
     cls = singularity_class(data["class"])
+    basic = cls.basic.name
+    header = (data["class"], data["milnor"], data["basic"], data["engine_version"])
+    if header != (cls.symbol, cls.milnor, basic, ENGINE_VERSION):
+        raise ValueError(f"catalog header {header!r} does not match engine {ENGINE_VERSION}")
     members = []
     mids: dict[str, DynkinGraph] = {}  # each intermediate name parsed once
-    for entry in _checked_entries(data, cls):
-        graph = parse_name(entry["name"])
+    last = None
+    for entry in data["members"]:
+        name = entry["name"]
+        d1, _ = entry["witness"]
+        if type(name) is not str or (last is not None and name <= last) or d1["input"] != basic:
+            raise ValueError(f"malformed or unsorted catalog entry {name!r}")
+        last = name
+        graph = parse_name(name)
         members.append(CatalogMember(graph, _entry_witness(cls, entry, graph, mids)))
     return Catalog(cls, tuple(members))
 
@@ -349,6 +366,21 @@ def _class_and_path(cls, cache, cache_dir) -> tuple[SingularityClass, Path | Non
     return cls, Path(cache_dir or default_cache_dir()) / f"{cls.symbol}-v{ENGINE_VERSION}.json"
 
 
+def _is_published(symbol: str, data: bytes) -> bool:
+    """Whether ``data`` is, byte for byte, the published catalog of ``symbol``."""
+    return sha256(data).hexdigest() == GOLDEN_DIGESTS[symbol]
+
+
+def _published(cls: SingularityClass, path: Path) -> bytes | None:
+    """The bytes of the cache file ``path`` when they are the published
+    catalog of ``cls``, else None (no file, an unreadable or a wrong one)."""
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None
+    return data if _is_published(cls.symbol, data) else None
+
+
 def build_catalog(
     cls: SingularityClass | str,
     *,
@@ -360,10 +392,11 @@ def build_catalog(
     With ``cache=True`` the catalog is read from and written to
     ``cache_dir`` (default: $DYNKINTRANS_CACHE_DIR, else the user cache
     directory).  Writes are atomic; two independent computations serialize
-    to byte-identical JSON.  A cache file is served only when every
-    member's witness replays; otherwise the catalog is recomputed and the
-    file rewritten.  A catalog served from the in-process memo is also
-    written to ``cache_dir`` when its file is missing there.
+    to byte-identical JSON.  A cache file is served only when its bytes
+    are the published catalog (``GOLDEN_DIGESTS``); otherwise the catalog
+    is recomputed and the file rewritten.  A catalog served from the
+    in-process memo is also written to ``cache_dir`` when its file is
+    missing there.
     """
     cls, path = _class_and_path(cls, cache, cache_dir)
     memo = _CATALOG_MEMO.get(cls.symbol)
@@ -372,17 +405,11 @@ def build_catalog(
         if path is not None and not path.is_file():
             _write_cache(path, memo)
         return memo
-    if path is not None and path.is_file():
-        try:
-            catalog = catalog_from_json(path.read_text(encoding="utf-8"))
-            if not all(_replays(m.witness, m.graph) for m in catalog.members):
-                raise ValueError("a cached witness does not replay")
-        except Exception:
-            pass  # unreadable, stale, malformed or forged cache entry; recompute
-        else:
-            _CATALOG_MEMO[cls.symbol] = catalog
-            return catalog
-    return _recompute(cls, path)
+    data = None if path is None else _published(cls, path)
+    if data is None:
+        return _recompute(cls, path)
+    _CATALOG_MEMO[cls.symbol] = catalog_from_json(data.decode("utf-8"))
+    return _CATALOG_MEMO[cls.symbol]
 
 
 def _recompute(cls: SingularityClass, path: Path | None) -> Catalog:
@@ -413,17 +440,6 @@ def clear_memory_cache() -> None:
     _CATALOG_MEMO.clear()
 
 
-def _replays(witness: Witness, g: DynkinGraph) -> bool:
-    """Whether step 1 replays to its output, step 2's input, and step 2 to ``g``."""
-    s1, s2 = witness
-    return s1.replay() == s1.output == s2.input and s2.replay() == g
-
-
-def _witness_in(catalog: Catalog, name: str) -> Witness | None:
-    member = catalog.get(name)
-    return None if member is None else member.witness
-
-
 def membership(
     cls: SingularityClass | str,
     g: DynkinGraph,
@@ -437,24 +453,23 @@ def membership(
     membership is only defined for graphs with A/D/E components.
 
     The answer comes from the in-process memo, else from the one entry for
-    ``g`` in the cache file, else from a build.  A "yes" is replayed; one
-    that does not replay, or a damaged file, is a miss, and the catalog is
-    recomputed and its file rewritten.  A "no" trusts the file.  Each call
-    re-reads the file; build_catalog keeps the catalog in memory instead.
+    ``g`` in a published cache file, else from build_catalog, which
+    recomputes the catalog and rewrites a file that is not published.
+    Each call re-reads the file; build_catalog keeps the catalog in memory
+    instead.
     """
     if not g.is_ade:
         raise QueryNotADE(f"membership is undefined for non-ADE graph {g.name!r}")
     cls, path = _class_and_path(cls, cache, cache_dir)
-    try:
-        if cls.symbol in _CATALOG_MEMO or path is None or not path.is_file():
-            witness = _witness_in(build_catalog(cls, cache=cache, cache_dir=cache_dir), g.name)
-        else:
-            entries = _checked_entries(json.loads(path.read_text(encoding="utf-8")), cls)
-            i = bisect.bisect_left(entries, g.name, key=itemgetter("name"))
-            found = i < len(entries) and entries[i]["name"] == g.name
-            witness = _entry_witness(cls, entries[i], g, {}) if found else None
-        if witness is None or _replays(witness, g):
-            return witness
-    except Exception:
-        pass  # a damaged cache file or a witness that does not replay is a miss
-    return _witness_in(_recompute(cls, path), g.name)
+    data = None if cls.symbol in _CATALOG_MEMO or path is None else _published(cls, path)
+    if data is None:
+        member = build_catalog(cls, cache=cache, cache_dir=cache_dir).get(g.name)
+        return None if member is None else member.witness
+    # Exact on published bytes: sort_keys and indent=2 fix the layout, and
+    # only member entries have a "name" key.
+    text = data.decode("utf-8")
+    i = text.find('"name": "%s",' % g.name)
+    if i < 0:
+        return None
+    entry, _ = json.JSONDecoder().raw_decode(text, text.rfind("{", 0, i))
+    return _entry_witness(cls, entry, g, {})

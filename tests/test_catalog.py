@@ -352,7 +352,7 @@ class TestSerialization:
         assert path.read_text(encoding="utf-8") == catalog_to_json(uncached)
 
     @pytest.mark.parametrize(
-        "damage", ["members as an object", "not utf-8", "first step from A1"]
+        "damage", ["members as an object", "not utf-8", "first step from A1", "member A1 dropped"]
     )
     def test_bad_cache_file_is_recomputed(self, tmp_path, fresh_memory_cache, damage):
         good = catalog_to_json(build_catalog("Q10", cache=False))
@@ -363,6 +363,11 @@ class TestSerialization:
             # a witness whose first step claims another input than the basic graph
             data = json.loads(good)
             data["members"][0]["witness"][0]["input"] = "A1"
+            path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        elif damage == "member A1 dropped":
+            # well-formed and sorted, every witness replays, one member missing
+            data = json.loads(good)
+            data["members"] = [e for e in data["members"] if e["name"] != "A1"]
             path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         else:
             # well-formed JSON of the wrong shape
@@ -375,6 +380,18 @@ class TestSerialization:
         witness = membership("Q10", parse_name("A1"), cache_dir=tmp_path)
         assert witness is not None and witness[1].replay() == parse_name("A1")
         assert path.read_text(encoding="utf-8") == good
+
+    @pytest.mark.parametrize("damage", ["engine version", "unsorted", "first step from A1"])
+    def test_parser_rejects_a_malformed_catalog(self, all_catalogs, damage):
+        data = json.loads(catalog_to_json(all_catalogs["Q10"]))
+        if damage == "engine version":
+            data["engine_version"] = "0"
+        elif damage == "unsorted":
+            data["members"].reverse()
+        else:
+            data["members"][0]["witness"][0]["input"] = "A1"
+        with pytest.raises(ValueError):
+            catalog_from_json(json.dumps(data))
 
     def test_witness_replay_after_deserialization(self, all_catalogs):
         catalog = catalog_from_json(catalog_to_json(all_catalogs["Q10"]))
@@ -393,7 +410,7 @@ def _write_json(path, data) -> None:
 
 
 class TestOneEntryMembership:
-    """``membership`` answers from one replayed entry of the cache file."""
+    """``membership`` answers from one entry of a published cache file."""
 
     @pytest.fixture()
     def no_recompute(self, monkeypatch):
@@ -451,7 +468,7 @@ def _with_forged_a12(good: str) -> dict:
 
 
 class TestForgedCacheEntry:
-    """A cache entry whose witness does not replay is never served."""
+    """A cache file that is not the published catalog is never served."""
 
     def test_extra_member_is_a_miss(self, all_catalogs, tmp_path, fresh_memory_cache, capsys):
         from dynkintrans.cli import main
@@ -470,27 +487,32 @@ class TestForgedCacheEntry:
         assert capsys.readouterr().out.startswith("no: A12")
         assert path.read_text(encoding="utf-8") == good
 
-    def test_load_replays_every_member(self, all_catalogs, tmp_path, fresh_memory_cache, capsys):
+    @pytest.mark.parametrize("damage", ["A12 added", "A7+A4 dropped"])
+    def test_load_serves_only_the_published_file(
+        self, all_catalogs, tmp_path, fresh_memory_cache, capsys, damage
+    ):
         from dynkintrans.cli import main
 
         good = catalog_to_json(all_catalogs["Z13"])
+        if damage == "A12 added":
+            data = _with_forged_a12(good)
+        else:
+            data = json.loads(good)
+            data["members"] = [e for e in data["members"] if e["name"] != "A7+A4"]
         path = tmp_path / "Z13-v1.json"
-        _write_json(path, _with_forged_a12(good))
+        _write_json(path, data)
         loaded = build_catalog("Z13", cache_dir=tmp_path)
         assert loaded.names() == all_catalogs["Z13"].names()
         assert path.read_text(encoding="utf-8") == good
 
-        _write_json(path, _with_forged_a12(good))
+        _write_json(path, data)
         catalog_module.clear_memory_cache()
         assert main(["catalog", "Z13", "--cache-dir", str(tmp_path)]) == 0
         listed = capsys.readouterr().out.splitlines()
-        assert "A7+A4" in listed and "A12" not in listed
+        assert listed == [str(m.graph) for m in all_catalogs["Z13"].members]
         assert path.read_text(encoding="utf-8") == good
 
-    @pytest.mark.parametrize("source", ["file", "memo"])
-    def test_step_that_replays_elsewhere_is_a_miss(
-        self, all_catalogs, tmp_path, fresh_memory_cache, source
-    ):
+    def test_step_that_replays_elsewhere_is_a_miss(self, all_catalogs, tmp_path, fresh_memory_cache):
         good = catalog_to_json(all_catalogs["Z13"])
         data = json.loads(good)
         entry = next(e for e in data["members"] if e["name"] == "A7+A4")
@@ -501,12 +523,6 @@ class TestForgedCacheEntry:
         )
         path = tmp_path / "Z13-v1.json"
         _write_json(path, data)
-        if source == "memo":
-            # a memoized catalog is not replayed again, so membership must
-            # replay what it answers from the memo
-            forged = catalog_from_json(path.read_text(encoding="utf-8"))
-            assert forged.get("A7+A4").witness[1].choice.b == (1, 9)
-            catalog_module._CATALOG_MEMO["Z13"] = forged
         witness = membership("Z13", parse_name("A7+A4"), cache_dir=tmp_path)
         assert witness is not None
         assert _steps(witness) == _steps(all_catalogs["Z13"].get("A7+A4").witness)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,28 +225,44 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL extension-coefficients" in out
 
-    def test_detects_broken_round_trip(self, cli, all_catalogs, monkeypatch):
-        from dynkintrans import cli as cli_mod
+    def test_unpublished_catalog_is_a_failed_check(
+        self, cli, all_catalogs, fresh_memory_cache, monkeypatch
+    ):
+        from dynkintrans import catalog as catalog_mod
         from dynkintrans.catalog import Catalog
 
-        def lossy(text):
-            catalog = catalog_from_json(text)
+        compute = catalog_mod._compute_catalog
+
+        def lossy(cls):
+            catalog = compute(cls)
             return Catalog(catalog.singularity, catalog.members[:-1])
 
-        monkeypatch.setattr(cli_mod, "catalog_from_json", lossy)
-        code, out, _ = cli("verify")
+        monkeypatch.setattr(catalog_mod, "_compute_catalog", lossy)
+        code, out, _ = cli("verify", "--no-cache", cache=False)
         assert code == 1
-        assert "FAIL serialization-stable-Z13" in out
-
-    def test_bound_violation_is_a_failed_check(self, cli, all_catalogs, monkeypatch):
-        from dynkintrans.catalog import BoundViolation
-
-        def violated(catalog):
-            raise BoundViolation(f"{catalog.singularity.symbol}: members exceed 11 vertices")
-
-        monkeypatch.setattr(cli_mod, "milnor_bound_check", violated)
-        code, out, _ = cli("verify")
-        assert code == 1
-        assert "FAIL vertex-bound-Z13: Z13: members exceed 11 vertices" in out
-        assert "ok   worked-example-membership" in out
+        assert "FAIL published-catalog-Z13: 250 members" in out
+        assert "ok   worked-example-chain" in out
+        assert out.endswith("1 check(s) failed\n")
         assert "verify-crashed" not in out
+
+
+def test_warm_check_loads_no_openssl(all_catalogs, catalog_cache_dir):
+    """The cache digest uses the builtin SHA-256: hashlib would load OpenSSL."""
+    try:
+        import _sha2  # noqa: F401
+    except ImportError:
+        pytest.importorskip("_sha256")
+    import dynkintrans
+
+    src = str(Path(dynkintrans.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import sys, dynkintrans.cli\n"
+        "code = dynkintrans.cli.main(['check', 'Z13', 'A7+A4', '--cache-dir', sys.argv[1]])\n"
+        "print(code, sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(catalog_cache_dir)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert run.stdout.splitlines()[-1] == "0 []"
