@@ -371,6 +371,11 @@ def _is_published(symbol: str, data: bytes) -> bool:
     return sha256(data).hexdigest() == GOLDEN_DIGESTS[symbol]
 
 
+def is_published(catalog: Catalog) -> bool:
+    """Whether ``catalog`` serializes, byte for byte, to the published catalog."""
+    return _is_published(catalog.singularity.symbol, catalog_to_json(catalog).encode("utf-8"))
+
+
 def _published(cls: SingularityClass, path: Path) -> bytes | None:
     """The bytes of the cache file ``path`` when they are the published
     catalog of ``cls``, else None (no file, an unreadable or a wrong one)."""

@@ -15,11 +15,11 @@ from pathlib import Path
 from . import __version__
 from .catalog import (
     CACHE_ENV_VAR,
-    GOLDEN_DIGESTS,
+    SINGULARITY_CLASSES,
     QueryNotADE,
-    _is_published,
     build_catalog,
     catalog_to_json,
+    is_published,
     membership,
     singularity_class,
 )
@@ -154,9 +154,9 @@ def _verify_checks(full: bool, cache_kwargs: dict):
     ok = "E8+G2" in tie1 and "A7+A4" in tie2 and "D8+A2" in elem2
     yield "worked-example-chain", ok, "E7+G2 -tie-> E8+G2 -tie-> A7+A4, -elem-> D8+A2"
 
-    for symbol in GOLDEN_DIGESTS if full else ["Z13"]:
+    for symbol in SINGULARITY_CLASSES if full else ["Z13"]:
         catalog = build_catalog(symbol, **cache_kwargs)
-        ok = _is_published(symbol, catalog_to_json(catalog).encode("utf-8"))
+        ok = is_published(catalog)
         yield f"published-catalog-{symbol}", ok, f"{len(catalog)} members, byte for byte"
 
 
