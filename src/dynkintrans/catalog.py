@@ -19,6 +19,7 @@ import bisect
 import json
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -143,22 +144,6 @@ class Catalog:
         return len(self.members)
 
 
-def _step_dict(step: TransformStep) -> dict:
-    choice = step.choice
-    if isinstance(choice, ElementaryChoice):
-        return {
-            "kind": "elementary",
-            "input": step.input.name,
-            "removed": list(choice.removed),
-        }
-    return {
-        "kind": "tie",
-        "input": step.input.name,
-        "a": list(choice.a),
-        "b": list(choice.b),
-    }
-
-
 def _indices(choice: Choice) -> tuple[tuple[int, ...], ...]:  # (removed,) or (A, B)
     return (choice.removed,) if isinstance(choice, ElementaryChoice) else (choice.a, choice.b)
 
@@ -173,9 +158,9 @@ class _Lists(dict):
 def _encode_step(lists: _Lists, input_name: str, a: tuple, b: tuple | None = None) -> str:
     """The compact JSON of the elementary step removing ``a`` from the graph
     named ``input_name``, or of its tie step (a, b) when ``b`` is given:
-    ``json.dumps(_step_dict(step), sort_keys=True, separators=(",", ":"))``,
-    built directly.  Names use only [A-Z0-9+] and indices are ints, so
-    nothing needs escaping."""
+    ``json.dumps`` of its step object with ``sort_keys=True`` and
+    ``separators=(",", ":")``, built directly.  Names use only [A-Z0-9+]
+    and indices are ints, so nothing needs escaping."""
     if b is None:
         return '{"input":"%s","kind":"elementary","removed":[%s]}' % (input_name, lists[a])
     return '{"a":[%s],"b":[%s],"input":"%s","kind":"tie"}' % (lists[a], lists[b], input_name)
@@ -199,8 +184,8 @@ def _compute_catalog(cls: SingularityClass) -> Catalog:
       member's best so far by ``len(enc1) + len(enc2)``, building the two
       keys only when those lengths tie.
 
-    Members are keyed by type codes; only each member's winner gets its
-    graph, name, second-step choice and step.
+    Members are keyed by the engine's type multisets; only each member's
+    winner gets its graph, name, second-step choice and step.
     """
     basic = cls.basic
     basic_name = basic.name
@@ -214,26 +199,26 @@ def _compute_catalog(cls: SingularityClass) -> Catalog:
             old = firsts.get(name)
             if old is None or (len(enc1), enc1) < (len(old[0]), old[0]):
                 firsts[name] = (enc1, TransformStep(choice, basic, mid))
-    # member type codes -> (len(enc1) + len(enc2), enc1, enc2, first step,
+    # member types -> (len(enc1) + len(enc2), enc1, enc2, first step,
     # second-step A, second-step B or None for an elementary step)
-    best: dict[tuple[int, ...], tuple] = {}
+    best: dict[int, tuple] = {}
     for mid_name, (enc1, s1) in firsts.items():
         len1 = len(enc1)
         for kind in ("elementary", "tie"):
-            for codes, (a, b) in _winners(s1.output, kind, True).items():
+            for types, (a, b) in _winners(s1.output, kind, True).items():
                 b = b if kind == "tie" else None
                 enc2 = _encode_step(lists, mid_name, a, b)
                 length = len1 + len(enc2)
-                old = best.get(codes)
+                old = best.get(types)
                 if old is not None:
                     if length > old[0]:
                         continue
                     if length == old[0] and enc1 + "," + enc2 >= old[1] + "," + old[2]:
                         continue
-                best[codes] = (length, enc1, enc2, s1, a, b)
+                best[types] = (length, enc1, enc2, s1, a, b)
     members = []
-    for codes, (_, _, _, s1, a, b) in best.items():
-        out = _decode_graph(codes)
+    for types, (_, _, _, s1, a, b) in best.items():
+        out = _decode_graph(types)
         choice = ElementaryChoice(a) if b is None else TieChoice(a, b)
         members.append(CatalogMember(out, (s1, TransformStep(choice, s1.output, out))))
     members.sort(key=attrgetter("name"))
@@ -268,10 +253,7 @@ def milnor_bound_check(catalog: Catalog) -> BoundReport:
         raise BoundViolation(
             f"{cls.symbol}: members exceed {bound} vertices: {', '.join(offenders)}"
         )
-    hist: dict[int, int] = {}
-    for m in catalog.members:
-        r = m.graph.total_vertices
-        hist[r] = hist.get(r, 0) + 1
+    hist = Counter(m.graph.total_vertices for m in catalog.members)
     return BoundReport(
         symbol=cls.symbol,
         milnor=cls.milnor,
@@ -285,23 +267,56 @@ def milnor_bound_check(catalog: Catalog) -> BoundReport:
 # --------------------------------------------------------------------------
 
 
-def catalog_to_dict(catalog: Catalog) -> dict:
-    cls = catalog.singularity
-    return {
-        "class": cls.symbol,
-        "milnor": cls.milnor,
-        "basic": cls.basic.name,
-        "engine_version": ENGINE_VERSION,
-        "members": [
-            {"name": m.name, "witness": [_step_dict(s) for s in m.witness]}
-            for m in catalog.members
-        ],
-    }
+# The published layout, json.dumps(..., sort_keys=True, indent=2) plus a newline,
+# from one template per object kind; as in _encode_step, nothing needs escaping.
+_CATALOG_JSON = """{
+  "basic": "%s",
+  "class": "%s",
+  "engine_version": "%s",
+  "members": %s,
+  "milnor": %d
+}
+"""
+_MEMBER_JSON = """    {
+      "name": "%s",
+      "witness": [
+%s,
+%s
+      ]
+    }"""
+_ELEMENTARY_JSON = """        {
+          "input": "%s",
+          "kind": "elementary",
+          "removed": %s
+        }"""
+_TIE_JSON = """        {
+          "a": %s,
+          "b": %s,
+          "input": "%s",
+          "kind": "tie"
+        }"""
+
+
+def _index_list(indices: tuple[int, ...]) -> str:
+    """The JSON list of one step's indices: one int per line, or []."""
+    body = ",\n            ".join(map(str, indices))
+    return "[\n            %s\n          ]" % body if indices else "[]"
+
+
+def _step_json(step: TransformStep) -> str:
+    choice, name = step.choice, step.input.name
+    if isinstance(choice, ElementaryChoice):
+        return _ELEMENTARY_JSON % (name, _index_list(choice.removed))
+    return _TIE_JSON % (_index_list(choice.a), _index_list(choice.b), name)
 
 
 def catalog_to_json(catalog: Catalog) -> str:
     """Byte-stable JSON: sorted keys, fixed indentation, trailing newline."""
-    return json.dumps(catalog_to_dict(catalog), sort_keys=True, indent=2) + "\n"
+    cls = catalog.singularity
+    members = ",\n".join(_MEMBER_JSON % (m.name, *map(_step_json, m.witness))
+                         for m in catalog.members)
+    members = "[\n" + members + "\n  ]" if members else "[]"
+    return _CATALOG_JSON % (cls.basic.name, cls.symbol, ENGINE_VERSION, members, cls.milnor)
 
 
 def _choice_from_dict(d: dict) -> Choice:
@@ -355,6 +370,8 @@ def default_cache_dir() -> Path:
 
 
 _CATALOG_MEMO: dict[str, Catalog] = {}
+# cache files this process wrote or served, so published: each is hashed once
+_PUBLISHED_PATHS: set[Path] = set()
 
 
 def _class_and_path(cls, cache, cache_dir) -> tuple[SingularityClass, Path | None]:
@@ -400,29 +417,19 @@ def build_catalog(
     to byte-identical JSON.  A cache file is served only when its bytes
     are the published catalog (``GOLDEN_DIGESTS``); otherwise the catalog
     is recomputed and the file rewritten.  A catalog served from the
-    in-process memo is also written to ``cache_dir`` when its file is
-    missing there.
+    in-process memo is also written to ``cache_dir`` when its file there
+    is not published.
     """
     cls, path = _class_and_path(cls, cache, cache_dir)
-    memo = _CATALOG_MEMO.get(cls.symbol)
-    if memo is not None:
-        # the memo may come from an uncached build or another directory
-        if path is not None and not path.is_file():
-            _write_cache(path, memo)
-        return memo
-    data = None if path is None else _published(cls, path)
-    if data is None:
-        return _recompute(cls, path)
-    _CATALOG_MEMO[cls.symbol] = catalog_from_json(data.decode("utf-8"))
-    return _CATALOG_MEMO[cls.symbol]
-
-
-def _recompute(cls: SingularityClass, path: Path | None) -> Catalog:
-    """The engine's catalog, memoized and written to ``path`` when given."""
-    catalog = _compute_catalog(cls)
-    if path is not None:
-        _write_cache(path, catalog)
-    _CATALOG_MEMO[cls.symbol] = catalog
+    catalog = _CATALOG_MEMO.get(cls.symbol)  # maybe uncached, or from another dir
+    data = None if path is None or path in _PUBLISHED_PATHS else _published(cls, path)
+    if catalog is None:
+        catalog = _compute_catalog(cls) if data is None else catalog_from_json(data.decode())
+        _CATALOG_MEMO[cls.symbol] = catalog
+    if path is not None and path not in _PUBLISHED_PATHS:
+        if data is None:
+            _write_cache(path, catalog)
+        _PUBLISHED_PATHS.add(path)
     return catalog
 
 
@@ -443,6 +450,7 @@ def _write_cache(path: Path, catalog: Catalog) -> None:
 def clear_memory_cache() -> None:
     """Drop in-process catalog memoization (used by tests and --no-cache runs)."""
     _CATALOG_MEMO.clear()
+    _PUBLISHED_PATHS.clear()
 
 
 def membership(

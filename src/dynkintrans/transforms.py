@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Iterator, Union
 
 from .graphs import (
@@ -38,6 +38,7 @@ from .graphs import (
     ORDINARY_EDGE,
     Vertex,
     _CODE_A1,
+    _CODE_BC1,
     _CODE_G1,
     _CODE_G2,
     _RANK_A,
@@ -113,14 +114,13 @@ def _validate_indices(ext: ExtendedGraph, ids: Iterable[int], what: str) -> None
 
 def _check_elementary(ext: ExtendedGraph, choice: ElementaryChoice) -> None:
     _validate_indices(ext, choice.removed, "removed set")
-    if len(set(choice.removed)) != len(choice.removed):
-        raise InvalidChoice("removed set contains a repeated vertex")
     removed = set(choice.removed)
-    for comp in ext.components:
-        if not removed.intersection(comp):
-            raise InvalidChoice(
-                "elementary transformation must remove at least one vertex per component"
-            )
+    if len(removed) != len(choice.removed):
+        raise InvalidChoice("removed set contains a repeated vertex")
+    if not all(removed.intersection(comp) for comp in ext.components):
+        raise InvalidChoice(
+            "elementary transformation must remove at least one vertex per component"
+        )
 
 
 def _check_tie(ext: ExtendedGraph, choice: TieChoice) -> None:
@@ -138,9 +138,7 @@ def _check_tie(ext: ExtendedGraph, choice: TieChoice) -> None:
         if not in_a:
             raise InvalidChoice("tie transformation needs at least one A-vertex per component")
         n_sum = sum(ext.coefficients[v] for v in comp if v in bset)
-        g = n_sum
-        for v in in_a:
-            g = gcd(g, ext.coefficients[v])
+        g = gcd(n_sum, *(ext.coefficients[v] for v in in_a))
         if g != 1:
             raise InvalidChoice(
                 "condition <b> violated: coefficient gcd on a component is "
@@ -165,13 +163,8 @@ def apply_labeled(g: DynkinGraph, choice: Choice) -> LabeledGraph:
     keep = [i for i in range(ext.n) if i not in aset]
     pos = {v: k for k, v in enumerate(keep)}
     verts = tuple(ext.base.vertices[v] for v in keep) + (Vertex("new", NORM_LONG),)
-    new_idx = len(keep)
-    edges = [
-        (pos[i], pos[j], val)
-        for i, j, val in ext.base.edges
-        if i in pos and j in pos
-    ]
-    edges.extend((pos[b], new_idx, ORDINARY_EDGE) for b in choice.b)
+    edges = [(pos[i], pos[j], val) for i, j, val in ext.base.edges if i in pos and j in pos]
+    edges.extend((pos[b], len(keep), ORDINARY_EDGE) for b in choice.b)  # to the new vertex
     return LabeledGraph(verts, tuple(edges))
 
 
@@ -189,16 +182,19 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 #
 # The engine mirrors extend(g) as bitmask data and names residual pieces
 # with the shape recognizer of ``graphs`` that ``classify`` uses, so
-# component types are its integer codes and result multisets are plain
-# sorted int tuples.  One core per component type is shared by every graph
-# containing it, and it caches the connected piece: one recognizer walk per
-# distinct piece gives its type and an attachment descriptor for each of
-# its vertices, from which the shape of any tie fusion follows
-# arithmetically by the same legs rule.
+# component types are its integer codes.  A multiset of types is the
+# product of one prime per code, 1 when empty: unique factorization makes
+# it an exact key, and merging two multisets is one multiplication.  Only
+# ``_decode_graph`` decodes a product, where an outcome graph is built.
+# One core per component type is shared by every graph containing it, and
+# it caches the connected piece: one recognizer walk per distinct piece
+# gives its type and an attachment descriptor for each of its vertices,
+# from which the shape of any tie fusion follows arithmetically by the
+# same legs rule.
 #
 # Each core holds an option table per transform: the smallest local choice
 # per key, where the key is what the choice leaves for the other
-# components, the sorted types of its residual pieces and, for a tie, the
+# components, the types of its residual pieces and, for a tie, the
 # descriptors of its B-vertices that are still open.  ``_fold`` merges the
 # tables component by component into states keyed the same way.  A tie
 # option takes one A-part per signature: the gcd g of its coefficients and,
@@ -229,26 +225,48 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # True)`` folds tables cut to their A/D/E entries.  That is exact: types
 # only accumulate through the fold, and a lone short root closes as G2 at
 # once, so an entry with a G2, G1 or BC1 code never reaches an A/D/E outcome.
+# Those three codes hold the primes 2, 3 and 5, so a product is A/D/E
+# exactly when it is prime to 30.
 # ---------------------------------------------------------------------------
 
+# The prime of each type code, the next one handed out on first use; it outlives
+# clear_transform_cache, so a product keeps its meaning for the whole process.
+_PRIME: dict[int, int] = {_CODE_G2: 2, _CODE_G1: 3, _CODE_BC1: 5}
+_NOT_ADE = 2 * 3 * 5
+
+
+def _prime(code: int | None) -> int | None:
+    """The prime of a type code; None for no type."""
+    if code is not None and code not in _PRIME:
+        p = max(_PRIME.values()) + 2  # every smaller prime is taken
+        while any(p % q == 0 for q in _PRIME.values()):
+            p += 2
+        _PRIME[code] = p
+    return _PRIME.get(code)
+
+
 # Outcome graphs are interned: each distinct graph is one shared immutable
-# instance, however many results hold it.  Like the component-type table it
-# outlives clear_transform_cache, which drops enumeration results only.
-_GRAPH_MEMO: dict[tuple[int, ...], DynkinGraph] = {}
+# instance, however many results hold it.  Like the primes it outlives
+# clear_transform_cache, which drops enumeration results only.
+_GRAPH_MEMO: dict[int, DynkinGraph] = {}
 
 
-def _decode_graph(codes: tuple[int, ...]) -> DynkinGraph:
-    """The graph of a sorted code tuple; one shared instance per graph."""
-    g = _GRAPH_MEMO.get(codes)
+def _decode_graph(types: int) -> DynkinGraph:
+    """The graph of a type multiset; one shared instance per graph."""
+    g = _GRAPH_MEMO.get(types)
     if g is None:
-        g = DynkinGraph(tuple(_decode(c) for c in codes))
-        _GRAPH_MEMO[codes] = g
+        comps, rest = [], types
+        for code, p in _PRIME.items():
+            while rest % p == 0:
+                rest //= p
+                comps.append(_decode(code))
+        g = _GRAPH_MEMO[types] = DynkinGraph(tuple(comps))
     return g
 
 
-# {sorted type codes: smallest (A, B)}; an elementary step's B is ()
-_Winners = dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]
-# {open descriptors, or None once closed: {sorted residual types: local (A, B)}}
+# {type multiset: smallest (A, B)}; an elementary step's B is ()
+_Winners = dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
+# {open descriptors, or None once closed: {residual types: local (A, B)}}
 _Table = dict[Union[tuple, None], _Winners]
 
 
@@ -287,11 +305,9 @@ class _CompCore:
         self._tables: dict[tuple[str, bool], _Table] = {}  # by (kind, A/D/E only)
 
     def piece(self, piece: int) -> tuple[int, tuple]:
-        """Type code of one connected piece and the (vertex, attachment
-        descriptor) pair of each of its vertices, in ascending vertex order.
-
-        One recognizer walk gives both.
-        """
+        """The prime of the type of one connected piece and the (vertex,
+        attachment descriptor) pair of each of its vertices, in ascending
+        vertex order, from one recognizer walk."""
         info = self._piece_memo.get(piece)
         if info is not None:
             return info
@@ -310,7 +326,7 @@ class _CompCore:
             for d1, v in enumerate(path):
                 d2 = size - 1 - d1
                 desc[v] = (_D_PATH, size, d1, d2) if d1 <= d2 else (_D_PATH, size, d2, d1)
-        info = self._piece_memo[piece] = (code, tuple(desc.items()))
+        info = self._piece_memo[piece] = (_prime(code), tuple(desc.items()))
         return info
 
     def residual_pieces(self) -> list[tuple[int, ...]]:
@@ -332,17 +348,16 @@ class _CompCore:
     def elementary_table(self) -> _Table:
         """Per residual type multiset, the smallest (first in lex order) removed set."""
         residual_pieces = self.residual_pieces()
-        codes: dict[int, int] = {}  # piece -> type code
-        first: dict[tuple[int, ...], int] = {}
+        primes: dict[int, int] = {}  # piece -> prime of its type
+        first: dict[int, int] = {}
         for removed in self.order:
-            types = []
+            types = 1
             for piece in residual_pieces[self.full ^ removed]:
-                code = codes.get(piece)
-                if code is None:
-                    code = codes[piece] = self.piece(piece)[0]
-                types.append(code)
-            types.sort()
-            first.setdefault(tuple(types), removed)
+                p = primes.get(piece)
+                if p is None:
+                    p = primes[piece] = self.piece(piece)[0]
+                types *= p
+            first.setdefault(types, removed)
         return {(): {t: (tuple(_bits(m)), ()) for t, m in first.items()}}
 
     def tie_reps(self) -> list[tuple[int, tuple[int, ...]]]:
@@ -379,25 +394,22 @@ class _CompCore:
         table: _Table = {}
         for mask, pieces in self.tie_reps():
             g, a = self.gcd_table[mask], tuple(_bits(mask))
-            codes, ends, others = [], [], []
+            primes, ends, others = [], [], []
             for pid, piece in enumerate(pieces):
-                code, pairs = self.piece(piece)
-                codes.append(code)
+                p, pairs = self.piece(piece)
+                primes.append(p)
                 seen = set()
                 for v, d in pairs:  # vertices without a descriptor never fuse
                     cls = (d, coeff[v] % g)
                     if d is not None and cls not in seen:
                         seen.add(cls)
                         (ends if _is_end(d) else others).append((v, pid, d, coeff[v]))
+            residual = prod(primes)
             for b, pids, descs, csum in _b_sets(ends, others):
-                if gcd(g, csum) != 1:
-                    continue
-                join = _settle((), descs)
-                if join is None:
+                if gcd(g, csum) != 1 or (join := _settle((), descs)) is None:
                     continue
                 extra, still_open = join
-                kept = [t for i, t in enumerate(codes) if i not in pids]  # beside B's pieces
-                types = tuple(sorted(kept + list(extra)))
+                types = residual * extra // prod(primes[i] for i in pids)  # B's pieces fuse
                 group = table.setdefault(still_open, {})
                 old = group.get(types)
                 if old is None or (a, b) < old:
@@ -414,7 +426,7 @@ class _CompCore:
             if table is None:
                 table = self.tie_table() if kind == "tie" else self.elementary_table()
             if ade:
-                table = {descs: {t: w for t, w in group.items() if not t or t[-1] <= _CODE_A1}
+                table = {descs: {t: w for t, w in group.items() if gcd(t, _NOT_ADE) == 1}
                          for descs, group in table.items()}
             self._tables[kind, ade] = table
         return table
@@ -455,45 +467,45 @@ def _is_end(d: tuple) -> bool:
 
 @cache
 def _fuse(descs: tuple) -> int | None:
-    """Shape of: new vertex joined to the pieces of ``descs``, one
-    descriptor per piece in any order, or standing alone."""
+    """The prime of the shape of: new vertex joined to the pieces of
+    ``descs``, one descriptor per piece in any order, or standing alone."""
     if len(descs) == 1 and descs[0][0] == _D_SHORT:
-        return _CODE_G2
+        return _prime(_CODE_G2)
     ends = [d[1] for d in descs if _is_end(d)]  # path pieces, joined at an end
     rest = [d for d in descs if not _is_end(d)]
     if not rest:  # a path through the new vertex, or three legs at it
         if len(ends) <= 2:
-            return _code(_RANK_A, sum(ends) + 1)
-        return _legs_code(*sorted(ends)) if len(ends) == 3 else None
+            return _prime(_code(_RANK_A, sum(ends) + 1))
+        return _prime(_legs_code(*sorted(ends))) if len(ends) == 3 else None
     if len(rest) > 1 or len(ends) > 1 or rest[0][0] == _D_SHORT:
         return None
     tail = sum(ends) + 1  # leg through the new vertex and the joined path, if any
     d = rest[0]
     legs = (d[2], d[3], tail) if d[0] == _D_PATH else (d[2], d[3], d[4] + tail)
-    return _legs_code(*sorted(legs))
+    return _prime(_legs_code(*sorted(legs)))
 
 
 @cache
 def _settle(held: tuple | None, descs: tuple | None) -> tuple | None:
     """What B, holding descriptors ``held`` and adding ``descs``, can still
-    become: (types it adds, its sorted descriptors if still open or None
-    once fused), or None when no Dynkin outcome holds it.  A closed side
-    (None) joins only an empty one; a short root fuses only alone; a pair
+    become: (the product of the types it adds, its sorted descriptors if still
+    open or None once fused), or None when no Dynkin outcome holds it.  A closed
+    side (None) joins only an empty one; a short root fuses only alone; a pair
     needs a path end, and two ends stay open for a third; a triple fuses at once."""
     if held is None or descs is None:
-        return ((), None) if held == () or descs == () else None
+        return (1, None) if held == () or descs == () else None
     descs = tuple(sorted(held + descs))
     n = len(descs)
     if (n < 2 and descs != ((_D_SHORT,),)) or (n == 2 and all(map(_is_end, descs))):
-        return (), descs
+        return 1, descs
     fused = _fuse(descs)
-    return None if fused is None else ((fused,), None)
+    return None if fused is None else (fused, None)
 
 
 def _fold(parts: list[tuple[int, _Table]]) -> _Table:
     """Merge option tables, each given with the first vertex index of its
     component, into one table of states in graph indices."""
-    states: _Table = {(): {(): ((), ())}}
+    states: _Table = {(): {1: ((), ())}}
     for lo, table in parts:
         if not lo:  # the first table, joined to the empty state, is itself
             states = table
@@ -503,15 +515,14 @@ def _fold(parts: list[tuple[int, _Table]]) -> _Table:
             opts = [(t, (tuple(v + lo for v in a), tuple(v + lo for v in b)))
                     for t, (a, b) in group.items()]  # local indices to graph indices
             for held, held_group in states.items():
-                join = _settle(held, descs)
-                if join is None:
+                if (join := _settle(held, descs)) is None:
                     continue
                 extra, still_open = join
                 out = nxt.setdefault(still_open, {})
                 for held_types, (held_a, held_b) in held_group.items():
-                    base = held_types + extra
+                    base = held_types * extra
                     for types, (a, b) in opts:
-                        merged = tuple(sorted(base + types)) if base else types
+                        merged = base * types
                         w = (held_a + a, held_b + b)
                         old = out.get(merged)
                         if old is None or w < old:
@@ -553,7 +564,7 @@ def clear_transform_cache() -> None:
 
 
 def _winners(g: DynkinGraph, kind: str, ade: bool = False) -> _Winners:
-    """{sorted type codes: smallest (A, B)} over the outcomes of ``kind`` on
+    """{type multiset: smallest (A, B)} over the outcomes of ``kind`` on
     ``g``, only the A/D/E ones when ``ade``, built once per graph.  The fold
     keeps the smallest (A, B) per state, which stays the smallest after any
     later component (see the enumeration notes); each open tie state then
@@ -568,11 +579,11 @@ def _winners(g: DynkinGraph, kind: str, ade: bool = False) -> _Winners:
     else:
         results = {}
         for descs, states in folded.items():
-            extra = () if descs is None else (_fuse(descs),)  # the new vertex, if still open
-            if extra and (extra[0] is None or ade and extra[0] > _CODE_A1):
+            extra = 1 if descs is None else _fuse(descs)  # the new vertex, if still open
+            if extra is None or ade and gcd(extra, _NOT_ADE) > 1:
                 continue
             for types, w in states.items():
-                types = tuple(sorted(types + extra)) if extra else types
+                types *= extra
                 old = results.get(types)
                 if old is None or w < old:
                     results[types] = w

@@ -1,21 +1,23 @@
 from __future__ import annotations
 
 import json
+from math import prod
 
 import pytest
 
 from dynkintrans import catalog as catalog_module
 from dynkintrans import transforms
 from dynkintrans.catalog import (
+    ENGINE_VERSION,
     BoundViolation,
     Catalog,
+    CatalogMember,
     QueryNotADE,
     SINGULARITY_CLASSES,
     SingularityClass,
     _Lists,
     _encode_step,
     _indices,
-    _step_dict,
     build_catalog,
     catalog_from_json,
     catalog_to_json,
@@ -36,6 +38,38 @@ from dynkintrans.transforms import (
 
 def _compact(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+# The reference encoder: the published layout is json.dumps of this dict
+# with sort_keys=True and indent=2, plus a newline.
+def _step_dict(step: TransformStep) -> dict:
+    choice = step.choice
+    if isinstance(choice, ElementaryChoice):
+        return {
+            "kind": "elementary",
+            "input": step.input.name,
+            "removed": list(choice.removed),
+        }
+    return {
+        "kind": "tie",
+        "input": step.input.name,
+        "a": list(choice.a),
+        "b": list(choice.b),
+    }
+
+
+def catalog_to_dict(catalog: Catalog) -> dict:
+    cls = catalog.singularity
+    return {
+        "class": cls.symbol,
+        "milnor": cls.milnor,
+        "basic": cls.basic.name,
+        "engine_version": ENGINE_VERSION,
+        "members": [
+            {"name": m.name, "witness": [_step_dict(s) for s in m.witness]}
+            for m in catalog.members
+        ],
+    }
 
 
 BASIC_TABLE = {
@@ -180,16 +214,16 @@ class TestWitnessSelection:
                 self._tables, self.name = {}, name
 
             def elementary_table(self):
-                return {(): {_codes(out): (c.removed, ()) for out, c in elementary[self.name]}}
+                return {(): {_types(out): (c.removed, ()) for out, c in elementary[self.name]}}
 
             def tie_table(self):
-                return {None: {_codes(out): (c.a, c.b) for out, c in tie[self.name]}}
+                return {None: {_types(out): (c.a, c.b) for out, c in tie[self.name]}}
 
         monkeypatch.setattr(catalog_module, "elementary_all", fake_elementary)
         monkeypatch.setattr(catalog_module, "tie_all", fake_tie)
         monkeypatch.setattr(transforms, "_core", lambda graph: [(0, MadeUpCore(graph.name))])
         monkeypatch.setattr(transforms, "_MEMO_WINNERS", {})
-        assert transforms._winners(g("A2"), "elementary")[_codes(g("G2"))] == ((1,), ())  # a row to drop
+        assert transforms._winners(g("A2"), "elementary")[_types(g("G2"))] == ((1,), ())  # a row to drop
         cls = SingularityClass("X7", 7, g("A3"))
         catalog = catalog_module._compute_catalog(cls)
         assert _witness_json(catalog) == _json_minima(cls.basic, fake_elementary, fake_tie)
@@ -198,9 +232,10 @@ class TestWitnessSelection:
         assert catalog.get("G2") is None
 
 
-def _codes(g) -> tuple[int, ...]:
-    """The sorted type codes of a graph, as the enumeration engine keys it."""
-    return tuple(c.sort_key for c in g.components)
+def _types(g) -> int:
+    """The type multiset of a graph as the enumeration engine keys it: the
+    product of the primes of its type codes."""
+    return prod(transforms._prime(c.sort_key) for c in g.components)
 
 
 def _json_minima(basic, elementary, tie) -> dict[str, str]:
@@ -298,7 +333,38 @@ def _ade_graphs_with_total(total: int):
     yield from rec(total, 0, [])
 
 
+def _reference_json(catalog) -> str:
+    return json.dumps(catalog_to_dict(catalog), sort_keys=True, indent=2) + "\n"
+
+
 class TestSerialization:
+    def test_writer_matches_the_stdlib_encoder(self, all_catalogs):
+        for catalog in all_catalogs.values():
+            assert catalog_to_json(catalog) == _reference_json(catalog), catalog.singularity.symbol
+
+    def test_writer_on_a_zero_member_catalog(self):
+        catalog = Catalog(SINGULARITY_CLASSES["Q10"], ())
+        assert catalog_to_json(catalog) == _reference_json(catalog)
+        assert '"members": [],' in catalog_to_json(catalog)
+
+    def test_writer_on_empty_and_single_index_lists(self):
+        # steps with an empty B, an empty removed set and one-index lists
+        a1, a2 = parse_name("A1"), parse_name("A2")
+        cls = SingularityClass("X5", 5, a1)
+        tie = TransformStep(TieChoice((0,), ()), a1, a1)
+        (empty_out, empty_removed), = elementary_all(EMPTY)
+        assert empty_removed.removed == ()
+        members = (
+            CatalogMember(EMPTY, (TransformStep(ElementaryChoice((0, 1)), a1, EMPTY),
+                                  TransformStep(empty_removed, EMPTY, empty_out))),
+            CatalogMember(a1, (tie, TransformStep(ElementaryChoice((1,)), a1, a1))),
+            CatalogMember(a2, (tie, TransformStep(TieChoice((0,), (1,)), a1, a2))),
+        )
+        catalog = Catalog(cls, members)
+        text = catalog_to_json(catalog)
+        assert text == _reference_json(catalog)
+        assert '"b": [],' in text and '"removed": []' in text
+
     def test_round_trip(self, all_catalogs):
         catalog = all_catalogs["Q11"]
         text = catalog_to_json(catalog)
@@ -350,6 +416,27 @@ class TestSerialization:
         path = tmp_path / "Q10-v1.json"
         assert path.is_file()
         assert path.read_text(encoding="utf-8") == catalog_to_json(uncached)
+
+    def test_memo_hit_rewrites_an_unpublished_cache_file(
+        self, tmp_path, fresh_memory_cache, monkeypatch
+    ):
+        good = catalog_to_json(build_catalog("Q10", cache=False))
+        path = tmp_path / "Q10-v1.json"
+        path.write_text("{}", encoding="utf-8")
+        build_catalog("Q10", cache_dir=tmp_path)
+        assert path.read_text(encoding="utf-8") == good
+        path.write_text("{}", encoding="utf-8")
+        catalog_module.clear_memory_cache()
+        build_catalog("Q10", cache=False)
+        assert membership("Q10", parse_name("A1"), cache_dir=tmp_path) is not None
+        assert path.read_text(encoding="utf-8") == good
+        # a warm memo reads and hashes each cache file once per process
+        reads = []
+        monkeypatch.setattr(catalog_module, "_published", lambda *args: reads.append(args))
+        for _ in range(5):
+            assert membership("Q10", parse_name("A1"), cache_dir=tmp_path) is not None
+            build_catalog("Q10", cache_dir=tmp_path)
+        assert reads == []
 
     @pytest.mark.parametrize(
         "damage", ["members as an object", "not utf-8", "first step from A1", "member A1 dropped"]

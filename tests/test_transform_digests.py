@@ -20,7 +20,13 @@ from __future__ import annotations
 import hashlib
 
 from dynkintrans.graphs import A, BC1, D, DynkinGraph, E, G1, G2, parse_name
-from dynkintrans.transforms import _CompCore, clear_transform_cache, elementary_all, tie_all
+from dynkintrans.transforms import (
+    _CompCore,
+    _decode_graph,
+    clear_transform_cache,
+    elementary_all,
+    tie_all,
+)
 
 POOL_MAX_VERTICES = 10
 POOL_MAX_COMPONENTS = 4
@@ -97,12 +103,17 @@ def test_core_table_digest():
         core = _CompCore(ct)
         reps = core.tie_reps()
         tie = sorted(
-            ((descs is None, descs or (), types), w)
+            ((descs is None, descs or (), _codes(types)), w)
             for descs, group in core.tie_table().items()
             for types, w in group.items()
         )
-        elementary = sorted(core.elementary_table()[()].items())
+        elementary = sorted((_codes(types), w) for types, w in core.elementary_table()[()].items())
         name = DynkinGraph((ct,)).name
         counts[name] = (len(reps), len(tie), len(elementary))
         h.update(f"{name}\n{reps}\n{tie}\n{elementary}\n".encode())
     assert h.hexdigest() == CORE_DIGEST, f"(reps, tie entries, elementary entries): {counts}"
+
+
+def _codes(types: int) -> tuple[int, ...]:
+    """The sorted type codes of a multiset, as the digest was taken over them."""
+    return tuple(c.sort_key for c in _decode_graph(types).components)
