@@ -19,7 +19,6 @@ import bisect
 import json
 import os
 import tempfile
-from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -65,10 +64,6 @@ CACHE_ENV_VAR = "DYNKINTRANS_CACHE_DIR"
 
 class QueryNotADE(ValueError):
     """Membership queries are only defined for graphs with A/D/E components."""
-
-
-class BoundViolation(AssertionError):
-    """A catalog member exceeds the vertex bound (an implementation bug)."""
 
 
 @dataclass(frozen=True)
@@ -225,43 +220,6 @@ def _compute_catalog(cls: SingularityClass) -> Catalog:
     return Catalog(cls, tuple(members))
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Result of the vertex-bound check over one catalog."""
-
-    symbol: str
-    milnor: int
-    max_vertices: int
-    histogram: tuple[tuple[int, int], ...]  # (vertex count, members) pairs
-
-    @property
-    def bound(self) -> int:
-        return self.milnor - 2
-
-
-def milnor_bound_check(catalog: Catalog) -> BoundReport:
-    """Verify every member has at most milnor - 2 vertices.
-
-    Returns the maximum attained vertex count and a histogram; raises
-    BoundViolation when any member exceeds the bound, which would indicate
-    an engine bug rather than a data condition.
-    """
-    cls = catalog.singularity
-    bound = cls.milnor - 2
-    offenders = [m.name for m in catalog.members if m.graph.total_vertices > bound]
-    if offenders:
-        raise BoundViolation(
-            f"{cls.symbol}: members exceed {bound} vertices: {', '.join(offenders)}"
-        )
-    hist = Counter(m.graph.total_vertices for m in catalog.members)
-    return BoundReport(
-        symbol=cls.symbol,
-        milnor=cls.milnor,
-        max_vertices=max(hist) if hist else 0,
-        histogram=tuple(sorted(hist.items())),
-    )
-
-
 # --------------------------------------------------------------------------
 # Serialization and caching.
 # --------------------------------------------------------------------------
@@ -320,9 +278,12 @@ def catalog_to_json(catalog: Catalog) -> str:
 
 
 def _choice_from_dict(d: dict) -> Choice:
-    if d["kind"] == "elementary":
+    kind = d["kind"]
+    if kind == "elementary":
         return ElementaryChoice(tuple(d["removed"]))
-    return TieChoice(tuple(d["a"]), tuple(d["b"]))
+    if kind == "tie":
+        return TieChoice(tuple(d["a"]), tuple(d["b"]))
+    raise ValueError(f"unknown step kind {kind!r}")
 
 
 def _entry_witness(cls: SingularityClass, entry: dict, graph: DynkinGraph, mids: dict) -> Witness:
@@ -335,24 +296,27 @@ def _entry_witness(cls: SingularityClass, entry: dict, graph: DynkinGraph, mids:
 
 
 def catalog_from_dict(data: dict) -> Catalog:
-    """The catalog of a dict parsed from outside the program: its header and
-    each entry's name, order and first step are checked."""
-    cls = singularity_class(data["class"])
-    basic = cls.basic.name
-    header = (data["class"], data["milnor"], data["basic"], data["engine_version"])
-    if header != (cls.symbol, cls.milnor, basic, ENGINE_VERSION):
-        raise ValueError(f"catalog header {header!r} does not match engine {ENGINE_VERSION}")
-    members = []
-    mids: dict[str, DynkinGraph] = {}  # each intermediate name parsed once
-    last = None
-    for entry in data["members"]:
-        name = entry["name"]
-        d1, _ = entry["witness"]
-        if type(name) is not str or (last is not None and name <= last) or d1["input"] != basic:
-            raise ValueError(f"malformed or unsorted catalog entry {name!r}")
-        last = name
-        graph = parse_name(name)
-        members.append(CatalogMember(graph, _entry_witness(cls, entry, graph, mids)))
+    """The catalog of a dict parsed from outside the program, whose header and
+    each entry's name, order and first step are checked; ValueError if malformed."""
+    try:
+        cls = singularity_class(data["class"])
+        basic = cls.basic.name
+        header = (data["class"], data["milnor"], data["basic"], data["engine_version"])
+        if header != (cls.symbol, cls.milnor, basic, ENGINE_VERSION):
+            raise ValueError(f"catalog header {header!r} does not match engine {ENGINE_VERSION}")
+        members = []
+        mids: dict[str, DynkinGraph] = {}  # each intermediate name parsed once
+        last = None
+        for entry in data["members"]:
+            name = entry["name"]
+            d1, _ = entry["witness"]
+            if type(name) is not str or (last is not None and name <= last) or d1["input"] != basic:
+                raise ValueError(f"malformed or unsorted catalog entry {name!r}")
+            last = name
+            graph = parse_name(name)
+            members.append(CatalogMember(graph, _entry_witness(cls, entry, graph, mids)))
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed catalog: {exc!r}") from exc
     return Catalog(cls, tuple(members))
 
 

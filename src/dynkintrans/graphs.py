@@ -445,7 +445,7 @@ def gram(lg: LabeledGraph) -> tuple[tuple[Fraction, ...], ...]:
 # mask of vertex v, ``norm[v]`` its norm code, and a piece is the mask of one
 # connected vertex set.  Component types are integer codes whose natural
 # order is the canonical component order (family rank ascending, subscript
-# descending), so a multiset of types is a sorted int tuple.
+# descending); ``transforms`` keys a multiset of them as a product of primes.
 # ---------------------------------------------------------------------------
 
 _NORM_CODE = {NORM_LONG: 0, NORM_HALF: 1, NORM_SHORT: 2}

@@ -9,7 +9,6 @@ from dynkintrans import catalog as catalog_module
 from dynkintrans import transforms
 from dynkintrans.catalog import (
     ENGINE_VERSION,
-    BoundViolation,
     Catalog,
     CatalogMember,
     QueryNotADE,
@@ -22,7 +21,6 @@ from dynkintrans.catalog import (
     catalog_from_json,
     catalog_to_json,
     membership,
-    milnor_bound_check,
     singularity_class,
 )
 from dynkintrans.graphs import EMPTY, parse_name
@@ -261,29 +259,10 @@ def _witness_json(catalog) -> dict[str, str]:
 
 
 class TestMilnorBound:
-    def test_reports(self, all_catalogs):
-        for symbol, catalog in all_catalogs.items():
-            report = milnor_bound_check(catalog)
-            assert report.max_vertices <= report.bound
-            assert sum(count for _, count in report.histogram) == len(catalog)
-
     def test_bound_is_attained(self, all_catalogs):
         for catalog in all_catalogs.values():
-            report = milnor_bound_check(catalog)
-            assert report.max_vertices == report.bound
-
-    def test_violation_raises(self, all_catalogs):
-        z13 = all_catalogs["Z13"]
-        big = next(m for m in z13.members if m.graph.total_vertices == 11)
-        fake_cls = SINGULARITY_CLASSES["Q10"]  # bound 8, member has 11 vertices
-        broken = Catalog(fake_cls, (big,))
-        with pytest.raises(BoundViolation):
-            milnor_bound_check(broken)
-
-    def test_empty_catalog_passes(self):
-        report = milnor_bound_check(Catalog(SINGULARITY_CLASSES["E12"], ()))
-        assert report.max_vertices == 0
-        assert report.histogram == ()
+            most = max(m.graph.total_vertices for m in catalog.members)
+            assert most == catalog.singularity.milnor - 2, catalog.singularity.symbol
 
 
 class TestMembership:
@@ -468,15 +447,31 @@ class TestSerialization:
         assert witness is not None and witness[1].replay() == parse_name("A1")
         assert path.read_text(encoding="utf-8") == good
 
-    @pytest.mark.parametrize("damage", ["engine version", "unsorted", "first step from A1"])
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "engine version", "unsorted", "first step from A1", "unknown step kind",
+            "not an object", "no milnor", "member without witness", "step input not a name",
+        ],
+    )
     def test_parser_rejects_a_malformed_catalog(self, all_catalogs, damage):
         data = json.loads(catalog_to_json(all_catalogs["Q10"]))
         if damage == "engine version":
             data["engine_version"] = "0"
         elif damage == "unsorted":
             data["members"].reverse()
-        else:
+        elif damage == "first step from A1":
             data["members"][0]["witness"][0]["input"] = "A1"
+        elif damage == "unknown step kind":
+            data["members"][0]["witness"][0]["kind"] = "bogus"
+        elif damage == "not an object":
+            data = []
+        elif damage == "no milnor":
+            del data["milnor"]
+        elif damage == "member without witness":
+            del data["members"][0]["witness"]
+        else:
+            data["members"][0]["witness"][1]["input"] = 6
         with pytest.raises(ValueError):
             catalog_from_json(json.dumps(data))
 
