@@ -9,8 +9,8 @@ only the final outcomes are filtered to A/D/E.
 
 Every member carries one replayable two-step witness.  Catalogs serialize
 to a byte-stable JSON format and can be cached on disk keyed by class
-symbol and engine version; a cache file is served only when its SHA-256
-is the published digest of its class.
+symbol and engine version; a cache file is served only when its BLAKE2b-256
+digest is the published digest of its class.
 """
 
 from __future__ import annotations
@@ -19,17 +19,10 @@ import bisect
 import json
 import os
 import tempfile
+from _blake2 import blake2b  # builtin: hashlib would load OpenSSL for one digest
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-
-try:  # the builtin hash: hashlib loads OpenSSL, which is heavy for one digest
-    from _sha2 import sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
 
 from .graphs import DynkinGraph, parse_name
 from .transforms import (
@@ -45,18 +38,18 @@ from .transforms import (
 
 ENGINE_VERSION = "1"
 
-# SHA-256 of catalog_to_json for every class, frozen from the exhaustive
+# BLAKE2b-256 of catalog_to_json for every class, frozen from the exhaustive
 # enumeration engine; any change to a member set or to a witness shows here.
 GOLDEN_DIGESTS = {
-    "E12": "ac4231312e3a8a4adc5d568db287f02d24d4d0dbf7216cdb95a4237a0f117e15",
-    "Z11": "ea3efd65d72ce21ab10bdc6714d04df44a6baaa65d427b37ff3e12780e2c823e",
-    "Q10": "134540cd1ab3ac6d789f5d536acb702c4842f6e10a2e1357d9e2aa0aa148c090",
-    "E13": "1660a0ac3b56f793177e84713971600faa419fddfd20990ed97c4c66ddb612aa",
-    "Z12": "49dfac0a37ef805b513055cf7d364ea65f10cbdc2ebea51bfe9c0f95329ff1f7",
-    "Q11": "441fcb6ec4a3edefdebfd08cc3c179a1eea6e627b83bbbd0a57b36875bc4fe01",
-    "E14": "b6146511ad48210bafa42804de564f4162d30d8d56e4a10179f3d77d891287e4",
-    "Z13": "44e61d400d636de1fe3244bd445c9cde0cc4c35918cbf8e1183a1c3551f7c830",
-    "Q12": "7d08bb640f6ed8117631e52b08bb4f07132913f0e3ac4db35190ff44e401a033",
+    "E12": "e4ba50c32e6679f3d5d670ff94e9565846e43b1e5622641d71bbf106e4f8e019",
+    "Z11": "edbb78f3199317df2527c7defb61704910acf906983e5a128ffc9d46ba811c55",
+    "Q10": "01bc580772c7457d6394881df04a7c8c920a108ba5f4a7e439c7060d76304090",
+    "E13": "24b234f6c4d8daddd8f6891b9e302d87d2bdfa5fc3628a546206d72af258254e",
+    "Z12": "da8d268498e00dbd5452cef957a8aa7a38781ee27983a7d260ffc715e590a182",
+    "Q11": "b90506a2b6fce8fc5fd37bcf355c41afb305f25bdb482a8135aa93c7d85b2fe4",
+    "E14": "bdb6a5d6e220c7f2af5bf6341be09baa59fbcccd22797577fb1b1c6e517770ff",
+    "Z13": "b02371e459798034072b4941ae8865b7339132ea169c46927ef8f6c3ea26cd0b",
+    "Q12": "c5031ba9e0aab0ff0f9f36a26b27c3d29709d41822951048503403bc28f485c9",
 }
 
 CACHE_ENV_VAR = "DYNKINTRANS_CACHE_DIR"
@@ -280,10 +273,14 @@ def catalog_to_json(catalog: Catalog) -> str:
 def _choice_from_dict(d: dict) -> Choice:
     kind = d["kind"]
     if kind == "elementary":
-        return ElementaryChoice(tuple(d["removed"]))
-    if kind == "tie":
-        return TieChoice(tuple(d["a"]), tuple(d["b"]))
-    raise ValueError(f"unknown step kind {kind!r}")
+        choice = ElementaryChoice(tuple(d["removed"]))
+    elif kind == "tie":
+        choice = TieChoice(tuple(d["a"]), tuple(d["b"]))
+    else:
+        raise ValueError(f"unknown step kind {kind!r}")
+    if any(type(i) is not int for indices in _indices(choice) for i in indices):
+        raise ValueError(f"witness indices of {d!r} are not all integers")
+    return choice
 
 
 def _entry_witness(cls: SingularityClass, entry: dict, graph: DynkinGraph, mids: dict) -> Witness:
@@ -349,7 +346,7 @@ def _class_and_path(cls, cache, cache_dir) -> tuple[SingularityClass, Path | Non
 
 def _is_published(symbol: str, data: bytes) -> bool:
     """Whether ``data`` is, byte for byte, the published catalog of ``symbol``."""
-    return sha256(data).hexdigest() == GOLDEN_DIGESTS[symbol]
+    return blake2b(data, digest_size=32).hexdigest() == GOLDEN_DIGESTS[symbol]
 
 
 def is_published(catalog: Catalog) -> bool:

@@ -54,6 +54,22 @@ GOLDEN_COUNTS = {
     "Q12": 154,
 }
 
+# SHA-256 of catalog_to_json for every class, as first published: the frozen
+# pin of the published bytes, next to the BLAKE2b-256 digests that the cache
+# checks (GOLDEN_DIGESTS)
+GOLDEN_SHA256 = {
+    "E12": "ac4231312e3a8a4adc5d568db287f02d24d4d0dbf7216cdb95a4237a0f117e15",
+    "Z11": "ea3efd65d72ce21ab10bdc6714d04df44a6baaa65d427b37ff3e12780e2c823e",
+    "Q10": "134540cd1ab3ac6d789f5d536acb702c4842f6e10a2e1357d9e2aa0aa148c090",
+    "E13": "1660a0ac3b56f793177e84713971600faa419fddfd20990ed97c4c66ddb612aa",
+    "Z12": "49dfac0a37ef805b513055cf7d364ea65f10cbdc2ebea51bfe9c0f95329ff1f7",
+    "Q11": "441fcb6ec4a3edefdebfd08cc3c179a1eea6e627b83bbbd0a57b36875bc4fe01",
+    "E14": "b6146511ad48210bafa42804de564f4162d30d8d56e4a10179f3d77d891287e4",
+    "Z13": "44e61d400d636de1fe3244bd445c9cde0cc4c35918cbf8e1183a1c3551f7c830",
+    "Q12": "7d08bb640f6ed8117631e52b08bb4f07132913f0e3ac4db35190ff44e401a033",
+}
+
+
 def report(line: str) -> None:
     print(f"\n[acceptance] {line}")
 
@@ -177,12 +193,18 @@ def test_criterion_8_golden_member_counts(all_catalogs):
 
 def test_criterion_9_golden_catalog_digests():
     # the engine's own output, not a catalog that the loader checked
-    digests = {
-        symbol: hashlib.sha256(catalog_to_json(_compute_catalog(cls)).encode("utf-8")).hexdigest()
+    published = {
+        symbol: catalog_to_json(_compute_catalog(cls)).encode("utf-8")
         for symbol, cls in SINGULARITY_CLASSES.items()
     }
-    assert digests == GOLDEN_DIGESTS
+    sha256 = {symbol: hashlib.sha256(data).hexdigest() for symbol, data in published.items()}
+    blake2b = {
+        symbol: hashlib.blake2b(data, digest_size=32).hexdigest()
+        for symbol, data in published.items()
+    }
+    assert sha256 == GOLDEN_SHA256
+    assert blake2b == GOLDEN_DIGESTS
     report(
         "PASS criterion 9: all nine catalogs serialize to their frozen "
-        "SHA-256 digests, witnesses included"
+        "SHA-256 and BLAKE2b-256 digests, witnesses included"
     )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from math import prod
 
 import pytest
@@ -418,12 +419,26 @@ class TestSerialization:
         assert reads == []
 
     @pytest.mark.parametrize(
-        "damage", ["members as an object", "not utf-8", "first step from A1", "member A1 dropped"]
+        "damage",
+        [
+            "members as an object", "not utf-8", "first step from A1", "member A1 dropped",
+            "witness index digit changed", "trailing newline added", "last byte dropped",
+        ],
     )
     def test_bad_cache_file_is_recomputed(self, tmp_path, fresh_memory_cache, damage):
         good = catalog_to_json(build_catalog("Q10", cache=False))
         path = tmp_path / "Q10-v1.json"
-        if damage == "not utf-8":
+        # the last three are well-formed catalogs that only a whole-file digest
+        # tells from the published bytes
+        if damage == "witness index digit changed":
+            # the last digit of the first index in A1's witness
+            i = re.compile(r"\d(?=,?\n)").search(good, good.index('"name": "A1",')).start()
+            path.write_text(good[:i] + str((int(good[i]) + 1) % 10) + good[i + 1:], encoding="utf-8")
+        elif damage == "trailing newline added":
+            path.write_text(good + "\n", encoding="utf-8")
+        elif damage == "last byte dropped":
+            path.write_text(good[:-1], encoding="utf-8")
+        elif damage == "not utf-8":
             path.write_bytes(b"\xff\xfe" + good.encode("utf-8"))
         elif damage == "first step from A1":
             # a witness whose first step claims another input than the basic graph
@@ -452,11 +467,16 @@ class TestSerialization:
         [
             "engine version", "unsorted", "first step from A1", "unknown step kind",
             "not an object", "no milnor", "member without witness", "step input not a name",
+            'index "x"', "index 1.5", "index true",
         ],
     )
     def test_parser_rejects_a_malformed_catalog(self, all_catalogs, damage):
         data = json.loads(catalog_to_json(all_catalogs["Q10"]))
-        if damage == "engine version":
+        if damage.startswith("index "):
+            # catalog_to_json would write any index it holds, so each must be an int
+            step = data["members"][0]["witness"][1]
+            step["removed" if step["kind"] == "elementary" else "a"] = [json.loads(damage[6:])]
+        elif damage == "engine version":
             data["engine_version"] = "0"
         elif damage == "unsorted":
             data["members"].reverse()

@@ -247,11 +247,7 @@ class TestVerifyCommand:
 
 
 def test_warm_check_loads_no_openssl(all_catalogs, catalog_cache_dir):
-    """The cache digest uses the builtin SHA-256: hashlib would load OpenSSL."""
-    try:
-        import _sha2  # noqa: F401
-    except ImportError:
-        pytest.importorskip("_sha256")
+    """The cache digest uses the builtin BLAKE2b: hashlib would load OpenSSL."""
     import dynkintrans
 
     src = str(Path(dynkintrans.__file__).parent.parent)
