@@ -31,6 +31,7 @@ from .transforms import (
     TieChoice,
     TransformStep,
     _decode_graph,
+    _reach,
     _winners,
     elementary_all,
     tie_all,
@@ -167,10 +168,14 @@ def _compute_catalog(cls: SingularityClass) -> Catalog:
 
     - of the (at most two) first steps reaching one intermediate, keep the
       one with the smaller ``(len(enc1), enc1)``;
-    - read each intermediate's second steps once, from the A/D/E winner
-      tables of ``transforms._winners``, and compare a candidate with the
-      member's best so far by ``len(enc1) + len(enc2)``, building the two
-      keys only when those lengths tie.
+    - visit the (intermediate, kind) pairs in ascending order of ``bound``
+      = len(enc1) + len(enc2 without indices) + 2 (n_ext + [tie]) - 1, for
+      n_ext extended vertices: a step to an outcome of v vertices removes
+      n_ext + [tie] - v, in 2 (n_ext + [tie] - v) - 1 characters or more.
+      Skip a pair if each outcome it reaches (``transforms._reach``) has a
+      witness shorter than ``bound - 2 v``; else compare each candidate of
+      its A/D/E winner table (``transforms._winners``) with the member's
+      best by ``len(enc1) + len(enc2)``, building keys only when they tie.
 
     Members are keyed by the engine's type multisets; only each member's
     winner gets its graph, name, second-step choice and step.
@@ -187,23 +192,33 @@ def _compute_catalog(cls: SingularityClass) -> Catalog:
             old = firsts.get(name)
             if old is None or (len(enc1), enc1) < (len(old[0]), old[0]):
                 firsts[name] = (enc1, TransformStep(choice, basic, mid))
+    pairs = sorted(  # (bound, intermediate name, kind, n_ext + [tie])
+        (len(enc1) + len(_encode_step(lists, name, (), b)) + 2 * n - 1, name, kind, n)
+        for name, (enc1, s1) in firsts.items()
+        for n_ext in [s1.output.total_vertices + len(s1.output.components)]
+        for kind, b, n in (("elementary", None, n_ext), ("tie", (), n_ext + 1))
+    )
     # member types -> (len(enc1) + len(enc2), enc1, enc2, first step,
     # second-step A, second-step B or None for an elementary step)
     best: dict[int, tuple] = {}
-    for mid_name, (enc1, s1) in firsts.items():
+    limits: dict[int, int] = {}  # member types -> its best length + 2 v(types)
+    for bound, mid_name, kind, n in pairs:
+        enc1, s1 = firsts[mid_name]
+        if all(bound > limits.get(types, bound) for types in _reach(s1.output, kind)):
+            continue
         len1 = len(enc1)
-        for kind in ("elementary", "tie"):
-            for types, (a, b) in _winners(s1.output, kind, True).items():
-                b = b if kind == "tie" else None
-                enc2 = _encode_step(lists, mid_name, a, b)
-                length = len1 + len(enc2)
-                old = best.get(types)
-                if old is not None:
-                    if length > old[0]:
-                        continue
-                    if length == old[0] and enc1 + "," + enc2 >= old[1] + "," + old[2]:
-                        continue
-                best[types] = (length, enc1, enc2, s1, a, b)
+        for types, (a, b) in _winners(s1.output, kind, True).items():
+            b = b if kind == "tie" else None
+            enc2 = _encode_step(lists, mid_name, a, b)
+            length = len1 + len(enc2)
+            old = best.get(types)
+            if old is not None:
+                if length > old[0]:
+                    continue
+                if length == old[0] and enc1 + "," + enc2 >= old[1] + "," + old[2]:
+                    continue
+            best[types] = (length, enc1, enc2, s1, a, b)
+            limits[types] = length + 2 * (n - len(a))  # v(types) = n - |A|
     members = []
     for types, (_, _, _, s1, a, b) in best.items():
         out = _decode_graph(types)

@@ -384,11 +384,15 @@ def extend(g: DynkinGraph) -> ExtendedGraph:
     """
     ext = _extend(g)
     for ct, comp in zip(g.components, ext.components):
-        key = (ct, ext.coefficients[comp[0] : comp[-1]])
-        if key not in _VALIDATED:
-            check_extension_identity(ct)
-            _VALIDATED.add(key)
+        _check_once(ct, ext.coefficients[comp[0] : comp[-1]])
     return ext
+
+
+def _check_once(ct: ComponentType, coeffs: tuple[int, ...]) -> None:
+    """check_extension_identity(ct), once per (type, coefficient table) pair."""
+    if (ct, coeffs) not in _VALIDATED:
+        check_extension_identity(ct)
+        _VALIDATED.add((ct, coeffs))
 
 
 def _extend(g: DynkinGraph) -> ExtendedGraph:
@@ -521,16 +525,16 @@ def _walk(adj: list[int], piece: int, prev: int, cur: int) -> list[int]:
     return out
 
 
-def _mask_view(lg: LabeledGraph) -> tuple[list[int], list[int]]:
-    """Neighbour mask and norm code of every vertex of ``lg``."""
+def _mask_view(norms: Iterable[Fraction], edges: Iterable[tuple]) -> tuple[list[int], list[int]]:
+    """Neighbour mask and norm code of every vertex, from its norm and the (i, j, value) edges."""
     norm = []
-    for v in lg.vertices:
-        code = _NORM_CODE.get(v.norm)
+    for x in norms:
+        code = _NORM_CODE.get(x)
         if code is None:
-            raise NotADynkinGraph(f"vertex of norm {v.norm}")
+            raise NotADynkinGraph(f"vertex of norm {x}")
         norm.append(code)
-    adj = [0] * lg.n
-    for i, j, _val in lg.edges:
+    adj = [0] * len(norm)
+    for i, j, _val in edges:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     return adj, norm
@@ -587,6 +591,6 @@ def classify(lg: LabeledGraph) -> DynkinGraph:
     for _i, _j, val in lg.edges:
         if val != ORDINARY_EDGE:
             raise NotADynkinGraph(f"edge label {val} (only -1 allowed)")
-    adj, norm = _mask_view(lg)
+    adj, norm = _mask_view((v.norm for v in lg.vertices), lg.edges)
     pieces = _pieces(adj, (1 << lg.n) - 1)
     return DynkinGraph(tuple(_decode(_recognize(adj, norm, p)[0]) for p in pieces))

@@ -44,7 +44,9 @@ from .graphs import (
     _RANK_A,
     _bits,
     _code,
+    _check_once,
     _decode,
+    _layout,
     _legs_code,
     _mask_view,
     _recognize,
@@ -226,7 +228,8 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # only accumulate through the fold, and a lone short root closes as G2 at
 # once, so an entry with a G2, G1 or BC1 code never reaches an A/D/E outcome.
 # Those three codes hold the primes 2, 3 and 5, so a product is A/D/E
-# exactly when it is prime to 30.
+# exactly when it is prime to 30.  ``_reach(g, kind)`` runs that fold, its
+# joins and its end (``_ends``) on the keys alone, at about half the cost.
 # ---------------------------------------------------------------------------
 
 # The prime of each type code, the next one handed out on first use; it outlives
@@ -291,11 +294,13 @@ class _CompCore:
     )
 
     def __init__(self, ct: ComponentType):
-        ext = extend(DynkinGraph((ct,)))
-        self.size = ext.n
-        self.full = (1 << self.size) - 1
-        self.adj, self.norm = _mask_view(ext.base)
-        self.coeff = list(ext.coefficients)
+        lay = _layout(ct)  # extend(ct) without its labeled graph: the added vertex comes last
+        _check_once(ct, lay.coeffs)
+        self.size = k = len(lay.coeffs) + 1
+        self.full = (1 << k) - 1
+        edges = lay.edges + tuple((i, k - 1, val) for i, val in lay.added_edges)
+        self.adj, self.norm = _mask_view(lay.norms + (lay.added_norm,), edges)
+        self.coeff = [*lay.coeffs, 1]
         table = [0]  # gcd of the coefficients picked by each submask
         for c in self.coeff:
             table += [gcd(c, t) for t in table]
@@ -553,14 +558,24 @@ def _core(g: DynkinGraph) -> list[tuple[int, _CompCore]]:
 
 
 _MEMO_WINNERS: dict[tuple[str, str, bool], _Winners] = {}  # by (name, kind, ade)
+_MEMO_REACH: dict[tuple[str, str], set[int]] = {}  # by (name, kind)
 
 
 def clear_transform_cache() -> None:
     """Drop the in-process enumeration memos (mostly for benchmarks/tests)."""
     _CORE_MEMO.clear()
     _MEMO_WINNERS.clear()
+    _MEMO_REACH.clear()
     _settle.cache_clear()
     _fuse.cache_clear()
+
+
+def _ends(folded: dict, kind: str, ade: bool) -> Iterator[tuple[int, dict | set]]:
+    """(types added at the end, states) of each final group of a fold that is kept."""
+    for descs, states in folded.items():  # an elementary fold ends in () and adds nothing
+        extra = 1 if descs is None or kind == "elementary" else _fuse(descs)  # the new vertex
+        if extra is not None and not (ade and gcd(extra, _NOT_ADE) > 1):
+            yield extra, states
 
 
 def _winners(g: DynkinGraph, kind: str, ade: bool = False) -> _Winners:
@@ -574,21 +589,37 @@ def _winners(g: DynkinGraph, kind: str, ade: bool = False) -> _Winners:
     if results is not None:
         return results
     folded = _fold([(lo, core.table(kind, ade)) for lo, core in _core(g)])
-    if kind == "elementary":
-        results = folded[()]
-    else:
-        results = {}
-        for descs, states in folded.items():
-            extra = 1 if descs is None else _fuse(descs)  # the new vertex, if still open
-            if extra is None or ade and gcd(extra, _NOT_ADE) > 1:
-                continue
-            for types, w in states.items():
-                types *= extra
-                old = results.get(types)
-                if old is None or w < old:
-                    results[types] = w
+    results = {}
+    for extra, states in _ends(folded, kind, ade):
+        for types, w in states.items():
+            types *= extra
+            old = results.get(types)
+            if old is None or w < old:
+                results[types] = w
     _MEMO_WINNERS[key] = results
     return results
+
+
+def _reach(g: DynkinGraph, kind: str) -> set[int]:
+    """The keys of ``_winners(g, kind, True)``, read from it if built, else
+    from the same fold without witnesses; built once per graph."""
+    key = (g.name, kind)
+    if key in _MEMO_REACH:
+        return _MEMO_REACH[key]
+    reach = _MEMO_WINNERS.get((*key, True))
+    if reach is None:
+        states: dict = {(): {1}}
+        for _, core in _core(g):
+            nxt: dict = {}
+            for descs, group in core.table(kind, True).items():
+                for held, held_types in states.items():
+                    if join := _settle(held, descs):  # (types it adds, still open)
+                        products = [join[0] * h * t for h in held_types for t in group]
+                        nxt.setdefault(join[1], set()).update(products)
+            states = nxt
+        reach = [t * x for x, ends in _ends(states, kind, True) for t in ends]
+    reach = _MEMO_REACH[key] = set(reach)
+    return reach
 
 
 def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]:

@@ -173,10 +173,43 @@ class TestWitnessSelection:
         for s in steps:
             assert _encode_step(lists, s.input.name, *_indices(s.choice)) == _compact(_step_dict(s))
 
-    def test_q10_witnesses_are_json_minima(self, all_catalogs):
-        catalog = all_catalogs["Q10"]
+    @pytest.mark.parametrize("symbol", list(SINGULARITY_CLASSES))
+    def test_witnesses_are_json_minima(self, all_catalogs, symbol):
+        catalog = all_catalogs[symbol]
         expected = _json_minima(catalog.singularity.basic, elementary_all, tie_all)
         assert _witness_json(catalog) == expected
+
+    @pytest.mark.parametrize("symbol", list(SINGULARITY_CLASSES))
+    def test_candidates_meet_their_pair_bound(self, symbol):
+        # A build skips an (intermediate, kind) pair when, for every outcome t
+        # it reaches, bound - 2 v(t) exceeds the best witness length held for
+        # t.  That is exact only if no candidate of the pair is shorter, with
+        # bound = len(enc1) + len(fixed JSON of kind) + len(intermediate name)
+        # + 2 (n_ext + [tie]) - 1, n_ext the intermediate's vertex count plus
+        # its component count.  Lengths count enc1 + enc2, without the
+        # brackets and comma that every witness adds.
+        basic = SINGULARITY_CLASSES[symbol].basic
+        fixed = {
+            "elementary": len(_compact({"input": "", "kind": "elementary", "removed": []})),
+            "tie": len(_compact({"a": [], "b": [], "input": "", "kind": "tie"})),
+        }
+        firsts = {}  # intermediate name -> (len(enc1), enc1), the kept first step
+        for first in (elementary_all, tie_all):
+            for mid, c1 in first(basic):
+                enc1 = _compact(_step_dict(TransformStep(c1, basic, mid)))
+                key = min(firsts.get(mid.name, (len(enc1), enc1)), (len(enc1), enc1))
+                firsts[mid.name] = key
+        slack = []
+        for mid_name, (len1, _) in firsts.items():
+            mid = parse_name(mid_name)
+            for kind, tie, second in (("elementary", 0, elementary_all), ("tie", 1, tie_all)):
+                n_ext = mid.total_vertices + len(mid.components)
+                bound = len1 + fixed[kind] + len(mid_name) + 2 * (n_ext + tie) - 1
+                for out, c2 in second(mid):
+                    if out.is_ade:
+                        enc2 = _compact(_step_dict(TransformStep(c2, mid, out)))
+                        slack.append(len1 + len(enc2) - (bound - 2 * out.total_vertices))
+        assert min(slack) == 0  # never shorter, and met exactly: no sharper bound of this form
 
     def test_selection_rule_on_made_up_transforms(self, monkeypatch):
         # Made-up outcome tables over the basic graph A3: A1 is best reached
@@ -222,6 +255,7 @@ class TestWitnessSelection:
         monkeypatch.setattr(catalog_module, "tie_all", fake_tie)
         monkeypatch.setattr(transforms, "_core", lambda graph: [(0, MadeUpCore(graph.name))])
         monkeypatch.setattr(transforms, "_MEMO_WINNERS", {})
+        monkeypatch.setattr(transforms, "_MEMO_REACH", {})
         assert transforms._winners(g("A2"), "elementary")[_types(g("G2"))] == ((1,), ())  # a row to drop
         cls = SingularityClass("X7", 7, g("A3"))
         catalog = catalog_module._compute_catalog(cls)

@@ -29,6 +29,7 @@ from dynkintrans.transforms import (
     _CompCore,
     _decode_graph,
     _lex_masks,
+    _reach,
     _winners,
     apply,
     apply_labeled,
@@ -263,15 +264,18 @@ class TestInvariants:
         clear_transform_cache()
         first = tie_all(g)
         winners = _winners(h, "tie", True)
+        assert _reach(h, "tie") == set(winners)
         old = {ct: c._tables["tie", True] for ct, c in transforms._CORE_MEMO.items() if ct != D(10)}
         assert len(old) == 3
-        # one memo holds every winner table, keyed by graph, kind and A/D/E cut
+        # one memo holds every winner table, keyed by graph, kind and A/D/E cut,
+        # and another every key-only fold, keyed by graph and kind
         assert set(transforms._MEMO_WINNERS) == {("D10", "tie", False), ("D4+A3+A1", "tie", True)}
+        assert set(transforms._MEMO_REACH) == {("D4+A3+A1", "tie")}
         assert transforms._settle.cache_info().currsize and transforms._fuse.cache_info().currsize
         # a core reached only for its A/D/E cut keeps the cut alone
         assert all(("tie", False) not in transforms._CORE_MEMO[ct]._tables for ct in old)
         clear_transform_cache()
-        assert not transforms._CORE_MEMO and not transforms._MEMO_WINNERS
+        assert not transforms._CORE_MEMO and not transforms._MEMO_WINNERS and not transforms._MEMO_REACH
         assert not transforms._settle.cache_info().currsize and not transforms._fuse.cache_info().currsize
         built = []
 
@@ -310,6 +314,32 @@ class TestInvariants:
             assert _named(tie) == {
                 out.name: (c.a, c.b) for out, c in tie_all(mid) if out.is_ade
             }, name
+        clear_transform_cache()
+
+    def test_reach_is_the_ade_winner_keys(self):
+        # a catalog decides from the key-only fold which witness folds to
+        # run: it must reach exactly the keys of the A/D/E witness fold, on
+        # every graph of at most 8 vertices in at most 3 components and on
+        # every intermediate graph of the nine classes
+        types = [A(k) for k in range(1, 9)] + [D(k) for k in range(4, 9)]
+        types += [E(6), E(7), E(8), G2, G1, BC1]
+        graphs = [EMPTY] + [
+            DynkinGraph(comps)
+            for k in (1, 2, 3)
+            for comps in itertools.combinations_with_replacement(types, k)
+            if sum(c.vertex_count for c in comps) <= 8
+        ]
+        assert {"", "G2", "G1", "BC1", "E8", "D4+A2+A2", "G2+G1+BC1"} <= {g.name for g in graphs}
+        graphs += [
+            mid
+            for cls in SINGULARITY_CLASSES.values()
+            for first in (elementary_all, tie_all)
+            for mid, _ in first(cls.basic)
+        ]
+        clear_transform_cache()
+        for g in graphs:
+            for kind in ("elementary", "tie"):
+                assert _reach(g, kind) == set(_winners(g, kind, True)), (g.name, kind)
         clear_transform_cache()
 
     def test_tie_witness_has_the_smallest_b_for_its_a(self):
