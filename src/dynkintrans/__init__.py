@@ -5,112 +5,44 @@ classes, the set of A/D/E Dynkin graphs obtainable from the class's basic
 graph by exactly two elementary or tie transformations, together with
 replayable witnesses, plus the exact root-lattice machinery used to
 cross-check the graph engine.
-"""
 
-from .graphs import (
-    A,
-    BC1,
-    ComponentType,
-    D,
-    DynkinGraph,
-    E,
-    EMPTY,
-    ExtendedGraph,
-    G1,
-    G2,
-    LabeledGraph,
-    NotADynkinGraph,
-    ParseError,
-    Vertex,
-    canonical_name,
-    classify,
-    extend,
-    gram,
-    parse_name,
-    realize,
-)
-from .transforms import (
-    ElementaryChoice,
-    InvalidChoice,
-    TieChoice,
-    TransformStep,
-    apply,
-    apply_labeled,
-    elementary_all,
-    tie_all,
-)
-from .catalog import (
-    Catalog,
-    CatalogMember,
-    ENGINE_VERSION,
-    QueryNotADE,
-    SINGULARITY_CLASSES,
-    SingularityClass,
-    build_catalog,
-    catalog_from_json,
-    catalog_to_json,
-    membership,
-    singularity_class,
-)
-from .lattice import (
-    Lattice,
-    NonIntegralLattice,
-    RootSet,
-    coroot_system,
-    determinant,
-    root_count,
-    root_lattice,
-    short_vectors,
-)
+Public names resolve lazily (PEP 562): ``import dynkintrans`` loads no
+submodule, and ``dynkintrans.tie_all`` imports ``dynkintrans.transforms``
+on first use.  A name is looked up in its module on every access and never
+stored here, so it is always the module's current object.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "A",
-    "BC1",
-    "Catalog",
-    "CatalogMember",
-    "ComponentType",
-    "D",
-    "DynkinGraph",
-    "E",
-    "EMPTY",
-    "ENGINE_VERSION",
-    "ElementaryChoice",
-    "ExtendedGraph",
-    "G1",
-    "G2",
-    "InvalidChoice",
-    "LabeledGraph",
-    "Lattice",
-    "NonIntegralLattice",
-    "NotADynkinGraph",
-    "ParseError",
-    "QueryNotADE",
-    "RootSet",
-    "SINGULARITY_CLASSES",
-    "SingularityClass",
-    "TieChoice",
-    "TransformStep",
-    "Vertex",
-    "apply",
-    "apply_labeled",
-    "build_catalog",
-    "canonical_name",
-    "catalog_from_json",
-    "catalog_to_json",
-    "classify",
-    "coroot_system",
-    "determinant",
-    "elementary_all",
-    "extend",
-    "gram",
-    "membership",
-    "parse_name",
-    "realize",
-    "root_count",
-    "root_lattice",
-    "short_vectors",
-    "singularity_class",
-    "tie_all",
-]
+# The defining module of each public name; __all__, __getattr__ and __dir__ read it.
+_PUBLIC = {
+    name: module
+    for module, names in {
+        "graphs": """A BC1 ComponentType D DynkinGraph E EMPTY ExtendedGraph G1 G2
+            LabeledGraph NotADynkinGraph ParseError Vertex canonical_name classify
+            extend gram parse_name realize""",
+        "transforms": """ElementaryChoice InvalidChoice TieChoice TransformStep apply
+            apply_labeled elementary_all tie_all""",
+        "catalog": """Catalog CatalogMember ENGINE_VERSION QueryNotADE SINGULARITY_CLASSES
+            SingularityClass build_catalog catalog_from_json catalog_to_json membership
+            singularity_class""",
+        "lattice": """Lattice NonIntegralLattice RootSet coroot_system determinant
+            root_count root_lattice short_vectors""",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_PUBLIC)
+
+
+def __getattr__(name: str):
+    module = _PUBLIC.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_PUBLIC})

@@ -18,7 +18,6 @@ from __future__ import annotations
 import bisect
 import json
 import os
-import tempfile
 from _blake2 import blake2b  # builtin: hashlib would load OpenSSL for one digest
 from dataclasses import dataclass
 from operator import attrgetter
@@ -394,7 +393,8 @@ def build_catalog(
     are the published catalog (``GOLDEN_DIGESTS``); otherwise the catalog
     is recomputed and the file rewritten.  A catalog served from the
     in-process memo is also written to ``cache_dir`` when its file there
-    is not published.
+    is not published.  A write that fails with OSError issues a
+    RuntimeWarning, and the catalog is returned all the same.
     """
     cls, path = _class_and_path(cls, cache, cache_dir)
     catalog = _CATALOG_MEMO.get(cls.symbol)  # maybe uncached, or from another dir
@@ -404,13 +404,21 @@ def build_catalog(
         _CATALOG_MEMO[cls.symbol] = catalog
     if path is not None and path not in _PUBLISHED_PATHS:
         if data is None:
-            _write_cache(path, catalog)
+            try:
+                _write_cache(path, catalog)
+            except OSError as exc:
+                import warnings
+
+                warnings.warn(f"cannot write catalog cache {path}: {exc}", RuntimeWarning, stacklevel=2)
+                return catalog
         _PUBLISHED_PATHS.add(path)
     return catalog
 
 
 def _write_cache(path: Path, catalog: Catalog) -> None:
     """Write the catalog's JSON to ``path`` atomically."""
+    import tempfile  # with random and shutil, only when a file is written
+
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:

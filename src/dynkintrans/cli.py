@@ -1,28 +1,21 @@
 """Command-line front end: catalogs, membership checks, single transformations.
 
 Exit codes: 0 success (or membership yes), 1 membership no or failed
-verification, 2 usage or parse errors.  All text output is UTF-8,
-line-oriented and sorted, so runs diff cleanly.
+verification, 2 usage or parse errors, or an ``--out`` file that cannot be
+written.  All text output is UTF-8, line-oriented and sorted, so runs diff
+cleanly.
+
+Importing this module loads only the graph layer and the transform engine,
+which every command uses.  ``catalog``, ``check`` and ``verify`` import the
+catalog layer when they run, and ``transform --json`` imports ``json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from . import __version__
-from .catalog import (
-    CACHE_ENV_VAR,
-    SINGULARITY_CLASSES,
-    QueryNotADE,
-    build_catalog,
-    catalog_to_json,
-    is_published,
-    membership,
-    singularity_class,
-)
 from .graphs import EMPTY, DynkinGraph, ParseError, extended_vertex_ids, parse_name
 from .transforms import (
     ElementaryChoice,
@@ -34,11 +27,17 @@ from .transforms import (
 USAGE_ERROR = 2
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
+def _emit(text: str, out_path: str | None) -> int:
+    """Write ``text`` to ``out_path``, or to stdout; the command's exit code."""
+    if not out_path:
         sys.stdout.write(text)
+        return 0
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _usage_error(f"cannot write {out_path}: {exc.strerror}")
+    return 0
 
 
 def _parse_graph_arg(text: str) -> DynkinGraph:
@@ -51,6 +50,8 @@ def _parse_graph_arg(text: str) -> DynkinGraph:
 
 
 def _parse_class_arg(symbol: str):
+    from .catalog import singularity_class
+
     try:
         return singularity_class(symbol)
     except KeyError as exc:
@@ -65,19 +66,20 @@ def _usage_error(message: str) -> int:
 def _cache_kwargs(args) -> dict:
     kwargs = {"cache": not args.no_cache}
     if args.cache_dir:
-        kwargs["cache_dir"] = Path(args.cache_dir)
+        kwargs["cache_dir"] = args.cache_dir
     return kwargs
 
 
 def _cmd_catalog(args) -> int:
+    from .catalog import build_catalog, catalog_to_json
+
     cls = _parse_class_arg(args.symbol)
     catalog = build_catalog(cls, **_cache_kwargs(args))
     if args.json:
         text = catalog_to_json(catalog)
     else:
         text = "\n".join(str(m.graph) for m in catalog.members) + "\n"
-    _emit(text, args.out)
-    return 0
+    return _emit(text, args.out)
 
 
 def _describe_step(step: TransformStep) -> str:
@@ -95,6 +97,8 @@ def _describe_step(step: TransformStep) -> str:
 
 
 def _cmd_check(args) -> int:
+    from .catalog import QueryNotADE, membership
+
     cls = _parse_class_arg(args.symbol)
     g = _parse_graph_arg(args.graph)
     try:
@@ -114,6 +118,8 @@ def _cmd_transform(args) -> int:
     g = _parse_graph_arg(args.graph)
     results = elementary_all(g) if args.op == "elementary" else tie_all(g)
     if args.json:
+        import json
+
         payload = {
             "input": g.name,
             "op": args.op,
@@ -132,12 +138,12 @@ def _cmd_transform(args) -> int:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         text = "\n".join(str(out) for out, _ in results) + "\n"
-    _emit(text, args.out)
-    return 0
+    return _emit(text, args.out)
 
 
 def _verify_checks(full: bool, cache_kwargs: dict):
     """Yield (name, ok, detail) tuples for the regression suite."""
+    from .catalog import SINGULARITY_CLASSES, build_catalog, is_published
     from .graphs import A, BC1, D, E, G1, G2, check_extension_identity
 
     try:
@@ -193,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache-dir",
             default=None,
             help=(
-                f"cache directory (default: ${CACHE_ENV_VAR}, else"
+                "cache directory (default: $DYNKINTRANS_CACHE_DIR, else"
                 " $XDG_CACHE_HOME/dynkintrans or ~/.cache/dynkintrans)"
             ),
         )

@@ -18,9 +18,9 @@ norm 1 never occurs here.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 NORM_LONG = Fraction(2)
 NORM_HALF = Fraction(1, 2)

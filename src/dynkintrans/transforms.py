@@ -24,10 +24,10 @@ Choice indices always refer to the documented vertex ordering of
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache
 from math import gcd, prod
-from typing import Iterable, Iterator, Union
 
 from .graphs import (
     ComponentType,
@@ -81,7 +81,7 @@ class TieChoice:
         object.__setattr__(self, "b", tuple(sorted(self.b)))
 
 
-Choice = Union[ElementaryChoice, TieChoice]
+Choice = ElementaryChoice | TieChoice
 
 
 def _choice(cls: type, *parts: tuple[int, ...]) -> Choice:
@@ -228,8 +228,11 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # only accumulate through the fold, and a lone short root closes as G2 at
 # once, so an entry with a G2, G1 or BC1 code never reaches an A/D/E outcome.
 # Those three codes hold the primes 2, 3 and 5, so a product is A/D/E
-# exactly when it is prime to 30.  ``_reach(g, kind)`` runs that fold, its
-# joins and its end (``_ends``) on the keys alone, at about half the cost.
+# exactly when it is prime to 30.  The end of such a fold needs no second
+# cut: with A/D/E tables ``_settle`` closes a lone short root as G2 at
+# once, so no open state reaches ``_fuse`` as G2.  ``_reach(g, kind)`` runs
+# that fold, its joins and its end (``_ends``) on the keys alone, at about
+# half the cost.
 # ---------------------------------------------------------------------------
 
 # The prime of each type code, the next one handed out on first use; it outlives
@@ -270,7 +273,7 @@ def _decode_graph(types: int) -> DynkinGraph:
 # {type multiset: smallest (A, B)}; an elementary step's B is ()
 _Winners = dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
 # {open descriptors, or None once closed: {residual types: local (A, B)}}
-_Table = dict[Union[tuple, None], _Winners]
+_Table = dict[tuple | None, _Winners]
 
 
 def _lex_masks(n: int) -> list[int]:
@@ -570,11 +573,11 @@ def clear_transform_cache() -> None:
     _fuse.cache_clear()
 
 
-def _ends(folded: dict, kind: str, ade: bool) -> Iterator[tuple[int, dict | set]]:
+def _ends(folded: dict, kind: str) -> Iterator[tuple[int, dict | set]]:
     """(types added at the end, states) of each final group of a fold that is kept."""
     for descs, states in folded.items():  # an elementary fold ends in () and adds nothing
         extra = 1 if descs is None or kind == "elementary" else _fuse(descs)  # the new vertex
-        if extra is not None and not (ade and gcd(extra, _NOT_ADE) > 1):
+        if extra is not None:
             yield extra, states
 
 
@@ -590,7 +593,7 @@ def _winners(g: DynkinGraph, kind: str, ade: bool = False) -> _Winners:
         return results
     folded = _fold([(lo, core.table(kind, ade)) for lo, core in _core(g)])
     results = {}
-    for extra, states in _ends(folded, kind, ade):
+    for extra, states in _ends(folded, kind):
         for types, w in states.items():
             types *= extra
             old = results.get(types)
@@ -617,7 +620,7 @@ def _reach(g: DynkinGraph, kind: str) -> set[int]:
                         products = [join[0] * h * t for h in held_types for t in group]
                         nxt.setdefault(join[1], set()).update(products)
             states = nxt
-        reach = [t * x for x, ends in _ends(states, kind, True) for t in ends]
+        reach = [t * x for x, ends in _ends(states, kind) for t in ends]
     reach = _MEMO_REACH[key] = set(reach)
     return reach
 

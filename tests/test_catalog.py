@@ -424,6 +424,16 @@ class TestSerialization:
         assert witness is not None and witness[1].replay() == parse_name("A1")
         assert (tmp_path / "b" / "Q10-v1.json").is_file()
 
+    def test_unwritable_cache_dir_warns_and_serves(self, all_catalogs, tmp_path, fresh_memory_cache):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        with pytest.warns(RuntimeWarning, match="cannot write catalog cache") as record:
+            built = build_catalog("Q10", cache_dir=blocker / "sub")
+        assert len(record) == 1
+        assert catalog_to_json(built) == catalog_to_json(all_catalogs["Q10"])
+        assert blocker / "sub" / "Q10-v1.json" not in catalog_module._PUBLISHED_PATHS
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
+
     def test_memo_hit_writes_missing_cache_file(self, tmp_path, fresh_memory_cache):
         uncached = build_catalog("Q10", cache=False)
         build_catalog("Q10", cache=True, cache_dir=tmp_path)

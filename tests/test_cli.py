@@ -9,7 +9,12 @@ from pathlib import Path
 import pytest
 
 from dynkintrans import cli as cli_mod
-from dynkintrans.catalog import ENGINE_VERSION, catalog_from_json, clear_memory_cache
+from dynkintrans.catalog import (
+    CACHE_ENV_VAR,
+    ENGINE_VERSION,
+    catalog_from_json,
+    clear_memory_cache,
+)
 from dynkintrans.cli import main
 
 
@@ -62,6 +67,13 @@ class TestCatalogCommand:
         data = json.loads(target.read_text(encoding="utf-8"))
         assert data["class"] == "Z13"
 
+    def test_unwritable_out_file_is_an_error(self, cli, all_catalogs, tmp_path):
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = cli("catalog", "Q10", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
     def test_cached_equals_uncached(self, cli, all_catalogs, fresh_memory_cache):
         code, cold, _ = cli("catalog", "Q11", "--json", "--no-cache", cache=False)
         assert code == 0
@@ -97,6 +109,17 @@ class TestCheckCommand:
         code, _, err = cli("check", "Z13", "D3")
         assert code == 2
         assert "D3" in err
+
+    def test_unwritable_cache_dir_still_answers(self, cli, all_catalogs, fresh_memory_cache, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        expected = cli("check", "Q10", "A1")
+        clear_memory_cache()
+        with pytest.warns(RuntimeWarning, match="cannot write catalog cache") as record:
+            answer = cli("check", "Q10", "A1", "--cache-dir", str(blocker / "sub"), cache=False)
+        assert len(record) == 1
+        assert answer == expected and answer[0] == 0
+        assert list(tmp_path.iterdir()) == [blocker]
 
     def test_empty_graph_as_printed(self, cli, all_catalogs):
         code, out, _ = cli("check", "Q10", "(empty)")
@@ -155,6 +178,10 @@ class TestMain:
         main(["transform", "A2", "--op", "tie"])
         assert len(built) == 1
 
+    def test_cache_dir_help_names_the_environment_variable(self, capsys):
+        assert main(["check", "--help"]) == 0
+        assert f"${CACHE_ENV_VAR}," in capsys.readouterr().out
+
     def test_default_cache_dir_is_read_per_call(self, monkeypatch, tmp_path, fresh_memory_cache):
         for name in ("first", "second"):
             cache_dir = tmp_path / name
@@ -202,6 +229,13 @@ class TestTransformCommand:
             )
             assert apply(g, choice).name == entry["name"]
 
+    def test_unwritable_out_file_is_an_error(self, cli, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code, out, err = cli("transform", "A3", "--op", "tie", "--out", str(blocker / "x"))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {blocker / 'x'}: Not a directory\n"
+
     def test_parse_error(self, cli):
         code, _, err = cli("transform", "E9", "--op", "tie")
         assert code == 2
@@ -246,19 +280,42 @@ class TestVerifyCommand:
         assert "verify-crashed" not in out
 
 
-def test_warm_check_loads_no_openssl(all_catalogs, catalog_cache_dir):
-    """The cache digest uses the builtin BLAKE2b: hashlib would load OpenSSL."""
+def _modules_loaded(modules, argv):
+    """The last line printed by a fresh ``python -S`` that imports the CLI and
+    runs ``main(argv)``: its exit code, then which of ``modules`` were loaded
+    after the import and after the command."""
     import dynkintrans
 
     src = str(Path(dynkintrans.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     script = (
         "import sys, dynkintrans.cli\n"
-        "code = dynkintrans.cli.main(['check', 'Z13', 'A7+A4', '--cache-dir', sys.argv[1]])\n"
-        "print(code, sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+        f"modules = {list(modules)!r}\n"
+        "imported = [m for m in modules if m in sys.modules]\n"
+        "code = dynkintrans.cli.main(sys.argv[1:])\n"
+        "print(code, imported, [m for m in modules if m in sys.modules])\n"
     )
     run = subprocess.run(
-        [sys.executable, "-c", script, str(catalog_cache_dir)],
+        [sys.executable, "-S", "-c", script, *argv],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert run.stdout.splitlines()[-1] == "0 []"
+    return run.stdout.splitlines()[-1]
+
+
+def test_warm_check_loads_no_openssl(all_catalogs, catalog_cache_dir):
+    """The cache digest uses the builtin BLAKE2b: hashlib would load OpenSSL."""
+    argv = ["check", "Z13", "A7+A4", "--cache-dir", str(catalog_cache_dir)]
+    assert _modules_loaded(["hashlib", "_hashlib"], argv) == "0 [] []"
+
+
+def test_transform_loads_only_graphs_and_transforms():
+    """``transform`` needs neither the catalog layer nor the lattice, json,
+    pathlib or tempfile; the one-graph-per-process use pays for none."""
+    unused = ["dynkintrans.catalog", "dynkintrans.lattice", "json", "pathlib", "tempfile"]
+    assert _modules_loaded(unused, ["transform", "D6", "--op", "tie"]) == "0 [] []"
+
+
+def test_warm_check_loads_no_lattice_and_no_tempfile(all_catalogs, catalog_cache_dir):
+    unused = ["dynkintrans.lattice", "tempfile"]
+    argv = ["check", "Z13", "A7+A4", "--cache-dir", str(catalog_cache_dir)]
+    assert _modules_loaded(unused, argv) == "0 [] []"
