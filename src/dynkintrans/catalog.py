@@ -321,10 +321,10 @@ def catalog_from_dict(data: dict) -> Catalog:
         for entry in data["members"]:
             name = entry["name"]
             d1, _ = entry["witness"]
-            if type(name) is not str or (last is not None and name <= last) or d1["input"] != basic:
-                raise ValueError(f"malformed or unsorted catalog entry {name!r}")
+            graph = parse_name(name)  # a name must be canonical, as Catalog.get looks it up
+            if graph.name != name or (last is not None and name <= last) or d1["input"] != basic:
+                raise ValueError(f"malformed, unsorted or non-canonical catalog entry {name!r}")
             last = name
-            graph = parse_name(name)
             members.append(CatalogMember(graph, _entry_witness(cls, entry, graph, mids)))
     except (AttributeError, IndexError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed catalog: {exc!r}") from exc

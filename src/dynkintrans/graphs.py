@@ -18,9 +18,10 @@ norm 1 never occurs here.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 NORM_LONG = Fraction(2)
 NORM_HALF = Fraction(1, 2)
@@ -32,6 +33,9 @@ ORDINARY_EDGE = Fraction(-1)
 # which is the natural order of the type codes.
 _FAMILY_RANK = {"E": 0, "D": 1, "A": 2, "G": 3, "BC": 4}
 _SUB_LIMIT = 1 << 20  # subscripts stay below it, so codes stay below 2**30 (small ints)
+# The subscripts of each family, as ComponentType accepts them.
+_SUBSCRIPTS = {"A": range(1, _SUB_LIMIT), "D": range(4, _SUB_LIMIT),
+               "E": (6, 7, 8), "G": (1, 2), "BC": (1,)}
 
 
 def _code(rank: int, subscript: int) -> int:
@@ -46,32 +50,57 @@ class NotADynkinGraph(ValueError):
     """A labeled graph is not a disjoint union of the eight allowed shapes."""
 
 
-@dataclass(frozen=True)
-class ComponentType:
+_set = object.__setattr__  # how an ``__init__`` sets the fields of a frozen value
+
+
+class _Value:
+    """Base of the value classes, which behave as frozen dataclasses: equality
+    (same class only), hashing, ``repr`` and pickling go by ``_key``, the tuple
+    of the ``__slots__`` fields not named with a leading underscore."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        names = [n for n in cls.__slots__ if n[0] != "_"]
+        get = attrgetter(*names)
+        cls._key = property(get if len(names) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class ComponentType(_Value):
     """One connected component type, e.g. A(7), D(4), E(8), G2, G1, BC1."""
 
-    family: str
-    subscript: int
+    __slots__ = ("family", "subscript")
 
-    def __post_init__(self) -> None:
-        fam, sub = self.family, self.subscript
-        ok = (
-            (fam == "A" and sub >= 1)
-            or (fam == "D" and sub >= 4)
-            or (fam == "E" and sub in (6, 7, 8))
-            or (fam == "G" and sub in (1, 2))
-            or (fam == "BC" and sub == 1)
-        )
-        if not ok:
-            raise ValueError(f"no Dynkin component of type {fam}{sub}")
+    def __init__(self, family: str, subscript: int) -> None:
+        if subscript not in _SUBSCRIPTS.get(family, ()):
+            raise ValueError(f"no Dynkin component of type {family}{subscript}")
+        _set(self, "family", family)
+        _set(self, "subscript", subscript)
+
+    def __hash__(self):  # written out: every engine memo lookup hashes a type
+        return hash((self.family, self.subscript))
 
     @property
     def vertex_count(self) -> int:
-        if self.family in ("A", "D", "E"):
-            return self.subscript
-        if self.family == "G" and self.subscript == 2:
-            return 2
-        return 1  # G1 and BC1
+        return self.subscript  # G2 has two vertices, G1 and BC1 one
 
     @property
     def name(self) -> str:
@@ -102,8 +131,7 @@ G1 = ComponentType("G", 1)
 BC1 = ComponentType("BC", 1)
 
 
-@dataclass(frozen=True, slots=True)
-class DynkinGraph:
+class DynkinGraph(_Value):
     """A finite multiset of components; order never matters.
 
     Components are kept sorted E > D > A > G2 > G1 > BC1, so the graph is
@@ -112,12 +140,11 @@ class DynkinGraph:
     instance; equality, hashing and ``repr`` see only the components.
     """
 
-    components: tuple[ComponentType, ...] = ()
-    _name: str | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("components", "_name")
 
-    def __post_init__(self) -> None:
-        comps = tuple(sorted(self.components, key=lambda c: c.sort_key))
-        object.__setattr__(self, "components", comps)
+    def __init__(self, components: Iterable[ComponentType] = ()) -> None:
+        _set(self, "components", tuple(sorted(components, key=lambda c: c.sort_key)))
+        _set(self, "_name", None)
 
     @property
     def total_vertices(self) -> int:
@@ -133,7 +160,7 @@ class DynkinGraph:
         name = self._name
         if name is None:
             name = "+".join(c.name for c in self.components)
-            object.__setattr__(self, "_name", name)
+            _set(self, "_name", name)
         return name
 
     def __str__(self) -> str:
@@ -179,16 +206,17 @@ def canonical_name(g: DynkinGraph) -> str:
     return g.name
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(_Value):
     """A vertex with an opaque id and an exact norm (2, 1/2 or 2/3)."""
 
-    id: str
-    norm: Fraction
+    __slots__ = ("id", "norm")
+
+    def __init__(self, id: str, norm: Fraction) -> None:
+        _set(self, "id", id)
+        _set(self, "norm", norm)
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(_Value):
     """Vertices with norms plus edges labeled by nonzero inner products.
 
     Edges are stored as ``(i, j, value)`` with ``i < j``; an absent pair
@@ -196,14 +224,12 @@ class LabeledGraph:
     off-diagonal = edge labels) is symmetric by construction.
     """
 
-    vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[int, int, Fraction], ...]
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self) -> None:
-        n = len(self.vertices)
-        seen = set()
-        norm: list[tuple[int, int, Fraction]] = []
-        for i, j, val in self.edges:
+    def __init__(self, vertices: tuple[Vertex, ...], edges: Iterable[tuple]) -> None:
+        n = len(vertices)
+        labels: dict[tuple[int, int], Fraction] = {}
+        for i, j, val in edges:
             if i == j:
                 raise ValueError(f"self-edge at vertex {i}")
             if not (0 <= i < n and 0 <= j < n):
@@ -212,11 +238,11 @@ class LabeledGraph:
                 raise ValueError(f"zero inner product stored for edge ({i},{j})")
             if i > j:
                 i, j = j, i
-            if (i, j) in seen:
+            if (i, j) in labels:
                 raise ValueError(f"duplicate edge ({i},{j})")
-            seen.add((i, j))
-            norm.append((i, j, Fraction(val)))
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+            labels[i, j] = Fraction(val)
+        _set(self, "vertices", vertices)
+        _set(self, "edges", tuple((i, j, val) for (i, j), val in sorted(labels.items())))
 
     @property
     def n(self) -> int:
@@ -238,8 +264,7 @@ class LabeledGraph:
         return LabeledGraph(verts, edges)
 
 
-@dataclass(frozen=True)
-class ExtendedGraph:
+class ExtendedGraph(_Value):
     """A labeled graph with one added vertex per component and root coefficients.
 
     ``coefficients[i]`` is the coefficient of vertex ``i`` in the maximal
@@ -250,25 +275,20 @@ class ExtendedGraph:
     index of each is its added vertex.
     """
 
-    base: LabeledGraph
-    coefficients: tuple[int, ...]
-    components: tuple[tuple[int, ...], ...]
+    __slots__ = ("base", "coefficients", "components")
+
+    def __init__(self, base: LabeledGraph, coefficients: tuple, components: tuple) -> None:
+        _set(self, "base", base)
+        _set(self, "coefficients", coefficients)
+        _set(self, "components", components)
 
     @property
     def n(self) -> int:
         return self.base.n
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """Per-type recipe: base vertices/edges plus the extension data."""
-
-    norms: tuple[Fraction, ...]
-    edges: tuple[tuple[int, int, Fraction], ...]
-    roles: tuple[str, ...]
-    coeffs: tuple[int, ...]
-    added_norm: Fraction
-    added_edges: tuple[tuple[int, Fraction], ...]
+# The recipe of one component type: base vertices and edges, then the extension data.
+_Layout = namedtuple("_Layout", "norms edges roles coeffs added_norm added_edges")
 
 
 # Maximal-root coefficient tables, validated against the -eta Gram identity
@@ -333,23 +353,16 @@ def _layout(ct: ComponentType) -> _Layout:
     return _Layout((NORM_HALF,), (), ("v",), (2,), NORM_LONG, ((0, m1),))
 
 
-def _occurrence_labels(g: DynkinGraph) -> list[str]:
-    counts: dict[str, int] = {}
-    labels = []
-    for ct in g.components:
-        counts[ct.name] = counts.get(ct.name, 0) + 1
-        labels.append(f"{ct.name}[{counts[ct.name]}]")
-    return labels
-
-
 def _named_layouts(g: DynkinGraph) -> Iterator[tuple[ComponentType, _Layout, list[str]]]:
     """Type, layout and extended vertex ids of each component, in order.
 
     The ids are ``<type>[<occurrence>].<role>`` for the base vertices in
     layout order, then ``.x`` for the added vertex.
     """
-    for ct, prefix in zip(g.components, _occurrence_labels(g)):
-        lay = _layout(ct)
+    counts: dict[ComponentType, int] = {}
+    for ct in g.components:
+        counts[ct] = k = counts.get(ct, 0) + 1
+        lay, prefix = _layout(ct), f"{ct.name}[{k}]"
         yield ct, lay, [f"{prefix}.{role}" for role in lay.roles] + [f"{prefix}.x"]
 
 

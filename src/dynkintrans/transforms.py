@@ -25,7 +25,6 @@ Choice indices always refer to the documented vertex ordering of
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import cache
 from math import gcd, prod
 
@@ -50,6 +49,8 @@ from .graphs import (
     _legs_code,
     _mask_view,
     _recognize,
+    _set,
+    _Value,
     classify,
     extend,
 )
@@ -59,26 +60,23 @@ class InvalidChoice(ValueError):
     """A transformation choice violates one of its defining conditions."""
 
 
-@dataclass(frozen=True, slots=True)
-class ElementaryChoice:
+class ElementaryChoice(_Value):
     """Vertex indices of the extended graph removed by an elementary step."""
 
-    removed: tuple[int, ...]
+    __slots__ = ("removed",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "removed", tuple(sorted(self.removed)))
+    def __init__(self, removed: Iterable[int]) -> None:
+        _set(self, "removed", tuple(sorted(removed)))
 
 
-@dataclass(frozen=True, slots=True)
-class TieChoice:
+class TieChoice(_Value):
     """The sets A (removed) and B (joined to the new vertex) of a tie step."""
 
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(sorted(self.a)))
-        object.__setattr__(self, "b", tuple(sorted(self.b)))
+    def __init__(self, a: Iterable[int], b: Iterable[int]) -> None:
+        _set(self, "a", tuple(sorted(a)))
+        _set(self, "b", tuple(sorted(b)))
 
 
 Choice = ElementaryChoice | TieChoice
@@ -88,17 +86,19 @@ def _choice(cls: type, *parts: tuple[int, ...]) -> Choice:
     """A choice from index tuples the fold yields sorted, not sorted again."""
     choice = object.__new__(cls)
     for name, part in zip(cls.__slots__, parts):
-        object.__setattr__(choice, name, part)
+        _set(choice, name, part)
     return choice
 
 
-@dataclass(frozen=True)
-class TransformStep:
+class TransformStep(_Value):
     """One recorded transformation: replaying ``choice`` on ``input`` gives ``output``."""
 
-    choice: Choice
-    input: DynkinGraph
-    output: DynkinGraph
+    __slots__ = ("choice", "input", "output")
+
+    def __init__(self, choice: Choice, input: DynkinGraph, output: DynkinGraph) -> None:
+        _set(self, "choice", choice)
+        _set(self, "input", input)
+        _set(self, "output", output)
 
     @property
     def kind(self) -> str:
@@ -161,13 +161,10 @@ def apply_labeled(g: DynkinGraph, choice: Choice) -> LabeledGraph:
         removed = set(choice.removed)
         return ext.base.induced(i for i in range(ext.n) if i not in removed)
     _check_tie(ext, choice)
-    aset = set(choice.a)
-    keep = [i for i in range(ext.n) if i not in aset]
-    pos = {v: k for k, v in enumerate(keep)}
-    verts = tuple(ext.base.vertices[v] for v in keep) + (Vertex("new", NORM_LONG),)
-    edges = [(pos[i], pos[j], val) for i, j, val in ext.base.edges if i in pos and j in pos]
-    edges.extend((pos[b], len(keep), ORDINARY_EDGE) for b in choice.b)  # to the new vertex
-    return LabeledGraph(verts, tuple(edges))
+    kept = ext.base.induced(i for i in range(ext.n) if i not in choice.a)
+    # the new vertex, joined to each B-vertex at its index among the kept ones
+    joins = tuple((b - sum(a < b for a in choice.a), kept.n, ORDINARY_EDGE) for b in choice.b)
+    return LabeledGraph(kept.vertices + (Vertex("new", NORM_LONG),), kept.edges + joins)
 
 
 def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:

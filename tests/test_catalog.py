@@ -511,7 +511,7 @@ class TestSerialization:
         [
             "engine version", "unsorted", "first step from A1", "unknown step kind",
             "not an object", "no milnor", "member without witness", "step input not a name",
-            'index "x"', "index 1.5", "index true",
+            'index "x"', "index 1.5", "index true", "non-canonical name", "alias of a member",
         ],
     )
     def test_parser_rejects_a_malformed_catalog(self, all_catalogs, damage):
@@ -534,6 +534,15 @@ class TestSerialization:
             del data["milnor"]
         elif damage == "member without witness":
             del data["members"][0]["witness"]
+        elif damage in ("non-canonical name", "alias of a member"):
+            # A2+A1 listed, still in name order, as A1+A2: Catalog.get("A2+A1")
+            # would miss it, and an added alias would list A2+A1 twice
+            entry = next(e for e in data["members"] if e["name"] == "A2+A1")
+            if damage == "alias of a member":
+                entry = dict(entry)
+                data["members"].append(entry)
+            entry["name"] = "A1+A2"
+            data["members"].sort(key=lambda e: e["name"])
         else:
             data["members"][0]["witness"][1]["input"] = 6
         with pytest.raises(ValueError):

@@ -241,6 +241,12 @@ class TestTransformCommand:
         assert code == 2
         assert "E9" in err
 
+    def test_subscript_beyond_the_type_codes_is_a_parse_error(self, cli):
+        # A1048586 = A(2**20 + 10) would take the type code of D10 and sort before D4
+        code, out, err = cli("transform", "D4+A1048586", "--op", "tie")
+        assert (code, out) == (2, "")
+        assert err == "error: out-of-range component token 'A1048586'\n"
+
 
 class TestVerifyCommand:
     def test_passes(self, cli, all_catalogs):
@@ -310,8 +316,12 @@ def test_warm_check_loads_no_openssl(all_catalogs, catalog_cache_dir):
 
 def test_transform_loads_only_graphs_and_transforms():
     """``transform`` needs neither the catalog layer nor the lattice, json,
-    pathlib or tempfile; the one-graph-per-process use pays for none."""
-    unused = ["dynkintrans.catalog", "dynkintrans.lattice", "json", "pathlib", "tempfile"]
+    pathlib or tempfile, and the value classes are no dataclasses, so neither
+    dataclasses nor inspect loads; the one-graph-per-process use pays for none."""
+    unused = [
+        "dynkintrans.catalog", "dynkintrans.lattice", "json", "pathlib", "tempfile",
+        "dataclasses", "inspect",
+    ]
     assert _modules_loaded(unused, ["transform", "D6", "--op", "tie"]) == "0 [] []"
 
 

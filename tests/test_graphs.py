@@ -11,10 +11,12 @@ import sympy
 from dynkintrans.graphs import (
     A,
     BC1,
+    ComponentType,
     D,
     DynkinGraph,
     E,
     EMPTY,
+    ExtendedGraph,
     G1,
     G2,
     LabeledGraph,
@@ -34,6 +36,7 @@ from dynkintrans.graphs import (
     realize,
 )
 from dynkintrans.lattice import determinant, leading_minors
+from dynkintrans.transforms import ElementaryChoice, TieChoice, TransformStep
 
 from oracles import highest_root_coefficients, oracle_classify
 
@@ -52,9 +55,72 @@ class TestComponentType:
     @pytest.mark.parametrize("family,sub", [("A", 0), ("D", 3), ("D", 2), ("E", 5), ("E", 9), ("G", 3), ("BC", 2), ("BC", 0)])
     def test_unrepresentable(self, family, sub):
         with pytest.raises(ValueError):
-            from dynkintrans.graphs import ComponentType
-
             ComponentType(family, sub)
+
+    def test_subscripts_stay_below_the_code_limit(self):
+        # type codes are rank * 2**20 + 2**20 - subscript, so a subscript of
+        # 2**20 + 4 would give A the code, and the sort position, of D4
+        top = A(2**20 - 1)
+        assert top.sort_key > D(4).sort_key and top.sort_key > D(2**20 - 1).sort_key
+        assert parse_name("D4+A1048575").name == "D4+A1048575"
+        for family in ("A", "D"):
+            with pytest.raises(ValueError):
+                ComponentType(family, 2**20)
+        with pytest.raises(ParseError, match="out-of-range component token 'A1048580'"):
+            parse_name("D4+A1048580")
+
+
+_V = Vertex("v", NORM_SHORT)
+_TIE = TieChoice((5, 2), (7,))
+# (instance, its fields by name in order, its repr): the repr of a frozen
+# dataclass, except for the two classes that write their own
+VALUES = [
+    (A(7), {"family": "A", "subscript": 7}, "ComponentType(A7)"),
+    (parse_name("A1+E7"), {"components": (E(7), A(1))}, "DynkinGraph('E7+A1')"),
+    (_V, {"id": "v", "norm": NORM_SHORT}, "Vertex(id='v', norm=Fraction(2, 3))"),
+    (
+        LabeledGraph((_V, _V), [(1, 0, -1)]),
+        {"vertices": (_V, _V), "edges": ((0, 1, Fraction(-1)),)},
+        "LabeledGraph(vertices=(Vertex(id='v', norm=Fraction(2, 3)), "
+        "Vertex(id='v', norm=Fraction(2, 3))), edges=((0, 1, Fraction(-1, 1)),))",
+    ),
+    (
+        ExtendedGraph(LabeledGraph((_V,), ()), (1,), ((0,),)),
+        {"base": LabeledGraph((_V,), ()), "coefficients": (1,), "components": ((0,),)},
+        "ExtendedGraph(base=LabeledGraph(vertices=(Vertex(id='v', norm=Fraction(2, 3)),), "
+        "edges=()), coefficients=(1,), components=((0,),))",
+    ),
+    (ElementaryChoice([3, 1]), {"removed": (1, 3)}, "ElementaryChoice(removed=(1, 3))"),
+    (_TIE, {"a": (2, 5), "b": (7,)}, "TieChoice(a=(2, 5), b=(7,))"),
+    (
+        TransformStep(_TIE, parse_name("E7+G2"), parse_name("E8+G2")),
+        {"choice": _TIE, "input": parse_name("E7+G2"), "output": parse_name("E8+G2")},
+        "TransformStep(choice=TieChoice(a=(2, 5), b=(7,)), "
+        "input=DynkinGraph('E7+G2'), output=DynkinGraph('E8+G2'))",
+    ),
+]
+
+
+@pytest.mark.parametrize("value,fields,text", VALUES, ids=[type(v[0]).__name__ for v in VALUES])
+def test_value_classes_behave_as_frozen_dataclasses(value, fields, text):
+    cls, values = type(value), tuple(fields.values())
+    assert value == cls(*values) == cls(**fields)
+    assert hash(value) == hash(values)
+    # equality holds only within one class: not with a subclass of equal
+    # fields, nor with the field tuple
+    other = type(cls.__name__, (cls,), {})(*values)
+    assert value != other and other != value and value != values
+    assert repr(value) == text
+    name = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(value, name, values[0])
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(copied) is cls and copied == value and hash(copied) == hash(value)
+        assert repr(copied) == text
 
 
 class TestNaming:
