@@ -19,10 +19,10 @@ _PUBLIC = {
     name: module
     for module, names in {
         "graphs": """A BC1 ComponentType D DynkinGraph E EMPTY ExtendedGraph G1 G2
-            LabeledGraph NotADynkinGraph ParseError Vertex canonical_name classify
-            extend gram parse_name realize""",
-        "transforms": """ElementaryChoice InvalidChoice TieChoice TransformStep apply
-            apply_labeled elementary_all tie_all""",
+            LabeledGraph NotADynkinGraph ParseError Vertex classify extend gram
+            parse_name realize""",
+        "transforms": """ElementaryChoice GraphTooLarge InvalidChoice TieChoice TransformStep
+            apply apply_labeled elementary_all tie_all""",
         "catalog": """Catalog CatalogMember ENGINE_VERSION QueryNotADE SINGULARITY_CLASSES
             SingularityClass build_catalog catalog_from_json catalog_to_json membership
             singularity_class""",

@@ -20,6 +20,7 @@ import json
 import os
 from _blake2 import blake2b  # builtin: hashlib would load OpenSSL for one digest
 from dataclasses import dataclass
+from functools import cache
 from operator import attrgetter
 from pathlib import Path
 
@@ -136,22 +137,21 @@ def _indices(choice: Choice) -> tuple[tuple[int, ...], ...]:  # (removed,) or (A
     return (choice.removed,) if isinstance(choice, ElementaryChoice) else (choice.a, choice.b)
 
 
-class _Lists(dict):
-    """The body of the JSON list of each index tuple, joined once."""
+@cache
+def _joined(indices: tuple[int, ...]) -> str:
+    """The body of the JSON list of one index tuple."""
+    return ",".join(map(str, indices))
 
-    def __missing__(self, indices: tuple[int, ...]) -> str:
-        return self.setdefault(indices, ",".join(map(str, indices)))
 
-
-def _encode_step(lists: _Lists, input_name: str, a: tuple, b: tuple | None = None) -> str:
+def _encode_step(input_name: str, a: tuple, b: tuple | None = None) -> str:
     """The compact JSON of the elementary step removing ``a`` from the graph
     named ``input_name``, or of its tie step (a, b) when ``b`` is given:
     ``json.dumps`` of its step object with ``sort_keys=True`` and
     ``separators=(",", ":")``, built directly.  Names use only [A-Z0-9+]
     and indices are ints, so nothing needs escaping."""
     if b is None:
-        return '{"input":"%s","kind":"elementary","removed":[%s]}' % (input_name, lists[a])
-    return '{"a":[%s],"b":[%s],"input":"%s","kind":"tie"}' % (lists[a], lists[b], input_name)
+        return '{"input":"%s","kind":"elementary","removed":[%s]}' % (input_name, _joined(a))
+    return '{"a":[%s],"b":[%s],"input":"%s","kind":"tie"}' % (_joined(a), _joined(b), input_name)
 
 
 def _compute_catalog(cls: SingularityClass) -> Catalog:
@@ -181,18 +181,17 @@ def _compute_catalog(cls: SingularityClass) -> Catalog:
     """
     basic = cls.basic
     basic_name = basic.name
-    lists = _Lists()
     # intermediate name -> (enc1, first step)
     firsts: dict[str, tuple[str, TransformStep]] = {}
     for kind_all in (elementary_all, tie_all):
         for mid, choice in kind_all(basic):
-            enc1 = _encode_step(lists, basic_name, *_indices(choice))
+            enc1 = _encode_step(basic_name, *_indices(choice))
             name = mid.name
             old = firsts.get(name)
             if old is None or (len(enc1), enc1) < (len(old[0]), old[0]):
                 firsts[name] = (enc1, TransformStep(choice, basic, mid))
     pairs = sorted(  # (bound, intermediate name, kind, n_ext + [tie])
-        (len(enc1) + len(_encode_step(lists, name, (), b)) + 2 * n - 1, name, kind, n)
+        (len(enc1) + len(_encode_step(name, (), b)) + 2 * n - 1, name, kind, n)
         for name, (enc1, s1) in firsts.items()
         for n_ext in [s1.output.total_vertices + len(s1.output.components)]
         for kind, b, n in (("elementary", None, n_ext), ("tie", (), n_ext + 1))
@@ -208,7 +207,7 @@ def _compute_catalog(cls: SingularityClass) -> Catalog:
         len1 = len(enc1)
         for types, (a, b) in _winners(s1.output, kind, True).items():
             b = b if kind == "tie" else None
-            enc2 = _encode_step(lists, mid_name, a, b)
+            enc2 = _encode_step(mid_name, a, b)
             length = len1 + len(enc2)
             old = best.get(types)
             if old is not None:
@@ -344,6 +343,7 @@ def default_cache_dir() -> Path:
     return base / "dynkintrans"
 
 
+# Not functools.cache: each is filled from two sources, a computed or a read catalog.
 _CATALOG_MEMO: dict[str, Catalog] = {}
 # cache files this process wrote or served, so published: each is hashed once
 _PUBLISHED_PATHS: set[Path] = set()
@@ -435,6 +435,7 @@ def clear_memory_cache() -> None:
     """Drop in-process catalog memoization (used by tests and --no-cache runs)."""
     _CATALOG_MEMO.clear()
     _PUBLISHED_PATHS.clear()
+    _joined.cache_clear()
 
 
 def membership(

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import __version__
 from .graphs import EMPTY, DynkinGraph, ParseError, extended_vertex_ids, parse_name
 from .transforms import (
     ElementaryChoice,
+    GraphTooLarge,
     TransformStep,
     elementary_all,
     tie_all,
@@ -116,25 +118,17 @@ def _cmd_check(args) -> int:
 
 def _cmd_transform(args) -> int:
     g = _parse_graph_arg(args.graph)
-    results = elementary_all(g) if args.op == "elementary" else tie_all(g)
+    try:
+        results = elementary_all(g) if args.op == "elementary" else tie_all(g)
+    except GraphTooLarge as exc:
+        return _usage_error(str(exc))
     if args.json:
         import json
 
-        payload = {
-            "input": g.name,
-            "op": args.op,
-            "results": [
-                {
-                    "name": out.name,
-                    "choice": (
-                        {"removed": list(choice.removed)}
-                        if isinstance(choice, ElementaryChoice)
-                        else {"a": list(choice.a), "b": list(choice.b)}
-                    ),
-                }
-                for out, choice in results
-            ],
-        }
+        rows = [{"name": out.name, "choice": {"removed": c.removed}
+                 if isinstance(c, ElementaryChoice) else {"a": c.a, "b": c.b}}
+                for out, c in results]  # index tuples dump as JSON lists
+        payload = {"input": g.name, "op": args.op, "results": rows}
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         text = "\n".join(str(out) for out, _ in results) + "\n"
@@ -182,6 +176,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@cache  # built by the first main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynkintrans",
@@ -195,14 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_cache_flags(p) -> None:
         p.add_argument("--no-cache", action="store_true", help="compute without the disk cache")
-        p.add_argument(
-            "--cache-dir",
-            default=None,
-            help=(
-                "cache directory (default: $DYNKINTRANS_CACHE_DIR, else"
-                " $XDG_CACHE_HOME/dynkintrans or ~/.cache/dynkintrans)"
-            ),
-        )
+        p.add_argument("--cache-dir", default=None, help=(
+            "cache directory (default: $DYNKINTRANS_CACHE_DIR, else"
+            " $XDG_CACHE_HOME/dynkintrans or ~/.cache/dynkintrans)"))
 
     p = sub.add_parser("catalog", help="write the full catalog of one class")
     p.add_argument("symbol", help="class symbol, e.g. Z13")
@@ -231,15 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER: argparse.ArgumentParser | None = None  # built by the first main() call
-
-
 def main(argv: list[str] | None = None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         code = exc.code

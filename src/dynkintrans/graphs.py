@@ -21,6 +21,7 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from functools import cache
 from operator import attrgetter
 
 NORM_LONG = Fraction(2)
@@ -190,20 +191,18 @@ def parse_name(text: str) -> DynkinGraph:
         m = _TOKEN.fullmatch(token)
         if m is None:
             raise ParseError(f"malformed component token {token!r} in {text!r}")
-        mult = int(m.group(1)) if m.group(1) else 1
-        if mult < 1:
+        digits = m.group(1) or "1"
+        if not digits.strip("0"):
             raise ParseError(f"zero multiplicity in token {token!r}")
         try:
             ct = ComponentType(m.group(2), int(m.group(3)))
+            mult = int(digits)
+            if mult >= _SUB_LIMIT:  # bounded like a subscript, before the list is built
+                raise ValueError(mult)
         except ValueError:
             raise ParseError(f"out-of-range component token {token!r}") from None
         comps.extend([ct] * mult)
     return DynkinGraph(tuple(comps))
-
-
-def canonical_name(g: DynkinGraph) -> str:
-    """Deterministic name: components sorted E>D>A>G2>G1>BC1, subscripts descending."""
-    return g.name
 
 
 class Vertex(_Value):
@@ -336,18 +335,10 @@ def _layout(ct: ComponentType) -> _Layout:
         return _Layout(norms, edges, roles, coeffs, NORM_LONG, ((at, m1),))
     if fam == "G" and sub == 2:
         # One long and one short root at 150 degrees: inner product -1.
-        return _Layout(
-            (NORM_LONG, NORM_SHORT),
-            ((0, 1, m1),),
-            ("long", "short"),
-            (2, 3),
-            NORM_LONG,
-            ((0, m1),),
-        )
+        return _Layout((NORM_LONG, NORM_SHORT), ((0, 1, m1),), ("long", "short"), (2, 3),
+                       NORM_LONG, ((0, m1),))
     if fam == "G" and sub == 1:
-        return _Layout(
-            (NORM_SHORT,), (), ("v",), (1,), NORM_SHORT, ((0, Fraction(-2, 3)),)
-        )
+        return _Layout((NORM_SHORT,), (), ("v",), (1,), NORM_SHORT, ((0, Fraction(-2, 3)),))
     # BC1: the maximal root is twice the basis root, so the added vertex is
     # an ordinary norm-2 circle and the basis root carries coefficient 2.
     return _Layout((NORM_HALF,), (), ("v",), (2,), NORM_LONG, ((0, m1),))
@@ -382,10 +373,6 @@ def realize(g: DynkinGraph) -> LabeledGraph:
     return ext.base.induced(v for comp in ext.components for v in comp[:-1])
 
 
-# (component type, coefficient table) pairs that passed the identity check.
-_VALIDATED: set[tuple[ComponentType, tuple[int, ...]]] = set()
-
-
 def extend(g: DynkinGraph) -> ExtendedGraph:
     """Replace each component by its extended graph and attach coefficients.
 
@@ -401,11 +388,10 @@ def extend(g: DynkinGraph) -> ExtendedGraph:
     return ext
 
 
+@cache  # a pair that fails raises, so only pairs that passed are kept
 def _check_once(ct: ComponentType, coeffs: tuple[int, ...]) -> None:
     """check_extension_identity(ct), once per (type, coefficient table) pair."""
-    if (ct, coeffs) not in _VALIDATED:
-        check_extension_identity(ct)
-        _VALIDATED.add((ct, coeffs))
+    check_extension_identity(ct)
 
 
 def _extend(g: DynkinGraph) -> ExtendedGraph:
@@ -477,15 +463,11 @@ _CODE_BC1 = _code(_FAMILY_RANK["BC"], 1)
 _SINGLE_CODES = (_CODE_A1, _CODE_BC1, _CODE_G1)  # one vertex, by norm code
 _E_CODES = {(1, 2, n - 4): _code(_FAMILY_RANK["E"], n) for n in (6, 7, 8)}
 
-_DECODE_MEMO: dict[int, ComponentType] = {}
 
-
+@cache
 def _decode(code: int) -> ComponentType:
-    ct = _DECODE_MEMO.get(code)
-    if ct is None:
-        rank, low = divmod(code, _SUB_LIMIT)
-        ct = _DECODE_MEMO[code] = ComponentType(_FAMILY_BY_RANK[rank], _SUB_LIMIT - low)
-    return ct
+    rank, low = divmod(code, _SUB_LIMIT)
+    return ComponentType(_FAMILY_BY_RANK[rank], _SUB_LIMIT - low)
 
 
 def _legs_code(l1: int, l2: int, l3: int) -> int | None:

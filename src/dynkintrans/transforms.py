@@ -15,6 +15,7 @@ extended graph carrying maximal-root coefficients (``graphs.extend``).
 ``elementary_all`` and ``tie_all`` find the outcome of every admissible
 choice, deduplicate outcomes by canonical name and keep one replayable
 witness per distinct outcome, the smallest choice that gives it.
+Both refuse a graph over the engine's size budget with GraphTooLarge.
 ``apply`` replays a single recorded choice through the generic
 labeled-graph path, independently of the enumeration engine.
 
@@ -24,6 +25,7 @@ Choice indices always refer to the documented vertex ordering of
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import cache
 from math import gcd, prod
@@ -58,6 +60,10 @@ from .graphs import (
 
 class InvalidChoice(ValueError):
     """A transformation choice violates one of its defining conditions."""
+
+
+class GraphTooLarge(ValueError):
+    """A graph is over the size budget of the enumeration engine."""
 
 
 class ElementaryChoice(_Value):
@@ -232,8 +238,9 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # half the cost.
 # ---------------------------------------------------------------------------
 
-# The prime of each type code, the next one handed out on first use; it outlives
-# clear_transform_cache, so a product keeps its meaning for the whole process.
+# The prime of each type code, the next one handed out on first use, so it is an
+# allocation, not a memo; it outlives clear_transform_cache, so a product keeps its
+# meaning for the whole process.
 _PRIME: dict[int, int] = {_CODE_G2: 2, _CODE_G1: 3, _CODE_BC1: 5}
 _NOT_ADE = 2 * 3 * 5
 
@@ -249,22 +256,17 @@ def _prime(code: int | None) -> int | None:
 
 
 # Outcome graphs are interned: each distinct graph is one shared immutable
-# instance, however many results hold it.  Like the primes it outlives
+# instance, however many results hold it.  Like the primes this cache outlives
 # clear_transform_cache, which drops enumeration results only.
-_GRAPH_MEMO: dict[int, DynkinGraph] = {}
-
-
+@cache
 def _decode_graph(types: int) -> DynkinGraph:
     """The graph of a type multiset; one shared instance per graph."""
-    g = _GRAPH_MEMO.get(types)
-    if g is None:
-        comps, rest = [], types
-        for code, p in _PRIME.items():
-            while rest % p == 0:
-                rest //= p
-                comps.append(_decode(code))
-        g = _GRAPH_MEMO[types] = DynkinGraph(tuple(comps))
-    return g
+    comps, rest = [], types
+    for code, p in _PRIME.items():
+        while rest % p == 0:
+            rest //= p
+            comps.append(_decode(code))
+    return DynkinGraph(tuple(comps))
 
 
 # {type multiset: smallest (A, B)}; an elementary step's B is ()
@@ -306,6 +308,7 @@ class _CompCore:
             table += [gcd(c, t) for t in table]
         self.gcd_table = table
         self.order = _lex_masks(self.size)
+        # memos of this core, dropped with it: a cached method would keep every core alive
         self._piece_memo: dict[int, tuple[int, tuple]] = {}
         self._tables: dict[tuple[str, bool], _Table] = {}  # by (kind, A/D/E only)
 
@@ -536,6 +539,14 @@ def _fold(parts: list[tuple[int, _Table]]) -> _Table:
     return states
 
 
+# Size budgets, checked before any core is built: a core lists the 2**k - 1 nonempty
+# masks of a component of k extended vertices, and the multisets of masks, one per
+# component with equal components unordered, bound the type multisets of an
+# elementary fold (and measure a tie fold).
+_COMPONENT_BUDGET = 20  # extended vertices of one component
+_FOLD_BUDGET = 2**28  # multisets of masks over the whole graph
+
+# A dict, not functools.cache: tests read its cores and build them through _CompCore.
 _CORE_MEMO: dict[ComponentType, _CompCore] = {}
 
 
@@ -544,30 +555,37 @@ def _core(g: DynkinGraph) -> list[tuple[int, _CompCore]]:
 
     ``extend`` lays the components out one after the other, each in the
     vertex order of its own extended graph, so one core per component type
-    serves every graph that contains it.
+    serves every graph that contains it.  Raises GraphTooLarge, building no
+    core, when ``g`` is over a size budget.
     """
+    sizes = [ct.vertex_count + 1 for ct in g.components]
+    if sum(sizes) > _COMPONENT_BUDGET:  # else under 2**20 multisets of masks: both budgets hold
+        count = 1
+        for ct, copies in Counter(g.components).items():
+            k = ct.vertex_count + 1
+            for j in range(1, copies + 1):  # count *= comb(2**k - 2 + copies, copies)
+                count = count * (2**k - 2 + j) // j
+                if k > _COMPONENT_BUDGET or count > _FOLD_BUDGET:
+                    raise GraphTooLarge(
+                        f"graph too large to enumerate: the limits are {_COMPONENT_BUDGET}"
+                        f" extended vertices per component and {_FOLD_BUDGET} multisets"
+                        " of vertex masks")
     out = []
     lo = 0
-    for ct in g.components:
+    for ct, k in zip(g.components, sizes):
         core = _CORE_MEMO.get(ct)
         if core is None:
             core = _CORE_MEMO[ct] = _CompCore(ct)
         out.append((lo, core))
-        lo += core.size
+        lo += k
     return out
-
-
-_MEMO_WINNERS: dict[tuple[str, str, bool], _Winners] = {}  # by (name, kind, ade)
-_MEMO_REACH: dict[tuple[str, str], set[int]] = {}  # by (name, kind)
 
 
 def clear_transform_cache() -> None:
     """Drop the in-process enumeration memos (mostly for benchmarks/tests)."""
     _CORE_MEMO.clear()
-    _MEMO_WINNERS.clear()
-    _MEMO_REACH.clear()
-    _settle.cache_clear()
-    _fuse.cache_clear()
+    for memo in (_winners, _reach, _settle, _fuse):
+        memo.cache_clear()
 
 
 def _ends(folded: dict, kind: str) -> Iterator[tuple[int, dict | set]]:
@@ -578,16 +596,13 @@ def _ends(folded: dict, kind: str) -> Iterator[tuple[int, dict | set]]:
             yield extra, states
 
 
-def _winners(g: DynkinGraph, kind: str, ade: bool = False) -> _Winners:
+@cache  # ade has no default: f(g, k) and f(g, k, False) would be two entries
+def _winners(g: DynkinGraph, kind: str, ade: bool) -> _Winners:
     """{type multiset: smallest (A, B)} over the outcomes of ``kind`` on
-    ``g``, only the A/D/E ones when ``ade``, built once per graph.  The fold
-    keeps the smallest (A, B) per state, which stays the smallest after any
-    later component (see the enumeration notes); each open tie state then
-    fuses the new vertex with its descriptors, or adds it alone as A1."""
-    key = (g.name, kind, ade)
-    results = _MEMO_WINNERS.get(key)
-    if results is not None:
-        return results
+    ``g``, only the A/D/E ones when ``ade``.  The fold keeps the smallest
+    (A, B) per state, which stays the smallest after any later component
+    (see the enumeration notes); each open tie state then fuses the new
+    vertex with its descriptors, or adds it alone as A1."""
     folded = _fold([(lo, core.table(kind, ade)) for lo, core in _core(g)])
     results = {}
     for extra, states in _ends(folded, kind):
@@ -596,30 +611,22 @@ def _winners(g: DynkinGraph, kind: str, ade: bool = False) -> _Winners:
             old = results.get(types)
             if old is None or w < old:
                 results[types] = w
-    _MEMO_WINNERS[key] = results
     return results
 
 
+@cache
 def _reach(g: DynkinGraph, kind: str) -> set[int]:
-    """The keys of ``_winners(g, kind, True)``, read from it if built, else
-    from the same fold without witnesses; built once per graph."""
-    key = (g.name, kind)
-    if key in _MEMO_REACH:
-        return _MEMO_REACH[key]
-    reach = _MEMO_WINNERS.get((*key, True))
-    if reach is None:
-        states: dict = {(): {1}}
-        for _, core in _core(g):
-            nxt: dict = {}
-            for descs, group in core.table(kind, True).items():
-                for held, held_types in states.items():
-                    if join := _settle(held, descs):  # (types it adds, still open)
-                        products = [join[0] * h * t for h in held_types for t in group]
-                        nxt.setdefault(join[1], set()).update(products)
-            states = nxt
-        reach = [t * x for x, ends in _ends(states, kind) for t in ends]
-    reach = _MEMO_REACH[key] = set(reach)
-    return reach
+    """The keys of ``_winners(g, kind, True)``, from the same fold without witnesses."""
+    states: dict = {(): {1}}
+    for _, core in _core(g):
+        nxt: dict = {}
+        for descs, group in core.table(kind, True).items():
+            for held, held_types in states.items():
+                if join := _settle(held, descs):  # (types it adds, still open)
+                    products = [join[0] * h * t for h in held_types for t in group]
+                    nxt.setdefault(join[1], set()).update(products)
+        states = nxt
+    return {t * x for x, ends in _ends(states, kind) for t in ends}
 
 
 def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]:
@@ -631,7 +638,7 @@ def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]
     ``g``, and removing everything yields the empty graph.
     """
     out = [(_decode_graph(t), _choice(ElementaryChoice, a))
-           for t, (a, _) in _winners(g, "elementary").items()]
+           for t, (a, _) in _winners(g, "elementary", False).items()]
     out.sort(key=lambda pair: pair[0].name)
     return out
 
@@ -647,6 +654,6 @@ def tie_all(g: DynkinGraph) -> list[tuple[DynkinGraph, TieChoice]]:
     """
     seen: dict[tuple, tuple] = {}  # equal A-parts share one tuple, as the results keep them
     out = [(_decode_graph(t), _choice(TieChoice, seen.setdefault(a, a), b))
-           for t, (a, b) in _winners(g, "tie").items()]
+           for t, (a, b) in _winners(g, "tie", False).items()]
     out.sort(key=lambda pair: pair[0].name)
     return out

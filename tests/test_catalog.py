@@ -15,7 +15,6 @@ from dynkintrans.catalog import (
     QueryNotADE,
     SINGULARITY_CLASSES,
     SingularityClass,
-    _Lists,
     _encode_step,
     _indices,
     build_catalog,
@@ -169,9 +168,8 @@ class TestWitnessSelection:
         steps.append(TransformStep(tie, a1, apply(a1, tie)))
         for kind_all in (elementary_all, tie_all):  # the empty graph as input
             steps += [TransformStep(choice, EMPTY, out) for out, choice in kind_all(EMPTY)]
-        lists = _Lists()  # shared by every step, as in a catalog build
         for s in steps:
-            assert _encode_step(lists, s.input.name, *_indices(s.choice)) == _compact(_step_dict(s))
+            assert _encode_step(s.input.name, *_indices(s.choice)) == _compact(_step_dict(s))
 
     @pytest.mark.parametrize("symbol", list(SINGULARITY_CLASSES))
     def test_witnesses_are_json_minima(self, all_catalogs, symbol):
@@ -254,11 +252,14 @@ class TestWitnessSelection:
         monkeypatch.setattr(catalog_module, "elementary_all", fake_elementary)
         monkeypatch.setattr(catalog_module, "tie_all", fake_tie)
         monkeypatch.setattr(transforms, "_core", lambda graph: [(0, MadeUpCore(graph.name))])
-        monkeypatch.setattr(transforms, "_MEMO_WINNERS", {})
-        monkeypatch.setattr(transforms, "_MEMO_REACH", {})
-        assert transforms._winners(g("A2"), "elementary")[_types(g("G2"))] == ((1,), ())  # a row to drop
-        cls = SingularityClass("X7", 7, g("A3"))
-        catalog = catalog_module._compute_catalog(cls)
+        # the made-up tables meet no cached real result, and leave none behind
+        transforms.clear_transform_cache()
+        try:
+            assert transforms._winners(g("A2"), "elementary", False)[_types(g("G2"))] == ((1,), ())
+            cls = SingularityClass("X7", 7, g("A3"))
+            catalog = catalog_module._compute_catalog(cls)
+        finally:
+            transforms.clear_transform_cache()
         assert _witness_json(catalog) == _json_minima(cls.basic, fake_elementary, fake_tie)
         assert catalog.get("A1").witness[0].choice == ElementaryChoice((0,))
         assert catalog.get("A3").witness[0].output == g("A1+A1")

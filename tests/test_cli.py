@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from dynkintrans import cli as cli_mod
+from dynkintrans import transforms
 from dynkintrans.catalog import (
     CACHE_ENV_VAR,
     ENGINE_VERSION,
@@ -168,15 +169,12 @@ class TestMain:
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip() == "0.1.0"
 
-    def test_parser_is_built_once(self, monkeypatch):
-        built = []
-        real = cli_mod.build_parser
-        monkeypatch.setattr(cli_mod, "_PARSER", None)
-        monkeypatch.setattr(cli_mod, "build_parser", lambda: built.append(1) or real())
+    def test_parser_is_built_once(self):
+        cli_mod.build_parser.cache_clear()
         main(["--version"])
         main(["check"])
         main(["transform", "A2", "--op", "tie"])
-        assert len(built) == 1
+        assert cli_mod.build_parser.cache_info().misses == 1
 
     def test_cache_dir_help_names_the_environment_variable(self, capsys):
         assert main(["check", "--help"]) == 0
@@ -246,6 +244,21 @@ class TestTransformCommand:
         code, out, err = cli("transform", "D4+A1048586", "--op", "tie")
         assert (code, out) == (2, "")
         assert err == "error: out-of-range component token 'A1048586'\n"
+
+    @pytest.mark.parametrize("graph,op", [("5E8", "tie"), ("A40", "elementary")])
+    def test_graph_over_the_size_budget_is_refused(self, cli, monkeypatch, graph, op):
+        # no core may be built: without the budget these would allocate gigabytes
+        monkeypatch.setattr(transforms, "_CORE_MEMO", {})
+        monkeypatch.setattr(transforms, "_CompCore", None)  # a core built is a TypeError
+        code, out, err = cli("transform", graph, "--op", op)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: graph too large to enumerate: ") and err.count("\n") == 1
+
+    def test_multiplicity_beyond_the_type_codes_is_a_parse_error(self, cli):
+        # the component list of 1048576A1 would be built before anything checked it
+        code, out, err = cli("check", "Q10", "1048576A1")
+        assert (code, out) == (2, "")
+        assert err == "error: out-of-range component token '1048576A1'\n"
 
 
 class TestVerifyCommand:

@@ -26,7 +26,6 @@ from dynkintrans.graphs import (
     NotADynkinGraph,
     ParseError,
     Vertex,
-    canonical_name,
     check_extension_identity,
     classify,
     extend,
@@ -146,13 +145,18 @@ class TestNaming:
             parse_name("BC2")
         with pytest.raises(ParseError):
             parse_name("0A3")
+        # a multiplicity is bounded like a subscript, before the component list is built
+        with pytest.raises(ParseError, match=f"out-of-range component token '{2**20}A1'"):
+            parse_name(f"{2**20}A1")
+        with pytest.raises(ParseError, match="out-of-range"):  # beyond int()'s digit limit
+            parse_name("9" * 5000 + "A1")
 
     def test_canonical_name_order(self):
-        assert canonical_name(DynkinGraph((A(4), A(7)))) == "A7+A4"
-        assert canonical_name(DynkinGraph((G2, E(8)))) == "E8+G2"
-        assert canonical_name(EMPTY) == ""
-        assert canonical_name(parse_name("BC1+G1+G2+A1+D4+E6")) == "E6+D4+A1+G2+G1+BC1"
-        assert canonical_name(parse_name("2A3")) == "A3+A3"
+        assert DynkinGraph((A(4), A(7))).name == "A7+A4"
+        assert DynkinGraph((G2, E(8))).name == "E8+G2"
+        assert EMPTY.name == ""
+        assert parse_name("BC1+G1+G2+A1+D4+E6").name == "E6+D4+A1+G2+G1+BC1"
+        assert parse_name("2A3").name == "A3+A3"
 
     def test_round_trip(self, family12):
         graphs = family12 + [
@@ -162,7 +166,7 @@ class TestNaming:
             EMPTY,
         ]
         for g in graphs:
-            assert parse_name(canonical_name(g)) == g
+            assert parse_name(g.name) == g
 
     def test_multiset_equality(self):
         assert DynkinGraph((A(1), A(2))) == DynkinGraph((A(2), A(1)))

@@ -24,6 +24,7 @@ from dynkintrans import transforms
 from dynkintrans.catalog import SINGULARITY_CLASSES
 from dynkintrans.transforms import (
     ElementaryChoice,
+    GraphTooLarge,
     InvalidChoice,
     TieChoice,
     _CompCore,
@@ -267,16 +268,15 @@ class TestInvariants:
         assert _reach(h, "tie") == set(winners)
         old = {ct: c._tables["tie", True] for ct, c in transforms._CORE_MEMO.items() if ct != D(10)}
         assert len(old) == 3
-        # one memo holds every winner table, keyed by graph, kind and A/D/E cut,
+        # one cache holds every winner table, keyed by graph, kind and A/D/E cut,
         # and another every key-only fold, keyed by graph and kind
-        assert set(transforms._MEMO_WINNERS) == {("D10", "tie", False), ("D4+A3+A1", "tie", True)}
-        assert set(transforms._MEMO_REACH) == {("D4+A3+A1", "tie")}
-        assert transforms._settle.cache_info().currsize and transforms._fuse.cache_info().currsize
+        memos = (transforms._winners, transforms._reach, transforms._settle, transforms._fuse)
+        assert [m.cache_info().currsize for m in memos[:2]] == [2, 1]
+        assert all(m.cache_info().currsize for m in memos)
         # a core reached only for its A/D/E cut keeps the cut alone
         assert all(("tie", False) not in transforms._CORE_MEMO[ct]._tables for ct in old)
         clear_transform_cache()
-        assert not transforms._CORE_MEMO and not transforms._MEMO_WINNERS and not transforms._MEMO_REACH
-        assert not transforms._settle.cache_info().currsize and not transforms._fuse.cache_info().currsize
+        assert not transforms._CORE_MEMO and not any(m.cache_info().currsize for m in memos)
         built = []
 
         class CountedCore(_CompCore):
@@ -287,8 +287,11 @@ class TestInvariants:
                 super().__init__(ct)
 
         monkeypatch.setattr(transforms, "_CompCore", CountedCore)
-        assert tie_all(g) == first
+        again = tie_all(g)
+        assert again == first
         assert built == [D(10)]
+        # outcome graphs stay interned: the clear drops results, not graphs
+        assert all(new is old for (new, _), (old, _) in zip(again, first))
         assert _winners(h, "tie", True) == winners
         assert built == [D(10), D(4), A(3), A(1)]
         for ct, table in old.items():
@@ -403,6 +406,40 @@ class TestInvariants:
             for _, choice in tie_all(g)[:5]:
                 labels = {val for _, _, val in apply_labeled(g, choice).edges}
                 assert labels <= allowed
+
+
+class TestSizeBudget:
+    # Each refused graph would allocate far more than a test should (5E8 took
+    # 86 s and 1.5 GB for tie_all), so cores cannot be built here: without
+    # the budget check the test fails at the first core instead.
+    @pytest.fixture()
+    def no_cores(self, monkeypatch):
+        def refuse(ct):
+            raise AssertionError(f"a core was built for {ct.name}")
+
+        monkeypatch.setattr(transforms, "_CORE_MEMO", {})
+        monkeypatch.setattr(transforms, "_CompCore", refuse)
+
+    @pytest.mark.parametrize("name", [
+        "A20", "D20+A1", "A40", "2A19", "D19+D11", "D19+D12", "22A1+D19", "3E8+A3", "5E8",
+        f"{2**20 - 1}A1",
+    ])
+    def test_over_budget_is_refused_before_any_core(self, name, no_cores):
+        g = parse_name(name)
+        for run in (tie_all, elementary_all, lambda g: _reach(g, "tie")):
+            with pytest.raises(GraphTooLarge, match="too large to enumerate"):
+                run(g)
+
+    @pytest.mark.parametrize("name", [
+        "A19", "D19+D7", "21A1+D19", "3E8+A2", "4E7", "E8+E8+D10", "E8+E7+A3", "E6+E6+E6",
+        "E8+D6+A2+A1", "260A1",
+    ])
+    def test_inputs_up_to_the_budget_are_accepted(self, name, monkeypatch):
+        # checked on stand-in cores: the largest of these take 4-14 s
+        monkeypatch.setattr(transforms, "_CORE_MEMO", {})
+        monkeypatch.setattr(transforms, "_CompCore", lambda ct: ct)
+        g = parse_name(name)
+        assert [core for _, core in transforms._core(g)] == list(g.components)
 
 
 # Component types for the witness-minimality property: A1-A6 and G1, plus
