@@ -133,10 +133,6 @@ class Catalog:
         return len(self.members)
 
 
-def _indices(choice: Choice) -> tuple[tuple[int, ...], ...]:  # (removed,) or (A, B)
-    return (choice.removed,) if isinstance(choice, ElementaryChoice) else (choice.a, choice.b)
-
-
 @cache
 def _joined(indices: tuple[int, ...]) -> str:
     """The body of the JSON list of one index tuple."""
@@ -185,7 +181,7 @@ def _compute_catalog(cls: SingularityClass) -> Catalog:
     firsts: dict[str, tuple[str, TransformStep]] = {}
     for kind_all in (elementary_all, tie_all):
         for mid, choice in kind_all(basic):
-            enc1 = _encode_step(basic_name, *_indices(choice))
+            enc1 = _encode_step(basic_name, *choice._key)  # (removed,) or (A, B)
             name = mid.name
             old = firsts.get(name)
             if old is None or (len(enc1), enc1) < (len(old[0]), old[0]):
@@ -259,6 +255,7 @@ _TIE_JSON = """        {
           "input": "%s",
           "kind": "tie"
         }"""
+_CHOICE_CLASSES = {c.kind: c for c in (ElementaryChoice, TieChoice)}  # by a step's "kind"
 
 
 def _index_list(indices: tuple[int, ...]) -> str:
@@ -284,14 +281,11 @@ def catalog_to_json(catalog: Catalog) -> str:
 
 
 def _choice_from_dict(d: dict) -> Choice:
-    kind = d["kind"]
-    if kind == "elementary":
-        choice = ElementaryChoice(tuple(d["removed"]))
-    elif kind == "tie":
-        choice = TieChoice(tuple(d["a"]), tuple(d["b"]))
-    else:
-        raise ValueError(f"unknown step kind {kind!r}")
-    if any(type(i) is not int for indices in _indices(choice) for i in indices):
+    cls = _CHOICE_CLASSES.get(d["kind"])
+    if cls is None:
+        raise ValueError(f"unknown step kind {d['kind']!r}")
+    choice = cls(*[tuple(d[name]) for name in cls.__slots__])  # the fields are the JSON keys
+    if any(type(i) is not int for indices in choice._key for i in indices):
         raise ValueError(f"witness indices of {d!r} are not all integers")
     return choice
 
@@ -345,8 +339,6 @@ def default_cache_dir() -> Path:
 
 # Not functools.cache: each is filled from two sources, a computed or a read catalog.
 _CATALOG_MEMO: dict[str, Catalog] = {}
-# cache files this process wrote or served, so published: each is hashed once
-_PUBLISHED_PATHS: set[Path] = set()
 
 
 def _class_and_path(cls, cache, cache_dir) -> tuple[SingularityClass, Path | None]:
@@ -390,28 +382,25 @@ def build_catalog(
     ``cache_dir`` (default: $DYNKINTRANS_CACHE_DIR, else the user cache
     directory).  Writes are atomic; two independent computations serialize
     to byte-identical JSON.  A cache file is served only when its bytes
-    are the published catalog (``GOLDEN_DIGESTS``); otherwise the catalog
-    is recomputed and the file rewritten.  A catalog served from the
-    in-process memo is also written to ``cache_dir`` when its file there
-    is not published.  A write that fails with OSError issues a
-    RuntimeWarning, and the catalog is returned all the same.
+    are the published catalog (``GOLDEN_DIGESTS``), which each call checks
+    anew, also after this process wrote the file; otherwise the file is
+    rewritten, from the in-process memo or a recomputed catalog.  A write
+    that fails with OSError issues a RuntimeWarning, and the catalog is
+    returned all the same.
     """
     cls, path = _class_and_path(cls, cache, cache_dir)
     catalog = _CATALOG_MEMO.get(cls.symbol)  # maybe uncached, or from another dir
-    data = None if path is None or path in _PUBLISHED_PATHS else _published(cls, path)
+    data = None if path is None else _published(cls, path)
     if catalog is None:
         catalog = _compute_catalog(cls) if data is None else catalog_from_json(data.decode())
         _CATALOG_MEMO[cls.symbol] = catalog
-    if path is not None and path not in _PUBLISHED_PATHS:
-        if data is None:
-            try:
-                _write_cache(path, catalog)
-            except OSError as exc:
-                import warnings
+    if path is not None and data is None:
+        try:
+            _write_cache(path, catalog)
+        except OSError as exc:
+            import warnings
 
-                warnings.warn(f"cannot write catalog cache {path}: {exc}", RuntimeWarning, stacklevel=2)
-                return catalog
-        _PUBLISHED_PATHS.add(path)
+            warnings.warn(f"cannot write catalog cache {path}: {exc}", RuntimeWarning, stacklevel=2)
     return catalog
 
 
@@ -434,7 +423,6 @@ def _write_cache(path: Path, catalog: Catalog) -> None:
 def clear_memory_cache() -> None:
     """Drop in-process catalog memoization (used by tests and --no-cache runs)."""
     _CATALOG_MEMO.clear()
-    _PUBLISHED_PATHS.clear()
     _joined.cache_clear()
 
 
@@ -450,11 +438,11 @@ def membership(
     Raises QueryNotADE when ``g`` contains a G2, G1 or BC1 component:
     membership is only defined for graphs with A/D/E components.
 
-    The answer comes from the in-process memo, else from the one entry for
-    ``g`` in a published cache file, else from build_catalog, which
-    recomputes the catalog and rewrites a file that is not published.
-    Each call re-reads the file; build_catalog keeps the catalog in memory
-    instead.
+    With the catalog in the in-process memo the answer comes from
+    build_catalog, which still checks the cache file's digest.  Otherwise
+    it comes from the one entry for ``g`` in a published cache file, else
+    from build_catalog, which recomputes the catalog and rewrites a file
+    that is not published.  Only build_catalog fills the memo.
     """
     if not g.is_ade:
         raise QueryNotADE(f"membership is undefined for non-ADE graph {g.name!r}")

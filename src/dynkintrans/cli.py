@@ -66,10 +66,7 @@ def _usage_error(message: str) -> int:
 
 
 def _cache_kwargs(args) -> dict:
-    kwargs = {"cache": not args.no_cache}
-    if args.cache_dir:
-        kwargs["cache_dir"] = args.cache_dir
-    return kwargs
+    return {"cache": not args.no_cache, "cache_dir": args.cache_dir}
 
 
 def _cmd_catalog(args) -> int:
@@ -125,8 +122,7 @@ def _cmd_transform(args) -> int:
     if args.json:
         import json
 
-        rows = [{"name": out.name, "choice": {"removed": c.removed}
-                 if isinstance(c, ElementaryChoice) else {"a": c.a, "b": c.b}}
+        rows = [{"name": out.name, "choice": dict(zip(c.__slots__, c._key))}
                 for out, c in results]  # index tuples dump as JSON lists
         payload = {"input": g.name, "op": args.op, "results": rows}
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -70,6 +70,7 @@ class ElementaryChoice(_Value):
     """Vertex indices of the extended graph removed by an elementary step."""
 
     __slots__ = ("removed",)
+    kind = "elementary"
 
     def __init__(self, removed: Iterable[int]) -> None:
         _set(self, "removed", tuple(sorted(removed)))
@@ -79,6 +80,7 @@ class TieChoice(_Value):
     """The sets A (removed) and B (joined to the new vertex) of a tie step."""
 
     __slots__ = ("a", "b")
+    kind = "tie"
 
     def __init__(self, a: Iterable[int], b: Iterable[int]) -> None:
         _set(self, "a", tuple(sorted(a)))
@@ -108,7 +110,7 @@ class TransformStep(_Value):
 
     @property
     def kind(self) -> str:
-        return "elementary" if isinstance(self.choice, ElementaryChoice) else "tie"
+        return self.choice.kind
 
     def replay(self) -> DynkinGraph:
         return apply(self.input, self.choice)

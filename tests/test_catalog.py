@@ -16,7 +16,6 @@ from dynkintrans.catalog import (
     SINGULARITY_CLASSES,
     SingularityClass,
     _encode_step,
-    _indices,
     build_catalog,
     catalog_from_json,
     catalog_to_json,
@@ -169,7 +168,7 @@ class TestWitnessSelection:
         for kind_all in (elementary_all, tie_all):  # the empty graph as input
             steps += [TransformStep(choice, EMPTY, out) for out, choice in kind_all(EMPTY)]
         for s in steps:
-            assert _encode_step(s.input.name, *_indices(s.choice)) == _compact(_step_dict(s))
+            assert _encode_step(s.input.name, *s.choice._key) == _compact(_step_dict(s))
 
     @pytest.mark.parametrize("symbol", list(SINGULARITY_CLASSES))
     def test_witnesses_are_json_minima(self, all_catalogs, symbol):
@@ -432,7 +431,6 @@ class TestSerialization:
             built = build_catalog("Q10", cache_dir=blocker / "sub")
         assert len(record) == 1
         assert catalog_to_json(built) == catalog_to_json(all_catalogs["Q10"])
-        assert blocker / "sub" / "Q10-v1.json" not in catalog_module._PUBLISHED_PATHS
         assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
 
     def test_memo_hit_writes_missing_cache_file(self, tmp_path, fresh_memory_cache):
@@ -442,9 +440,7 @@ class TestSerialization:
         assert path.is_file()
         assert path.read_text(encoding="utf-8") == catalog_to_json(uncached)
 
-    def test_memo_hit_rewrites_an_unpublished_cache_file(
-        self, tmp_path, fresh_memory_cache, monkeypatch
-    ):
+    def test_memo_hit_rewrites_an_unpublished_cache_file(self, tmp_path, fresh_memory_cache):
         good = catalog_to_json(build_catalog("Q10", cache=False))
         path = tmp_path / "Q10-v1.json"
         path.write_text("{}", encoding="utf-8")
@@ -455,13 +451,22 @@ class TestSerialization:
         build_catalog("Q10", cache=False)
         assert membership("Q10", parse_name("A1"), cache_dir=tmp_path) is not None
         assert path.read_text(encoding="utf-8") == good
-        # a warm memo reads and hashes each cache file once per process
-        reads = []
-        monkeypatch.setattr(catalog_module, "_published", lambda *args: reads.append(args))
-        for _ in range(5):
-            assert membership("Q10", parse_name("A1"), cache_dir=tmp_path) is not None
-            build_catalog("Q10", cache_dir=tmp_path)
-        assert reads == []
+
+    def test_digest_is_checked_after_this_process_wrote_the_file(
+        self, all_catalogs, tmp_path, fresh_memory_cache
+    ):
+        good = catalog_to_json(all_catalogs["Q10"])
+        path = tmp_path / "Q10-v1.json"
+        assert catalog_to_json(build_catalog("Q10", cache_dir=tmp_path)) == good
+        assert path.read_text(encoding="utf-8") == good
+        path.write_text("{}", encoding="utf-8")
+        assert catalog_to_json(build_catalog("Q10", cache_dir=tmp_path)) == good
+        assert path.read_text(encoding="utf-8") == good
+        path.unlink()
+        witness = membership("Q10", parse_name("A1"), cache_dir=tmp_path)
+        assert witness == all_catalogs["Q10"].get("A1").witness
+        assert witness[1].replay() == parse_name("A1")
+        assert path.read_text(encoding="utf-8") == good
 
     @pytest.mark.parametrize(
         "damage",

@@ -210,13 +210,18 @@ class TestTransformCommand:
         assert code == 0
         assert out.splitlines() == ["A1"]
 
-    def test_json_witnesses_replay(self, cli):
+    @pytest.mark.parametrize("op", ["elementary", "tie"])
+    def test_json_witnesses_replay(self, cli, op):
         from dynkintrans.graphs import parse_name
         from dynkintrans.transforms import ElementaryChoice, TieChoice, apply
 
-        code, out, _ = cli("transform", "E6+BC1", "--op", "tie", "--json")
+        code, out, _ = cli("transform", "E6+BC1", "--op", op, "--json")
         assert code == 0
         data = json.loads(out)
+        assert (data["input"], data["op"]) == ("E6+BC1", op)
+        assert {tuple(e["choice"]) for e in data["results"]} == {
+            ("removed",) if op == "elementary" else ("a", "b")
+        }
         g = parse_name(data["input"])
         for entry in data["results"]:
             c = entry["choice"]
