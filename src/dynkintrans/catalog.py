@@ -337,10 +337,6 @@ def default_cache_dir() -> Path:
     return base / "dynkintrans"
 
 
-# Not functools.cache: each is filled from two sources, a computed or a read catalog.
-_CATALOG_MEMO: dict[str, Catalog] = {}
-
-
 def _class_and_path(cls, cache, cache_dir) -> tuple[SingularityClass, Path | None]:
     """The class, and its cache file when ``cache`` is set."""
     if isinstance(cls, str):
@@ -383,18 +379,17 @@ def build_catalog(
     directory).  Writes are atomic; two independent computations serialize
     to byte-identical JSON.  A cache file is served only when its bytes
     are the published catalog (``GOLDEN_DIGESTS``), which each call checks
-    anew, also after this process wrote the file; otherwise the file is
-    rewritten, from the in-process memo or a recomputed catalog.  A write
-    that fails with OSError issues a RuntimeWarning, and the catalog is
-    returned all the same.
+    anew, also after this process wrote the file; otherwise the catalog is
+    recomputed and the file rewritten.  No catalog is kept in memory: each
+    call reads the file or computes.  A write that fails with OSError
+    issues a RuntimeWarning, and the catalog is returned all the same.
     """
     cls, path = _class_and_path(cls, cache, cache_dir)
-    catalog = _CATALOG_MEMO.get(cls.symbol)  # maybe uncached, or from another dir
     data = None if path is None else _published(cls, path)
-    if catalog is None:
-        catalog = _compute_catalog(cls) if data is None else catalog_from_json(data.decode())
-        _CATALOG_MEMO[cls.symbol] = catalog
-    if path is not None and data is None:
+    if data is not None:
+        return catalog_from_json(data.decode())
+    catalog = _compute_catalog(cls)
+    if path is not None:
         try:
             _write_cache(path, catalog)
         except OSError as exc:
@@ -421,8 +416,7 @@ def _write_cache(path: Path, catalog: Catalog) -> None:
 
 
 def clear_memory_cache() -> None:
-    """Drop in-process catalog memoization (used by tests and --no-cache runs)."""
-    _CATALOG_MEMO.clear()
+    """Drop the memo of the witness encoder; no catalog is kept in memory."""
     _joined.cache_clear()
 
 
@@ -438,16 +432,14 @@ def membership(
     Raises QueryNotADE when ``g`` contains a G2, G1 or BC1 component:
     membership is only defined for graphs with A/D/E components.
 
-    With the catalog in the in-process memo the answer comes from
-    build_catalog, which still checks the cache file's digest.  Otherwise
-    it comes from the one entry for ``g`` in a published cache file, else
-    from build_catalog, which recomputes the catalog and rewrites a file
-    that is not published.  Only build_catalog fills the memo.
+    The answer comes from the one entry for ``g`` in a published cache
+    file, else from build_catalog, which recomputes the catalog and
+    rewrites a file that is not published.
     """
     if not g.is_ade:
         raise QueryNotADE(f"membership is undefined for non-ADE graph {g.name!r}")
     cls, path = _class_and_path(cls, cache, cache_dir)
-    data = None if cls.symbol in _CATALOG_MEMO or path is None else _published(cls, path)
+    data = None if path is None else _published(cls, path)
     if data is None:
         member = build_catalog(cls, cache=cache, cache_dir=cache_dir).get(g.name)
         return None if member is None else member.witness

@@ -17,7 +17,7 @@ import sys
 from functools import cache
 
 from . import __version__
-from .graphs import EMPTY, DynkinGraph, ParseError, extended_vertex_ids, parse_name
+from .graphs import DynkinGraph, ParseError, extended_vertex_ids, parse_name
 from .transforms import (
     ElementaryChoice,
     GraphTooLarge,
@@ -43,8 +43,6 @@ def _emit(text: str, out_path: str | None) -> int:
 
 
 def _parse_graph_arg(text: str) -> DynkinGraph:
-    if text.strip() == str(EMPTY):  # the empty graph is read back as printed
-        return EMPTY
     try:
         return parse_name(text)
     except ParseError as exc:

@@ -181,10 +181,10 @@ def parse_name(text: str) -> DynkinGraph:
 
     A component token is an optional multiplicity prefix followed by one of
     A<k>, D<l>, E6, E7, E8, G2, G1, BC1.  Whitespace is ignored; the empty
-    string denotes the empty graph.
+    string and ``(empty)``, as ``str`` prints it, denote the empty graph.
     """
     s = "".join(text.split())
-    if not s:
+    if s in ("", str(EMPTY)):
         return EMPTY
     comps: list[ComponentType] = []
     for token in s.split("+"):
@@ -286,8 +286,8 @@ class ExtendedGraph(_Value):
         return self.base.n
 
 
-# The recipe of one component type: base vertices and edges, then the extension data.
-_Layout = namedtuple("_Layout", "norms edges roles coeffs added_norm added_edges")
+# The recipe of the extended graph of one component type; its added vertex, role "x", is last.
+_Layout = namedtuple("_Layout", "norms edges roles coeffs")
 
 
 # Maximal-root coefficient tables, validated against the -eta Gram identity
@@ -304,57 +304,57 @@ def _layout(ct: ComponentType) -> _Layout:
     m1 = ORDINARY_EDGE
     if fam == "A":
         k = sub
-        norms = (NORM_LONG,) * k
+        norms = (NORM_LONG,) * (k + 1)
         edges = tuple((i, i + 1, m1) for i in range(k - 1))
-        roles = tuple(f"v{i + 1}" for i in range(k))
-        coeffs = (1,) * k
         if k == 1:
-            added_edges = ((0, Fraction(-2)),)
-        else:
-            added_edges = ((0, m1), (k - 1, m1))
-        return _Layout(norms, edges, roles, coeffs, NORM_LONG, added_edges)
+            edges += ((0, 1, Fraction(-2)),)
+        else:  # the added vertex k closes the path v1..vk into a cycle
+            edges += ((0, k, m1), (k - 1, k, m1))
+        roles = tuple(f"v{i + 1}" for i in range(k)) + ("x",)
+        coeffs = (1,) * (k + 1)
+        return _Layout(norms, edges, roles, coeffs)
     if fam == "D":
         l = sub
         # Path v1..v_{l-2}, the fork vertices f1, f2 on v_{l-2}; the added
         # vertex attaches to v2, so the extended graph is forked at both ends.
-        norms = (NORM_LONG,) * l
+        norms = (NORM_LONG,) * (l + 1)
         edges = tuple((i, i + 1, m1) for i in range(l - 3))
-        edges += ((l - 3, l - 2, m1), (l - 3, l - 1, m1))
-        roles = tuple(f"v{i + 1}" for i in range(l - 2)) + ("f1", "f2")
-        coeffs = (1,) + (2,) * (l - 3) + (1, 1)
-        return _Layout(norms, edges, roles, coeffs, NORM_LONG, ((1, m1),))
+        edges += ((l - 3, l - 2, m1), (l - 3, l - 1, m1), (1, l, m1))
+        roles = tuple(f"v{i + 1}" for i in range(l - 2)) + ("f1", "f2", "x")
+        coeffs = (1,) + (2,) * (l - 3) + (1, 1, 1)
+        return _Layout(norms, edges, roles, coeffs)
     if fam == "E":
         n = sub
         path = n - 1
-        norms = (NORM_LONG,) * n
-        edges = tuple((i, i + 1, m1) for i in range(path - 1))
-        edges += ((2, path, m1),)  # branch vertex hangs on the third path vertex
-        roles = tuple(f"v{i + 1}" for i in range(path)) + ("b",)
-        coeffs = _E_PATH_COEFFS[n] + (_E_BRANCH_COEFF[n],)
         at = {"branch": path, "first": 0, "last": path - 1}[_E_ADDED_AT[n]]
-        return _Layout(norms, edges, roles, coeffs, NORM_LONG, ((at, m1),))
+        norms = (NORM_LONG,) * (n + 1)
+        edges = tuple((i, i + 1, m1) for i in range(path - 1))
+        edges += ((2, path, m1), (at, n, m1))  # the branch vertex hangs on the third path vertex
+        roles = tuple(f"v{i + 1}" for i in range(path)) + ("b", "x")
+        coeffs = _E_PATH_COEFFS[n] + (_E_BRANCH_COEFF[n], 1)
+        return _Layout(norms, edges, roles, coeffs)
     if fam == "G" and sub == 2:
         # One long and one short root at 150 degrees: inner product -1.
-        return _Layout((NORM_LONG, NORM_SHORT), ((0, 1, m1),), ("long", "short"), (2, 3),
-                       NORM_LONG, ((0, m1),))
+        return _Layout((NORM_LONG, NORM_SHORT, NORM_LONG), ((0, 1, m1), (0, 2, m1)),
+                       ("long", "short", "x"), (2, 3, 1))
     if fam == "G" and sub == 1:
-        return _Layout((NORM_SHORT,), (), ("v",), (1,), NORM_SHORT, ((0, Fraction(-2, 3)),))
+        return _Layout((NORM_SHORT,) * 2, ((0, 1, Fraction(-2, 3)),), ("v", "x"), (1, 1))
     # BC1: the maximal root is twice the basis root, so the added vertex is
     # an ordinary norm-2 circle and the basis root carries coefficient 2.
-    return _Layout((NORM_HALF,), (), ("v",), (2,), NORM_LONG, ((0, m1),))
+    return _Layout((NORM_HALF, NORM_LONG), ((0, 1, m1),), ("v", "x"), (2, 1))
 
 
 def _named_layouts(g: DynkinGraph) -> Iterator[tuple[ComponentType, _Layout, list[str]]]:
     """Type, layout and extended vertex ids of each component, in order.
 
-    The ids are ``<type>[<occurrence>].<role>`` for the base vertices in
-    layout order, then ``.x`` for the added vertex.
+    The ids are ``<type>[<occurrence>].<role>`` in layout order, so the
+    added vertex, which comes last, is ``.x``.
     """
     counts: dict[ComponentType, int] = {}
     for ct in g.components:
         counts[ct] = k = counts.get(ct, 0) + 1
         lay, prefix = _layout(ct), f"{ct.name}[{k}]"
-        yield ct, lay, [f"{prefix}.{role}" for role in lay.roles] + [f"{prefix}.x"]
+        yield ct, lay, [f"{prefix}.{role}" for role in lay.roles]
 
 
 def extended_vertex_ids(g: DynkinGraph) -> list[str]:
@@ -384,7 +384,7 @@ def extend(g: DynkinGraph) -> ExtendedGraph:
     """
     ext = _extend(g)
     for ct, comp in zip(g.components, ext.components):
-        _check_once(ct, ext.coefficients[comp[0] : comp[-1]])
+        _check_once(ct, ext.coefficients[comp[0] : comp[-1] + 1])
     return ext
 
 
@@ -400,15 +400,12 @@ def _extend(g: DynkinGraph) -> ExtendedGraph:
     coeffs: list[int] = []
     comps: list[tuple[int, ...]] = []
     offset = 0
-    for ct, lay, ids in _named_layouts(g):
-        k = ct.vertex_count
-        verts.extend(map(Vertex, ids, lay.norms + (lay.added_norm,)))
+    for _, lay, ids in _named_layouts(g):
+        verts.extend(map(Vertex, ids, lay.norms))
         edges.extend((offset + i, offset + j, val) for i, j, val in lay.edges)
-        edges.extend((offset + i, offset + k, val) for i, val in lay.added_edges)
         coeffs.extend(lay.coeffs)
-        coeffs.append(1)
-        comps.append(tuple(range(offset, offset + k + 1)))
-        offset += k + 1
+        comps.append(tuple(range(offset, offset + len(ids))))
+        offset += len(ids)
     return ExtendedGraph(
         base=LabeledGraph(tuple(verts), tuple(edges)),
         coefficients=tuple(coeffs),

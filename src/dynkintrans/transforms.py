@@ -300,11 +300,10 @@ class _CompCore:
     def __init__(self, ct: ComponentType):
         lay = _layout(ct)  # extend(ct) without its labeled graph: the added vertex comes last
         _check_once(ct, lay.coeffs)
-        self.size = k = len(lay.coeffs) + 1
-        self.full = (1 << k) - 1
-        edges = lay.edges + tuple((i, k - 1, val) for i, val in lay.added_edges)
-        self.adj, self.norm = _mask_view(lay.norms + (lay.added_norm,), edges)
-        self.coeff = [*lay.coeffs, 1]
+        self.size = len(lay.coeffs)
+        self.full = (1 << self.size) - 1
+        self.adj, self.norm = _mask_view(lay.norms, lay.edges)
+        self.coeff = list(lay.coeffs)
         table = [0]  # gcd of the coefficients picked by each submask
         for c in self.coeff:
             table += [gcd(c, t) for t in table]

@@ -19,6 +19,7 @@ from dynkintrans.catalog import (
     build_catalog,
     catalog_from_json,
     catalog_to_json,
+    default_cache_dir,
     membership,
     singularity_class,
 )
@@ -433,14 +434,32 @@ class TestSerialization:
         assert catalog_to_json(built) == catalog_to_json(all_catalogs["Q10"])
         assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
 
-    def test_memo_hit_writes_missing_cache_file(self, tmp_path, fresh_memory_cache):
+    def test_failed_replace_leaves_no_temporary_file(self, all_catalogs, tmp_path, fresh_memory_cache):
+        (tmp_path / "Q10-v1.json").mkdir()  # os.replace cannot put a file over a directory
+        with pytest.warns(RuntimeWarning, match="cannot write catalog cache"):
+            built = build_catalog("Q10", cache_dir=tmp_path)
+        assert catalog_to_json(built) == catalog_to_json(all_catalogs["Q10"])
+        assert [p.name for p in tmp_path.iterdir()] == ["Q10-v1.json"]
+        assert list((tmp_path / "Q10-v1.json").iterdir()) == []
+
+    def test_default_cache_dir_falls_back_to_xdg_then_home(self, monkeypatch, tmp_path):
+        monkeypatch.delenv(catalog_module.CACHE_ENV_VAR, raising=False)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert default_cache_dir() == tmp_path / "xdg" / "dynkintrans"
+        monkeypatch.setenv("XDG_CACHE_HOME", "")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        assert default_cache_dir() == tmp_path / "home" / ".cache" / "dynkintrans"
+
+    def test_cached_build_after_an_uncached_one_writes_the_file(self, tmp_path, fresh_memory_cache):
         uncached = build_catalog("Q10", cache=False)
         build_catalog("Q10", cache=True, cache_dir=tmp_path)
         path = tmp_path / "Q10-v1.json"
         assert path.is_file()
         assert path.read_text(encoding="utf-8") == catalog_to_json(uncached)
 
-    def test_memo_hit_rewrites_an_unpublished_cache_file(self, tmp_path, fresh_memory_cache):
+    def test_cached_calls_after_an_uncached_build_rewrite_an_unpublished_file(
+        self, tmp_path, fresh_memory_cache
+    ):
         good = catalog_to_json(build_catalog("Q10", cache=False))
         path = tmp_path / "Q10-v1.json"
         path.write_text("{}", encoding="utf-8")
@@ -451,6 +470,26 @@ class TestSerialization:
         build_catalog("Q10", cache=False)
         assert membership("Q10", parse_name("A1"), cache_dir=tmp_path) is not None
         assert path.read_text(encoding="utf-8") == good
+
+    def test_published_file_is_served_after_a_wrong_uncached_build(
+        self, all_catalogs, tmp_path, fresh_memory_cache, monkeypatch
+    ):
+        # an engine that loses Q10's last member builds it in process without
+        # the cache; the published file in the cache dir must still be served
+        reference = all_catalogs["Q10"]
+        dropped = reference.members[-1]
+        compute = catalog_module._compute_catalog
+        monkeypatch.setattr(
+            catalog_module, "_compute_catalog", lambda cls: Catalog(cls, compute(cls).members[:-1])
+        )
+        assert dropped not in build_catalog("Q10", cache=False).members
+        good = catalog_to_json(reference)
+        (tmp_path / "Q10-v1.json").write_text(good, encoding="utf-8")
+        served = build_catalog("Q10", cache_dir=tmp_path)
+        assert len(served) == len(reference) == 73
+        assert catalog_to_json(served) == good
+        witness = membership("Q10", dropped.graph, cache_dir=tmp_path)
+        assert witness is not None and _steps(witness) == _steps(dropped.witness)
 
     def test_digest_is_checked_after_this_process_wrote_the_file(
         self, all_catalogs, tmp_path, fresh_memory_cache

@@ -303,6 +303,17 @@ class TestVerifyCommand:
         assert out.endswith("1 check(s) failed\n")
         assert "verify-crashed" not in out
 
+    def test_crashed_check_is_reported(self, cli, monkeypatch):
+        from dynkintrans import graphs as gmod
+
+        def crash(ct):
+            raise RuntimeError("table unreadable")
+
+        monkeypatch.setattr(gmod, "check_extension_identity", crash)
+        code, out, _ = cli("verify")
+        assert code == 1
+        assert out == "FAIL verify-crashed: RuntimeError: table unreadable\n1 check(s) failed\n"
+
 
 def _modules_loaded(modules, argv):
     """The last line printed by a fresh ``python -S`` that imports the CLI and

@@ -122,6 +122,21 @@ def test_value_classes_behave_as_frozen_dataclasses(value, fields, text):
         assert repr(copied) == text
 
 
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        ([(1, 1, -1)], "self-edge"),
+        ([(0, 2, -1)], "out of range"),
+        ([(-1, 0, -1)], "out of range"),
+        ([(0, 1, 0)], "zero inner product"),
+        ([(0, 1, -1), (1, 0, -1)], "duplicate edge"),
+    ],
+)
+def test_labeled_graph_rejects_bad_edges(edges, message):
+    with pytest.raises(ValueError, match=message):
+        LabeledGraph((_V, _V), edges)
+
+
 class TestNaming:
     def test_parse_examples(self):
         assert parse_name("A7+A4") == DynkinGraph((A(7), A(4)))
@@ -167,6 +182,7 @@ class TestNaming:
         ]
         for g in graphs:
             assert parse_name(g.name) == g
+            assert parse_name(str(g)) == g  # the empty graph prints as (empty)
 
     def test_multiset_equality(self):
         assert DynkinGraph((A(1), A(2))) == DynkinGraph((A(2), A(1)))

@@ -8,6 +8,7 @@ from dynkintrans.graphs import A, BC1, D, DynkinGraph, E, G2, gram, parse_name, 
 from dynkintrans.lattice import (
     Lattice,
     NonIntegralLattice,
+    _range_with_offset,
     coroot_system,
     determinant,
     root_count,
@@ -22,6 +23,10 @@ class TestLattice:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             Lattice(((2, -1), (0, 2)))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            Lattice(((2, -1),))
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive definite"):
@@ -73,9 +78,18 @@ class TestShortVectors:
         vecs = set(rs.vectors())
         assert all(tuple(-x for x in v) in vecs for v in vecs)
         assert (0, 0, 0, 0, 0) in vecs
+        assert [0, 0, 0, 0, 0] in rs and (9, 0, 0, 0, 0) not in rs
 
     def test_rank_zero(self):
         assert short_vectors(root_lattice(parse_name("")), 2).vectors() == [()]
+        assert short_vectors(root_lattice(parse_name("")), -1).vectors() == []
+
+    def test_negative_bound_finds_nothing(self):
+        assert len(short_vectors(root_lattice(parse_name("A2")), -1)) == 0
+
+    def test_negative_coordinate_bound_is_an_empty_range(self):
+        lo, hi = _range_with_offset(Fraction(1, 2), Fraction(-1))
+        assert lo > hi
 
 
 class TestRootCounts:
@@ -151,3 +165,7 @@ class TestDeterminant:
 
     def test_singular(self):
         assert determinant(((1, 1), (1, 1))) == 0
+
+    def test_zero_pivot_swaps_rows(self):
+        assert determinant(((0, 1), (1, 0))) == -1
+        assert determinant(((0, 2, 0), (1, 0, 0), (0, 0, 3))) == -6

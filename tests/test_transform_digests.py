@@ -13,13 +13,17 @@ every component type of at most 13 extended vertices: the tie
 representatives (one A-part per signature) and both option tables.  It
 pins the signature partition directly, also where no outcome changes and
 on D11 and D12, which no graph of the other two digests holds.
+
+A fourth covers ``extend`` of each of those component types: vertex ids,
+norms, edge values, coefficients and component tuples, the layout that
+every witness index refers to.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from dynkintrans.graphs import A, BC1, D, DynkinGraph, E, G1, G2, parse_name
+from dynkintrans.graphs import A, BC1, D, DynkinGraph, E, G1, G2, extend, parse_name
 from dynkintrans.transforms import (
     _CompCore,
     _decode_graph,
@@ -49,6 +53,7 @@ CORE_TYPES = (
     [A(k) for k in range(1, 13)] + [D(k) for k in range(4, 13)] + [E(6), E(7), E(8), G2, G1, BC1]
 )
 CORE_DIGEST = "33496f2dda93a0420dfd63927d638bbaf404e1dc34c0d4a2dcc1a29a919c01b2"
+EXTEND_DIGEST = "a2be8c3097782a5a12e09283397538ccbd48bbf75ab022b3744dda4b7dea420a"
 
 
 def sweep_pool() -> list[DynkinGraph]:
@@ -117,3 +122,14 @@ def test_core_table_digest():
 def _codes(types: int) -> tuple[int, ...]:
     """The sorted type codes of a multiset, as the digest was taken over them."""
     return tuple(c.sort_key for c in _decode_graph(types).components)
+
+
+def test_extend_digest():
+    h = hashlib.sha256()
+    for ct in CORE_TYPES:
+        ext = extend(DynkinGraph((ct,)))
+        ids = [v.id for v in ext.base.vertices]
+        norms = [str(v.norm) for v in ext.base.vertices]
+        edges = [(i, j, str(val)) for i, j, val in ext.base.edges]
+        h.update(f"{ids}\n{norms}\n{edges}\n{ext.coefficients}\n{ext.components}\n".encode())
+    assert h.hexdigest() == EXTEND_DIGEST

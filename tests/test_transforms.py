@@ -139,6 +139,13 @@ class TestApply:
         with pytest.raises(InvalidChoice, match="at least one A-vertex"):
             apply(g, TieChoice((0,), ()))
 
+    @pytest.mark.parametrize(
+        "choice", [ElementaryChoice((0, 0)), TieChoice((0, 0), ()), TieChoice((0,), (1, 1))]
+    )
+    def test_repeated_vertex_rejected(self, choice):
+        with pytest.raises(InvalidChoice, match="repeated vertex"):
+            apply(parse_name("A2"), choice)
+
     def test_out_of_range_index_rejected(self):
         with pytest.raises(InvalidChoice):
             apply(parse_name("A2"), ElementaryChoice((7,)))
