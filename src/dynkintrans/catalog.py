@@ -337,15 +337,6 @@ def default_cache_dir() -> Path:
     return base / "dynkintrans"
 
 
-def _class_and_path(cls, cache, cache_dir) -> tuple[SingularityClass, Path | None]:
-    """The class, and its cache file when ``cache`` is set."""
-    if isinstance(cls, str):
-        cls = singularity_class(cls)
-    if not cache:
-        return cls, None
-    return cls, Path(cache_dir or default_cache_dir()) / f"{cls.symbol}-v{ENGINE_VERSION}.json"
-
-
 def _is_published(symbol: str, data: bytes) -> bool:
     """Whether ``data`` is, byte for byte, the published catalog of ``symbol``."""
     return blake2b(data, digest_size=32).hexdigest() == GOLDEN_DIGESTS[symbol]
@@ -356,14 +347,46 @@ def is_published(catalog: Catalog) -> bool:
     return _is_published(catalog.singularity.symbol, catalog_to_json(catalog).encode("utf-8"))
 
 
-def _published(cls: SingularityClass, path: Path) -> bytes | None:
-    """The bytes of the cache file ``path`` when they are the published
-    catalog of ``cls``, else None (no file, an unreadable or a wrong one)."""
+def _cached(cls, cache, cache_dir) -> tuple[SingularityClass, Path | None, bytes | None]:
+    """The class, its cache file when ``cache`` is set, and the file's bytes
+    when they are the published catalog of the class, else None (no cache,
+    no file, an unreadable or a wrong one)."""
+    if isinstance(cls, str):
+        cls = singularity_class(cls)
+    if not cache:
+        return cls, None, None
+    path = Path(cache_dir or default_cache_dir()) / f"{cls.symbol}-v{ENGINE_VERSION}.json"
     try:
         data = path.read_bytes()
     except OSError:
-        return None
-    return data if _is_published(cls.symbol, data) else None
+        return cls, path, None
+    return cls, path, data if _is_published(cls.symbol, data) else None
+
+
+def _computed(cls: SingularityClass, path: Path | None) -> Catalog:
+    """The computed catalog of ``cls``, its JSON written atomically to ``path``
+    unless that is None.  A write that fails with OSError warns at the line
+    that called build_catalog or membership."""
+    catalog = _compute_catalog(cls)
+    if path is None:
+        return catalog
+    import tempfile  # with random and shutil, only when a file is written
+
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(catalog_to_json(catalog))
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        import warnings
+
+        warnings.warn(f"cannot write catalog cache {path}: {exc}", RuntimeWarning, stacklevel=3)
+    return catalog
 
 
 def build_catalog(
@@ -384,35 +407,8 @@ def build_catalog(
     call reads the file or computes.  A write that fails with OSError
     issues a RuntimeWarning, and the catalog is returned all the same.
     """
-    cls, path = _class_and_path(cls, cache, cache_dir)
-    data = None if path is None else _published(cls, path)
-    if data is not None:
-        return catalog_from_json(data.decode())
-    catalog = _compute_catalog(cls)
-    if path is not None:
-        try:
-            _write_cache(path, catalog)
-        except OSError as exc:
-            import warnings
-
-            warnings.warn(f"cannot write catalog cache {path}: {exc}", RuntimeWarning, stacklevel=2)
-    return catalog
-
-
-def _write_cache(path: Path, catalog: Catalog) -> None:
-    """Write the catalog's JSON to ``path`` atomically."""
-    import tempfile  # with random and shutil, only when a file is written
-
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(catalog_to_json(catalog))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    cls, path, data = _cached(cls, cache, cache_dir)
+    return _computed(cls, path) if data is None else catalog_from_json(data.decode())
 
 
 def clear_memory_cache() -> None:
@@ -433,15 +429,14 @@ def membership(
     membership is only defined for graphs with A/D/E components.
 
     The answer comes from the one entry for ``g`` in a published cache
-    file, else from build_catalog, which recomputes the catalog and
-    rewrites a file that is not published.
+    file, else from the catalog, recomputed as build_catalog does, which
+    rewrites a file that is not published.  Each call reads the file once.
     """
     if not g.is_ade:
         raise QueryNotADE(f"membership is undefined for non-ADE graph {g.name!r}")
-    cls, path = _class_and_path(cls, cache, cache_dir)
-    data = None if path is None else _published(cls, path)
+    cls, path, data = _cached(cls, cache, cache_dir)
     if data is None:
-        member = build_catalog(cls, cache=cache, cache_dir=cache_dir).get(g.name)
+        member = _computed(cls, path).get(g.name)
         return None if member is None else member.witness
     # Exact on published bytes: sort_keys and indent=2 fix the layout, and
     # only member entries have a "name" key.

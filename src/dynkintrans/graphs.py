@@ -414,15 +414,15 @@ def _extend(g: DynkinGraph) -> ExtendedGraph:
 
 
 def check_extension_identity(ct: ComponentType) -> None:
-    """Raise AssertionError unless row(x) == -sum(n_i * row(i)) holds on the
-    Gram matrix of the extended component ``ct`` (x its added vertex)."""
-    ext = _extend(DynkinGraph((ct,)))
-    gm = gram(ext.base)
-    x = ext.n - 1
-    for j in range(ext.n):
-        acc = sum((ext.coefficients[i] * gm[i][j] for i in range(x)), Fraction(0))
-        if gm[x][j] != -acc:
-            raise AssertionError(f"maximal-root coefficient table broken for {ct.name}")
+    """Raise AssertionError unless sum_i n_i (i, j) == 0 for each vertex j of the extended
+    component ``ct``, summed over its layout's edges, with n_x = 1 for the added vertex x."""
+    lay = _layout(ct)
+    n = lay.coeffs[:-1] + (1,)
+    acc = [c * norm for c, norm in zip(n, lay.norms)]
+    for i, j, val in lay.edges:
+        acc[i], acc[j] = acc[i] + n[j] * val, acc[j] + n[i] * val
+    if any(acc):
+        raise AssertionError(f"maximal-root coefficient table broken for {ct.name}")
 
 
 def gram(lg: LabeledGraph) -> tuple[tuple[Fraction, ...], ...]:

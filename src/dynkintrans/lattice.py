@@ -27,15 +27,6 @@ def _as_matrix(rows) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def leading_minors(m: Matrix) -> list[Fraction]:
-    """All leading principal minors, by exact fraction elimination."""
-    n = len(m)
-    out = []
-    for k in range(1, n + 1):
-        out.append(determinant([row[:k] for row in m[:k]]))
-    return out
-
-
 def determinant(rows) -> Fraction:
     """Exact determinant by Gaussian elimination over the rationals."""
     m = [list(row) for row in _as_matrix(rows)]
@@ -74,8 +65,7 @@ class Lattice:
             for j in range(i + 1, n):
                 if m[i][j] != m[j][i]:
                     raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
-        if any(minor <= 0 for minor in leading_minors(m)):
-            raise ValueError("Gram matrix is not positive definite")
+        _ldl(m)  # raises unless positive definite
         object.__setattr__(self, "gram", m)
 
     @property
@@ -131,13 +121,16 @@ class RootSet:
 
 
 def _ldl(m: Matrix) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Decompose Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 exactly."""
+    """Decompose Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 exactly.  Each pivot d_i
+    is a ratio of leading minors, so ValueError at the first d_i <= 0 (Sylvester)."""
     n = len(m)
     a = [list(row) for row in m]
     d = [Fraction(0)] * n
     u = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         d[i] = a[i][i]
+        if d[i] <= 0:
+            raise ValueError("Gram matrix is not positive definite")
         for j in range(i + 1, n):
             u[i][j] = a[i][j] / d[i]
         for k in range(i + 1, n):
@@ -147,13 +140,11 @@ def _ldl(m: Matrix) -> tuple[list[Fraction], list[list[Fraction]]]:
 
 
 def _range_with_offset(s: Fraction, q: Fraction) -> tuple[int, int]:
-    """The integer interval [lo, hi] with (t + s)^2 <= q, exactly.
+    """The integer interval [lo, hi] with (t + s)^2 <= q, exactly, for q >= 0.
 
     May be empty (lo > hi) when the real interval is narrower than 1.
     Integer square roots seed the scan; floats never touch the result.
     """
-    if q < 0:
-        return 0, -1
     root = math.isqrt(q.numerator * q.denominator) // q.denominator  # floor(sqrt(q))
     # hi = floor(sqrt(q) - s): scan down until t + s <= sqrt(q); the scan
     # cannot pass t + s <= 0, so it terminates even when the range is empty

@@ -442,6 +442,33 @@ class TestSerialization:
         assert [p.name for p in tmp_path.iterdir()] == ["Q10-v1.json"]
         assert list((tmp_path / "Q10-v1.json").iterdir()) == []
 
+    @pytest.mark.parametrize("entry", ["build_catalog", "membership"])
+    def test_failed_write_warns_at_the_callers_line(self, tmp_path, fresh_memory_cache, entry):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        calls = {
+            "build_catalog": lambda: build_catalog("Q10", cache_dir=blocker / "sub"),
+            "membership": lambda: membership("Q10", parse_name("A1"), cache_dir=blocker / "sub"),
+        }
+        with pytest.warns(RuntimeWarning, match="cannot write catalog cache") as record:
+            calls[entry]()
+        assert [w.filename for w in record] == [__file__]
+
+    def test_membership_reads_and_hashes_a_bad_file_once(
+        self, all_catalogs, tmp_path, fresh_memory_cache, monkeypatch
+    ):
+        path = tmp_path / "Q10-v1.json"
+        path.write_text("{}", encoding="utf-8")
+        hashed = []
+        real = catalog_module._is_published
+        monkeypatch.setattr(
+            catalog_module, "_is_published", lambda sym, data: hashed.append(data) or real(sym, data)
+        )
+        witness = membership("Q10", parse_name("A1"), cache_dir=tmp_path)
+        assert hashed == [b"{}"]
+        assert _steps(witness) == _steps(all_catalogs["Q10"].get("A1").witness)
+        assert path.read_text(encoding="utf-8") == catalog_to_json(all_catalogs["Q10"])
+
     def test_default_cache_dir_falls_back_to_xdg_then_home(self, monkeypatch, tmp_path):
         monkeypatch.delenv(catalog_module.CACHE_ENV_VAR, raising=False)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
