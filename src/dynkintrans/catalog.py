@@ -24,7 +24,7 @@ from functools import cache
 from operator import attrgetter
 from pathlib import Path
 
-from .graphs import DynkinGraph, parse_name
+from .graphs import DynkinGraph, _Value, parse_name
 from .transforms import (
     Choice,
     ElementaryChoice,
@@ -60,13 +60,10 @@ class QueryNotADE(ValueError):
     """Membership queries are only defined for graphs with A/D/E components."""
 
 
-@dataclass(frozen=True)
-class SingularityClass:
+class SingularityClass(_Value):
     """One of the nine classes: symbol, Milnor number and basic graph."""
 
-    symbol: str
-    milnor: int
-    basic: DynkinGraph
+    __slots__ = ("symbol", "milnor", "basic")
 
 
 def _cls(symbol: str, basic: str) -> SingularityClass:
@@ -100,17 +97,15 @@ def singularity_class(symbol: str) -> SingularityClass:
 Witness = tuple[TransformStep, TransformStep]
 
 
-@dataclass(frozen=True)
-class CatalogMember:
-    graph: DynkinGraph
-    witness: Witness
+class CatalogMember(_Value):
+    __slots__ = ("graph", "witness")
 
     @property
     def name(self) -> str:
         return self.graph.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # the one dataclass: perfbench's tests copy one with dataclasses.replace
 class Catalog:
     """The computed member set of one class, sorted by canonical name."""
 
@@ -284,7 +279,7 @@ def _choice_from_dict(d: dict) -> Choice:
     cls = _CHOICE_CLASSES.get(d["kind"])
     if cls is None:
         raise ValueError(f"unknown step kind {d['kind']!r}")
-    choice = cls(*[tuple(d[name]) for name in cls.__slots__])  # the fields are the JSON keys
+    choice = cls(*[tuple(d[name]) for name in cls._fields])  # the fields are the JSON keys
     if any(type(i) is not int for indices in choice._key for i in indices):
         raise ValueError(f"witness indices of {d!r} are not all integers")
     return choice
@@ -299,9 +294,10 @@ def _entry_witness(cls: SingularityClass, entry: dict, graph: DynkinGraph, mids:
     return s1, TransformStep(_choice_from_dict(d2), mid, graph)
 
 
-def catalog_from_dict(data: dict) -> Catalog:
-    """The catalog of a dict parsed from outside the program, whose header and
+def catalog_from_json(text: str) -> Catalog:
+    """The catalog of JSON text from outside the program, whose header and
     each entry's name, order and first step are checked; ValueError if malformed."""
+    data = json.loads(text)  # outside the try: a non-string argument stays a TypeError
     try:
         cls = singularity_class(data["class"])
         basic = cls.basic.name
@@ -322,10 +318,6 @@ def catalog_from_dict(data: dict) -> Catalog:
     except (AttributeError, IndexError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed catalog: {exc!r}") from exc
     return Catalog(cls, tuple(members))
-
-
-def catalog_from_json(text: str) -> Catalog:
-    return catalog_from_dict(json.loads(text))
 
 
 def default_cache_dir() -> Path:

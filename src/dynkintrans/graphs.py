@@ -55,16 +55,30 @@ _set = object.__setattr__  # how an ``__init__`` sets the fields of a frozen val
 
 
 class _Value:
-    """Base of the value classes, which behave as frozen dataclasses: equality
-    (same class only), hashing, ``repr`` and pickling go by ``_key``, the tuple
-    of the ``__slots__`` fields not named with a leading underscore."""
+    """Base of the value classes, which behave as frozen dataclasses: ``_fields``
+    are the ``__slots__`` not named with a leading underscore, and equality
+    (same class only), hashing, ``repr`` and pickling go by ``_key``, their tuple."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        names = [n for n in cls.__slots__ if n[0] != "_"]
+        cls._fields = names = tuple(n for n in cls.__slots__ if n[0] != "_")
         get = attrgetter(*names)
         cls._key = property(get if len(names) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        """Set the fields by position, then by keyword, as a dataclass does."""
+        names = self._fields
+        if kwargs or len(args) != len(names):  # else every field is given by position
+            given = dict(zip(names, args))
+            wrong = [n for n in kwargs if n not in names or n in given]
+            given.update(kwargs)
+            if len(args) > len(names) or wrong or len(given) != len(names):
+                raise TypeError(f"{type(self).__name__} takes the fields {names}, "
+                                f"not {len(args)} by position and {list(kwargs)} by keyword")
+            args = [given[n] for n in names]
+        for name, value in zip(names, args):
+            _set(self, name, value)
 
     def __eq__(self, other):
         return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
@@ -73,7 +87,7 @@ class _Value:
         return hash(self._key)
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
@@ -210,10 +224,6 @@ class Vertex(_Value):
 
     __slots__ = ("id", "norm")
 
-    def __init__(self, id: str, norm: Fraction) -> None:
-        _set(self, "id", id)
-        _set(self, "norm", norm)
-
 
 class LabeledGraph(_Value):
     """Vertices with norms plus edges labeled by nonzero inner products.
@@ -275,11 +285,6 @@ class ExtendedGraph(_Value):
     """
 
     __slots__ = ("base", "coefficients", "components")
-
-    def __init__(self, base: LabeledGraph, coefficients: tuple, components: tuple) -> None:
-        _set(self, "base", base)
-        _set(self, "coefficients", coefficients)
-        _set(self, "components", components)
 
     @property
     def n(self) -> int:

@@ -11,10 +11,9 @@ assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import DynkinGraph, gram, realize
+from .graphs import DynkinGraph, _set, _Value, gram, realize
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -50,14 +49,13 @@ def determinant(rows) -> Fraction:
     return det
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(_Value):
     """A positive definite lattice given by an exact rational Gram matrix."""
 
-    gram: Matrix
+    __slots__ = ("gram",)
 
-    def __post_init__(self) -> None:
-        m = _as_matrix(self.gram)
+    def __init__(self, gram: Matrix) -> None:
+        m = _as_matrix(gram)
         n = len(m)
         if any(len(row) != n for row in m):
             raise ValueError("Gram matrix must be square")
@@ -66,7 +64,7 @@ class Lattice:
                 if m[i][j] != m[j][i]:
                     raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
         _ldl(m)  # raises unless positive definite
-        object.__setattr__(self, "gram", m)
+        _set(self, "gram", m)
 
     @property
     def rank(self) -> int:
@@ -97,14 +95,13 @@ def root_lattice(g: DynkinGraph) -> Lattice:
     return Lattice(gram(realize(g)))
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(_Value):
     """Integer coordinate vectors with their norms, closed under negation."""
 
-    entries: tuple[tuple[tuple[int, ...], Fraction], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+    def __init__(self, entries: tuple[tuple[tuple[int, ...], Fraction], ...]) -> None:
+        _set(self, "entries", tuple(sorted(entries)))
 
     def vectors(self) -> list[tuple[int, ...]]:
         return [v for v, _ in self.entries]

@@ -93,8 +93,7 @@ Choice = ElementaryChoice | TieChoice
 def _choice(cls: type, *parts: tuple[int, ...]) -> Choice:
     """A choice from index tuples the fold yields sorted, not sorted again."""
     choice = object.__new__(cls)
-    for name, part in zip(cls.__slots__, parts):
-        _set(choice, name, part)
+    _Value.__init__(choice, *parts)
     return choice
 
 
@@ -102,11 +101,6 @@ class TransformStep(_Value):
     """One recorded transformation: replaying ``choice`` on ``input`` gives ``output``."""
 
     __slots__ = ("choice", "input", "output")
-
-    def __init__(self, choice: Choice, input: DynkinGraph, output: DynkinGraph) -> None:
-        _set(self, "choice", choice)
-        _set(self, "input", input)
-        _set(self, "output", output)
 
     @property
     def kind(self) -> str:
@@ -403,7 +397,7 @@ class _CompCore:
         table: _Table = {}
         for mask, pieces in self.tie_reps():
             g, a = self.gcd_table[mask], tuple(_bits(mask))
-            primes, ends, others = [], [], []
+            primes, cands = [], []
             for pid, piece in enumerate(pieces):
                 p, pairs = self.piece(piece)
                 primes.append(p)
@@ -412,9 +406,10 @@ class _CompCore:
                     cls = (d, coeff[v] % g)
                     if d is not None and cls not in seen:
                         seen.add(cls)
-                        (ends if _is_end(d) else others).append((v, pid, d, coeff[v]))
+                        cands.append((v, pid, d, coeff[v]))
+            cands.sort()
             residual = prod(primes)
-            for b, pids, descs, csum in _b_sets(ends, others):
+            for b, pids, descs, csum in _b_sets(cands):
                 if gcd(g, csum) != 1 or (join := _settle((), descs)) is None:
                     continue
                 extra, still_open = join
@@ -441,23 +436,20 @@ class _CompCore:
         return table
 
 
-def _b_sets(ends: list[tuple], others: list[tuple]) -> Iterator[tuple]:
-    """(sorted B, pieces, descriptors, coefficient sum) of each B that
-    ``_settle`` may keep, from candidates (vertex, piece, descriptor,
-    coefficient) that are path ends or not: at most three in distinct pieces,
-    as two in one piece close a cycle; a pair needs an end, a triple three."""
+def _b_sets(cands: list[tuple]) -> Iterator[tuple]:
+    """(B, pieces, descriptors, coefficient sum) of each B of at most three
+    candidates (vertex, piece, descriptor, coefficient), given sorted by vertex,
+    in distinct pieces, as two in one piece close a cycle; ``_settle`` judges the rest."""
     yield (), (), (), 0
-    cands = ends + others
     for i, (v0, p0, d0, k0) in enumerate(cands):
         yield (v0,), (p0,), (d0,), k0
-        for j in range(i + 1, len(cands) if i < len(ends) else 0):
+        for j in range(i + 1, len(cands)):
             v1, p1, d1, k1 = cands[j]
             if p1 != p0:
-                yield ((v0, v1) if v0 < v1 else (v1, v0)), (p0, p1), (d0, d1), k0 + k1
-                for v2, p2, d2, k2 in ends[j + 1:]:
+                yield (v0, v1), (p0, p1), (d0, d1), k0 + k1
+                for v2, p2, d2, k2 in cands[j + 1:]:
                     if p2 != p0 and p2 != p1:
-                        b = tuple(sorted((v0, v1, v2)))
-                        yield b, (p0, p1, p2), (d0, d1, d2), k0 + k1 + k2
+                        yield (v0, v1, v2), (p0, p1, p2), (d0, d1, d2), k0 + k1 + k2
 
 
 # Attachment descriptors: how the new tie vertex may fasten to a residual

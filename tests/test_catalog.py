@@ -676,10 +676,10 @@ class TestOneEntryMembership:
     def test_whole_file_is_not_parsed(
         self, all_catalogs, catalog_cache_dir, fresh_memory_cache, no_recompute, monkeypatch
     ):
-        def refuse(data):
+        def refuse(text):
             raise AssertionError("the whole catalog was parsed")
 
-        monkeypatch.setattr(catalog_module, "catalog_from_dict", refuse)
+        monkeypatch.setattr(catalog_module, "catalog_from_json", refuse)
         witness = membership("Z13", parse_name("A7+A4"), cache_dir=catalog_cache_dir)
         assert _steps(witness) == _steps(all_catalogs["Z13"].get("A7+A4").witness)
         assert membership("Z13", parse_name("A12"), cache_dir=catalog_cache_dir) is None

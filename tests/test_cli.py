@@ -315,14 +315,24 @@ class TestVerifyCommand:
         assert out == "FAIL verify-crashed: RuntimeError: table unreadable\n1 check(s) failed\n"
 
 
-def _modules_loaded(modules, argv):
-    """The last line printed by a fresh ``python -S`` that imports the CLI and
-    runs ``main(argv)``: its exit code, then which of ``modules`` were loaded
-    after the import and after the command."""
+def _last_line(script, argv=()):
+    """The last line printed by ``script`` in a fresh ``python -S`` that finds
+    this package."""
     import dynkintrans
 
     src = str(Path(dynkintrans.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", script, *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return run.stdout.splitlines()[-1]
+
+
+def _modules_loaded(modules, argv):
+    """The last line printed by a fresh ``python -S`` that imports the CLI and
+    runs ``main(argv)``: its exit code, then which of ``modules`` were loaded
+    after the import and after the command."""
     script = (
         "import sys, dynkintrans.cli\n"
         f"modules = {list(modules)!r}\n"
@@ -330,11 +340,7 @@ def _modules_loaded(modules, argv):
         "code = dynkintrans.cli.main(sys.argv[1:])\n"
         "print(code, imported, [m for m in modules if m in sys.modules])\n"
     )
-    run = subprocess.run(
-        [sys.executable, "-S", "-c", script, *argv],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    return run.stdout.splitlines()[-1]
+    return _last_line(script, argv)
 
 
 def test_warm_check_loads_no_openssl(all_catalogs, catalog_cache_dir):
@@ -352,6 +358,16 @@ def test_transform_loads_only_graphs_and_transforms():
         "dataclasses", "inspect",
     ]
     assert _modules_loaded(unused, ["transform", "D6", "--op", "tie"]) == "0 [] []"
+
+
+def test_lattice_loads_no_dataclasses():
+    """``Lattice`` and ``RootSet`` are value classes on the base of ``graphs``,
+    so importing the lattice loads neither dataclasses nor inspect."""
+    script = (
+        "import sys, dynkintrans.lattice\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+    )
+    assert _last_line(script) == "[]"
 
 
 def test_warm_check_loads_no_lattice_and_no_tempfile(all_catalogs, catalog_cache_dir):

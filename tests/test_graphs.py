@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import pickle
 import time
 from fractions import Fraction
@@ -35,7 +36,8 @@ from dynkintrans.graphs import (
     parse_name,
     realize,
 )
-from dynkintrans.lattice import Lattice, determinant
+from dynkintrans.catalog import CatalogMember, SingularityClass
+from dynkintrans.lattice import Lattice, RootSet, determinant
 from dynkintrans.transforms import ElementaryChoice, TieChoice, TransformStep
 
 from oracles import highest_root_coefficients, oracle_classify
@@ -72,6 +74,9 @@ class TestComponentType:
 
 _V = Vertex("v", NORM_SHORT)
 _TIE = TieChoice((5, 2), (7,))
+_STEP = TransformStep(_TIE, parse_name("E7+G2"), parse_name("E8+G2"))
+_STEP_REPR = ("TransformStep(choice=TieChoice(a=(2, 5), b=(7,)), "
+              "input=DynkinGraph('E7+G2'), output=DynkinGraph('E8+G2'))")
 # (instance, its fields by name in order, its repr): the repr of a frozen
 # dataclass, except for the two classes that write their own
 VALUES = [
@@ -93,10 +98,29 @@ VALUES = [
     (ElementaryChoice([3, 1]), {"removed": (1, 3)}, "ElementaryChoice(removed=(1, 3))"),
     (_TIE, {"a": (2, 5), "b": (7,)}, "TieChoice(a=(2, 5), b=(7,))"),
     (
-        TransformStep(_TIE, parse_name("E7+G2"), parse_name("E8+G2")),
+        _STEP,
         {"choice": _TIE, "input": parse_name("E7+G2"), "output": parse_name("E8+G2")},
-        "TransformStep(choice=TieChoice(a=(2, 5), b=(7,)), "
-        "input=DynkinGraph('E7+G2'), output=DynkinGraph('E8+G2'))",
+        _STEP_REPR,
+    ),
+    (
+        SingularityClass("Z13", 13, parse_name("E7+G2")),
+        {"symbol": "Z13", "milnor": 13, "basic": parse_name("E7+G2")},
+        "SingularityClass(symbol='Z13', milnor=13, basic=DynkinGraph('E7+G2'))",
+    ),
+    (
+        CatalogMember(parse_name("E8+G2"), (_STEP, _STEP)),
+        {"graph": parse_name("E8+G2"), "witness": (_STEP, _STEP)},
+        f"CatalogMember(graph=DynkinGraph('E8+G2'), witness=({_STEP_REPR}, {_STEP_REPR}))",
+    ),
+    (
+        Lattice(((2, -1), (-1, 2))),
+        {"gram": ((Fraction(2), Fraction(-1)), (Fraction(-1), Fraction(2)))},
+        "Lattice(gram=((Fraction(2, 1), Fraction(-1, 1)), (Fraction(-1, 1), Fraction(2, 1))))",
+    ),
+    (
+        RootSet((((1, 0), Fraction(2)), ((0, 0), Fraction(0)))),
+        {"entries": (((0, 0), Fraction(0)), ((1, 0), Fraction(2)))},
+        "RootSet(entries=(((0, 0), Fraction(0, 1)), ((1, 0), Fraction(2, 1))))",
     ),
 ]
 
@@ -121,6 +145,32 @@ def test_value_classes_behave_as_frozen_dataclasses(value, fields, text):
     for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert type(copied) is cls and copied == value and hash(copied) == hash(value)
         assert repr(copied) == text
+
+
+@pytest.mark.parametrize(
+    "args,kwargs",
+    [
+        (("v",), {}),  # a missing field
+        ((), {"norm": NORM_SHORT}),  # a missing field, the other by keyword
+        (("v", NORM_SHORT, 1), {}),  # an extra positional
+        (("v",), {"norm": NORM_SHORT, "size": 1}),  # an unknown keyword
+        (("v", NORM_SHORT), {"id": "w"}),  # a field given twice
+    ],
+)
+def test_value_construction_rejects_a_wrong_call(args, kwargs):
+    with pytest.raises(TypeError, match=r"Vertex takes the fields \('id', 'norm'\)"):
+        Vertex(*args, **kwargs)
+
+
+def test_catalog_is_the_only_dataclass():
+    """Every other value class is a ``graphs._Value``, so only ``catalog``
+    loads ``dataclasses``; ``Catalog`` stays one for ``dataclasses.replace``."""
+    modules = [importlib.import_module(f"dynkintrans.{name}")
+               for name in ("graphs", "transforms", "catalog", "lattice", "cli")]
+    found = [f"{cls.__module__}.{cls.__name__}" for mod in modules for cls in vars(mod).values()
+             if isinstance(cls, type) and cls.__module__ == mod.__name__
+             and hasattr(cls, "__dataclass_fields__")]
+    assert found == ["dynkintrans.catalog.Catalog"]
 
 
 @pytest.mark.parametrize(
