@@ -3,8 +3,7 @@
 The package computes, for each of the nine E/Z/Q triangle singularity
 classes, the set of A/D/E Dynkin graphs obtainable from the class's basic
 graph by exactly two elementary or tie transformations, together with
-replayable witnesses, plus the exact root-lattice machinery used to
-cross-check the graph engine.
+replayable witnesses.
 
 Public names resolve lazily (PEP 562): ``import dynkintrans`` loads no
 submodule, and ``dynkintrans.tie_all`` imports ``dynkintrans.transforms``
@@ -26,8 +25,6 @@ _PUBLIC = {
         "catalog": """Catalog CatalogMember ENGINE_VERSION QueryNotADE SINGULARITY_CLASSES
             SingularityClass build_catalog catalog_from_json catalog_to_json membership
             singularity_class""",
-        "lattice": """Lattice NonIntegralLattice RootSet coroot_system determinant
-            root_count root_lattice short_vectors""",
     }.items()
     for name in names.split()
 }

@@ -120,7 +120,7 @@ def _cmd_transform(args) -> int:
     if args.json:
         import json
 
-        rows = [{"name": out.name, "choice": dict(zip(c.__slots__, c._key))}
+        rows = [{"name": out.name, "choice": dict(zip(c._fields, c._key))}
                 for out, c in results]  # index tuples dump as JSON lists
         payload = {"input": g.name, "op": args.op, "results": rows}
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -19,28 +19,14 @@ import sys
 import time
 
 from dynkintrans.catalog import build_catalog
-from dynkintrans.graphs import extend, parse_name
-from dynkintrans.transforms import ElementaryChoice
+from dynkintrans.graphs import parse_name
 
-from oracles import (
-    _removed_graph,
-    _tie_graph,
-    naive_elementary_all,
-    naive_tie_all,
-    oracle_classify,
-)
+from oracles import naive_elementary_all, naive_tie_all, oracle_replay
 
 
 def _outcomes(name: str) -> set[str]:
     g = parse_name(name)
     return naive_elementary_all(g) | naive_tie_all(g)
-
-
-def _oracle_replay(step):
-    ext, choice = extend(step.input), step.choice
-    if isinstance(choice, ElementaryChoice):
-        return oracle_classify(_removed_graph(ext, set(choice.removed)))
-    return oracle_classify(_tie_graph(ext, set(choice.a), choice.b))
 
 
 def main() -> int:
@@ -56,7 +42,7 @@ def main() -> int:
         failures.append(f"only the engine lists {sorted(set(engine) - reached)}")
     for member in catalog.members:
         for step in member.witness:
-            if _oracle_replay(step) != step.output:
+            if oracle_replay(step) != step.output:
                 failures.append(f"witness of {member.graph}: {step} does not replay")
     print(
         f"Q10: oracle {len(reached)} names, engine {len(engine)} names, "

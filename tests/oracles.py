@@ -169,6 +169,15 @@ def _tie_graph(ext, a: set[int], b: tuple[int, ...]) -> LabeledGraph:
     return LabeledGraph(verts, tuple(edges))
 
 
+def oracle_replay(step) -> DynkinGraph | None:
+    """The output of one witness step: its choice applied literally to the
+    extended graph of its input, classified by ``oracle_classify``."""
+    ext, choice = extend(step.input), step.choice
+    if choice.kind == "elementary":
+        return oracle_classify(_removed_graph(ext, set(choice.removed)))
+    return oracle_classify(_tie_graph(ext, set(choice.a), choice.b))
+
+
 def naive_elementary_witnesses(g: DynkinGraph) -> dict[str, tuple[int, ...]]:
     """Smallest removed set per outcome name over every elementary removal,
     replayed literally."""

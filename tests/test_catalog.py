@@ -33,6 +33,8 @@ from dynkintrans.transforms import (
     tie_all,
 )
 
+from oracles import oracle_replay
+
 
 def _compact(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -145,6 +147,20 @@ class TestCatalogContents:
                 assert s1.replay() == s1.output
                 assert s2.input == s1.output
                 assert s2.replay() == m.graph
+
+    def test_every_witness_step_replays_through_the_oracle(self, all_catalogs):
+        # the oracle rebuilds each step's outcome from the extended graph and
+        # the choice alone, and names it by Gram-matrix isomorphism search
+        steps = 0
+        for symbol, catalog in all_catalogs.items():
+            for m in catalog.members:
+                s1, s2 = m.witness
+                assert s1.input == catalog.singularity.basic and s2.input == s1.output
+                assert s2.output == m.graph
+                for step in m.witness:
+                    assert oracle_replay(step) == step.output, (symbol, m.graph.name, step)
+                steps += 2
+        assert steps == 3316
 
     def test_four_combinations_union(self, all_catalogs):
         # recompute the member set of one class from the four ordered

@@ -350,27 +350,27 @@ def test_warm_check_loads_no_openssl(all_catalogs, catalog_cache_dir):
 
 
 def test_transform_loads_only_graphs_and_transforms():
-    """``transform`` needs neither the catalog layer nor the lattice, json,
-    pathlib or tempfile, and the value classes are no dataclasses, so neither
-    dataclasses nor inspect loads; the one-graph-per-process use pays for none."""
-    unused = [
-        "dynkintrans.catalog", "dynkintrans.lattice", "json", "pathlib", "tempfile",
-        "dataclasses", "inspect",
-    ]
+    """``transform`` needs neither the catalog layer nor json, pathlib or
+    tempfile, and the value classes are no dataclasses, so neither dataclasses
+    nor inspect loads; the one-graph-per-process use pays for none."""
+    unused = ["dynkintrans.catalog", "json", "pathlib", "tempfile", "dataclasses", "inspect"]
     assert _modules_loaded(unused, ["transform", "D6", "--op", "tie"]) == "0 [] []"
 
 
-def test_lattice_loads_no_dataclasses():
-    """``Lattice`` and ``RootSet`` are value classes on the base of ``graphs``,
-    so importing the lattice loads neither dataclasses nor inspect."""
+def test_lattice_checks_load_no_dynkintrans():
+    """The lattice arithmetic of the checks stands apart from the package:
+    importing ``tests/lattice.py`` loads no ``dynkintrans`` module."""
     script = (
-        "import sys, dynkintrans.lattice\n"
-        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "import lattice\n"
+        "print(lattice.root_count(((2, -1), (-1, 2))),\n"
+        "      [m for m in sys.modules if m.split('.')[0] == 'dynkintrans'])\n"
     )
-    assert _last_line(script) == "[]"
+    assert _last_line(script) == "6 []"
 
 
 def test_warm_check_loads_no_lattice_and_no_tempfile(all_catalogs, catalog_cache_dir):
-    unused = ["dynkintrans.lattice", "tempfile"]
+    unused = ["tempfile"]
     argv = ["check", "Z13", "A7+A4", "--cache-dir", str(catalog_cache_dir)]
     assert _modules_loaded(unused, argv) == "0 [] []"

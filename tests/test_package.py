@@ -4,13 +4,13 @@ import pytest
 
 import dynkintrans
 
-MODULES = ("graphs", "transforms", "catalog", "lattice")
+MODULES = ("graphs", "transforms", "catalog")
 
 
 def test_all_lists_exactly_the_public_names():
     # one table names the defining module of each public name; __all__ is its key list
     assert dynkintrans.__all__ == sorted(dynkintrans._PUBLIC)
-    assert len(dynkintrans.__all__) == 47
+    assert len(dynkintrans.__all__) == 39
     assert set(dynkintrans._PUBLIC.values()) == set(MODULES)
 
 
