@@ -150,16 +150,25 @@ class DynkinGraph(_Value):
     """A finite multiset of components; order never matters.
 
     Components are kept sorted E > D > A > G2 > G1 > BC1, so the graph is
-    A/D/E exactly when its last component is.  The name is a function of
-    the sorted components alone: it is built on first read and kept on the
-    instance; equality, hashing and ``repr`` see only the components.
+    A/D/E exactly when its last component is.  The name and the hash are
+    functions of the sorted components alone: each is computed on first use
+    and kept on the instance; equality, hashing and ``repr`` see only the
+    components.
     """
 
-    __slots__ = ("components", "_name")
+    __slots__ = ("components", "_name", "_hash")
 
     def __init__(self, components: Iterable[ComponentType] = ()) -> None:
         _set(self, "components", tuple(sorted(components, key=lambda c: c.sort_key)))
         _set(self, "_name", None)
+        _set(self, "_hash", None)
+
+    def __hash__(self):  # kept: every engine memo lookup hashes a graph
+        h = self._hash
+        if h is None:
+            h = hash(self._key)
+            _set(self, "_hash", h)
+        return h
 
     @property
     def total_vertices(self) -> int:

@@ -229,9 +229,12 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # Those three codes hold the primes 2, 3 and 5, so a product is A/D/E
 # exactly when it is prime to 30.  The end of such a fold needs no second
 # cut: with A/D/E tables ``_settle`` closes a lone short root as G2 at
-# once, so no open state reaches ``_fuse`` as G2.  ``_reach(g, kind)`` runs
-# that fold, its joins and its end (``_ends``) on the keys alone, at about
-# half the cost.
+# once, so no open state reaches ``_fuse`` as G2.  ``_reach(g, kind)``
+# runs that fold on the keys alone.  A set of products does not depend on
+# the join order, and ``_settle`` is symmetric, so it joins the smallest
+# table first: fewer states meet each later table.  The witness fold keeps
+# index order, on which the lex-order argument rests.  Both folds end each
+# state at their last join (``_end``), not in a second walk.
 # ---------------------------------------------------------------------------
 
 # The prime of each type code, the next one handed out on first use, so it is an
@@ -503,20 +506,36 @@ def _settle(held: tuple | None, descs: tuple | None) -> tuple | None:
     return None if fused is None else (fused, None)
 
 
-def _fold(parts: list[tuple[int, _Table]]) -> _Table:
+# The table of no component: joined to the states, it only ends them.
+_UNIT: _Table = {(): {1: ((), ())}}
+
+
+@cache
+def _end(held: tuple | None, descs: tuple | None, tie: bool) -> tuple | None:
+    """``_settle`` at the last join, which closes every state: (the types it
+    adds, None), where a tie adds its new vertex too, fused with the open
+    descriptors or alone as A1; None when no Dynkin outcome holds it."""
+    join = _settle(held, descs)
+    if join is None or join[1] is None or not tie:  # an elementary step adds no vertex
+        return join and (join[0], None)
+    fused = _fuse(join[1])
+    return None if fused is None else (join[0] * fused, None)
+
+
+def _fold(parts: list[tuple[int, _Table]], tie: bool) -> _Winners:
     """Merge option tables, each given with the first vertex index of its
-    component, into one table of states in graph indices."""
-    states: _Table = {(): {1: ((), ())}}
-    for lo, table in parts:
-        if not lo:  # the first table, joined to the empty state, is itself
-            states = table
-            continue
+    component, into the smallest (A, B) in graph indices per outcome, ending
+    every state at the last join."""
+    states = parts[0][1] if parts else _UNIT  # the first table, joined to _UNIT, is itself
+    rest = parts[1:] or [(0, _UNIT)]
+    for i, (lo, table) in enumerate(rest, 1 - len(rest)):  # i == 0 at the last join
         nxt: _Table = {}
         for descs, group in table.items():
             opts = [(t, (tuple(v + lo for v in a), tuple(v + lo for v in b)))
                     for t, (a, b) in group.items()]  # local indices to graph indices
             for held, held_group in states.items():
-                if (join := _settle(held, descs)) is None:
+                join = _settle(held, descs) if i else _end(held, descs, tie)
+                if join is None:
                     continue
                 extra, still_open = join
                 out = nxt.setdefault(still_open, {})
@@ -529,7 +548,7 @@ def _fold(parts: list[tuple[int, _Table]]) -> _Table:
                         if old is None or w < old:
                             out[merged] = w
         states = nxt
-    return states
+    return states.get(None, {})
 
 
 # Size budgets, checked before any core is built: a core lists the 2**k - 1 nonempty
@@ -577,49 +596,36 @@ def _core(g: DynkinGraph) -> list[tuple[int, _CompCore]]:
 def clear_transform_cache() -> None:
     """Drop the in-process enumeration memos (mostly for benchmarks/tests)."""
     _CORE_MEMO.clear()
-    for memo in (_winners, _reach, _settle, _fuse):
+    for memo in (_winners, _reach, _end, _settle, _fuse):
         memo.cache_clear()
-
-
-def _ends(folded: dict, kind: str) -> Iterator[tuple[int, dict | set]]:
-    """(types added at the end, states) of each final group of a fold that is kept."""
-    for descs, states in folded.items():  # an elementary fold ends in () and adds nothing
-        extra = 1 if descs is None or kind == "elementary" else _fuse(descs)  # the new vertex
-        if extra is not None:
-            yield extra, states
 
 
 @cache  # ade has no default: f(g, k) and f(g, k, False) would be two entries
 def _winners(g: DynkinGraph, kind: str, ade: bool) -> _Winners:
     """{type multiset: smallest (A, B)} over the outcomes of ``kind`` on
-    ``g``, only the A/D/E ones when ``ade``.  The fold keeps the smallest
-    (A, B) per state, which stays the smallest after any later component
-    (see the enumeration notes); each open tie state then fuses the new
-    vertex with its descriptors, or adds it alone as A1."""
-    folded = _fold([(lo, core.table(kind, ade)) for lo, core in _core(g)])
-    results = {}
-    for extra, states in _ends(folded, kind):
-        for types, w in states.items():
-            types *= extra
-            old = results.get(types)
-            if old is None or w < old:
-                results[types] = w
-    return results
+    ``g``, only the A/D/E ones when ``ade``.  The fold joins the components
+    in index order and keeps the smallest (A, B) per state, which stays the
+    smallest after any later component (see the enumeration notes)."""
+    return _fold([(lo, core.table(kind, ade)) for lo, core in _core(g)], kind == "tie")
 
 
 @cache
 def _reach(g: DynkinGraph, kind: str) -> set[int]:
-    """The keys of ``_winners(g, kind, True)``, from the same fold without witnesses."""
-    states: dict = {(): {1}}
-    for _, core in _core(g):
+    """The keys of ``_winners(g, kind, True)``, from the same fold without
+    witnesses.  A set of products does not depend on the join order, so the
+    tables join smallest first, which keeps fewer states to multiply."""
+    tables = sorted((core.table(kind, True) for _, core in _core(g)),
+                    key=lambda table: sum(map(len, table.values())))
+    states, rest = tables[0] if tables else _UNIT, tables[1:] or [_UNIT]
+    for i, table in enumerate(rest, 1 - len(rest)):  # i == 0 at the last join
         nxt: dict = {}
-        for descs, group in core.table(kind, True).items():
+        for descs, group in table.items():
             for held, held_types in states.items():
-                if join := _settle(held, descs):  # (types it adds, still open)
+                if join := _settle(held, descs) if i else _end(held, descs, kind == "tie"):
                     products = [join[0] * h * t for h in held_types for t in group]
                     nxt.setdefault(join[1], set()).update(products)
         states = nxt
-    return {t * x for x, ends in _ends(states, kind) for t in ends}
+    return states.get(None, set())
 
 
 def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]:

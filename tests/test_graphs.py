@@ -229,6 +229,11 @@ class TestNaming:
         assert DynkinGraph((A(1), A(2))) == DynkinGraph((A(2), A(1)))
         assert parse_name("A1+A2") == parse_name("A2+A1")
         assert parse_name("2A2") != parse_name("A2")
+        # built in two orders, one graph is one dict key, and it hashes as
+        # parse_name of its name does
+        g, h = DynkinGraph((A(1), E(6), A(1))), DynkinGraph((A(1), A(1), E(6)))
+        assert {g: 1, h: 2} == {parse_name(g.name): 2}
+        assert hash(g) == hash(h) == hash(parse_name(h.name))
 
     def test_name_of_unsorted_input(self):
         assert DynkinGraph((A(1), E(6))).name == "E6+A1"

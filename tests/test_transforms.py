@@ -329,17 +329,20 @@ class TestInvariants:
     def test_reach_is_the_ade_winner_keys(self):
         # a catalog decides from the key-only fold which witness folds to
         # run: it must reach exactly the keys of the A/D/E witness fold, on
-        # every graph of at most 8 vertices in at most 3 components and on
-        # every intermediate graph of the nine classes
+        # every graph of at most 8 vertices in at most 4 components and on
+        # every intermediate graph of the nine classes; the key-only fold
+        # joins its smallest table first, which reorders four components most
         types = [A(k) for k in range(1, 9)] + [D(k) for k in range(4, 9)]
         types += [E(6), E(7), E(8), G2, G1, BC1]
         graphs = [EMPTY] + [
             DynkinGraph(comps)
-            for k in (1, 2, 3)
+            for k in (1, 2, 3, 4)
             for comps in itertools.combinations_with_replacement(types, k)
             if sum(c.vertex_count for c in comps) <= 8
         ]
-        assert {"", "G2", "G1", "BC1", "E8", "D4+A2+A2", "G2+G1+BC1"} <= {g.name for g in graphs}
+        assert {"", "G2", "G1", "BC1", "E8", "D4+A2+A2", "G2+G1+BC1", "A5+A1+G1+BC1"} <= {
+            g.name for g in graphs}
+        assert sum(len(g.components) == 4 for g in graphs) == 171
         graphs += [
             mid
             for cls in SINGULARITY_CLASSES.values()
