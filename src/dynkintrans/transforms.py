@@ -229,12 +229,14 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # Those three codes hold the primes 2, 3 and 5, so a product is A/D/E
 # exactly when it is prime to 30.  The end of such a fold needs no second
 # cut: with A/D/E tables ``_settle`` closes a lone short root as G2 at
-# once, so no open state reaches ``_fuse`` as G2.  ``_reach(g, kind)``
-# runs that fold on the keys alone.  A set of products does not depend on
-# the join order, and ``_settle`` is symmetric, so it joins the smallest
-# table first: fewer states meet each later table.  The witness fold keeps
-# index order, on which the lex-order argument rests.  Both folds end each
-# state at their last join (``_end``), not in a second walk.
+# once, so no open state reaches ``_fuse`` as G2.  ``_reach(g, kind)`` runs
+# that fold in the key-only mode of ``_fold``, one set of products per
+# state.  A set does not depend on the join order, and ``_settle`` is
+# symmetric, so that mode joins the smallest table first; the witness mode
+# keeps index order, on which the lex-order argument rests.  Both end each
+# state at the last join (``_end``).  The memos of ``_winners`` and
+# ``_reach`` hold the A/D/E folds a catalog build reads again; the public
+# functions fold uncached, as nothing reads their tables twice.
 # ---------------------------------------------------------------------------
 
 # The prime of each type code, the next one handed out on first use, so it is an
@@ -522,22 +524,30 @@ def _end(held: tuple | None, descs: tuple | None, tie: bool) -> tuple | None:
     return None if fused is None else (join[0] * fused, None)
 
 
-def _fold(parts: list[tuple[int, _Table]], tie: bool) -> _Winners:
+def _fold(parts: list[tuple[int, _Table]], tie: bool, keys: bool = False) -> _Winners | set[int]:
     """Merge option tables, each given with the first vertex index of its
     component, into the smallest (A, B) in graph indices per outcome, ending
-    every state at the last join."""
+    every state at the last join; with ``keys``, into the set of outcomes
+    alone, joining the smallest table first."""
+    if keys:
+        parts = sorted(parts, key=lambda part: sum(map(len, part[1].values())))
     states = parts[0][1] if parts else _UNIT  # the first table, joined to _UNIT, is itself
     rest = parts[1:] or [(0, _UNIT)]
     for i, (lo, table) in enumerate(rest, 1 - len(rest)):  # i == 0 at the last join
-        nxt: _Table = {}
+        nxt: dict = {}
         for descs, group in table.items():
-            opts = [(t, (tuple(v + lo for v in a), tuple(v + lo for v in b)))
-                    for t, (a, b) in group.items()]  # local indices to graph indices
+            if not keys:
+                opts = [(t, (tuple(v + lo for v in a), tuple(v + lo for v in b)))
+                        for t, (a, b) in group.items()]  # local indices to graph indices
             for held, held_group in states.items():
                 join = _settle(held, descs) if i else _end(held, descs, tie)
                 if join is None:
                     continue
                 extra, still_open = join
+                if keys:
+                    nxt.setdefault(still_open, set()).update(
+                        [extra * h * t for h in held_group for t in group])
+                    continue
                 out = nxt.setdefault(still_open, {})
                 for held_types, (held_a, held_b) in held_group.items():
                     base = held_types * extra
@@ -548,7 +558,7 @@ def _fold(parts: list[tuple[int, _Table]], tie: bool) -> _Winners:
                         if old is None or w < old:
                             out[merged] = w
         states = nxt
-    return states.get(None, {})
+    return states.get(None, set() if keys else {})
 
 
 # Size budgets, checked before any core is built: a core lists the 2**k - 1 nonempty
@@ -603,29 +613,15 @@ def clear_transform_cache() -> None:
 @cache  # ade has no default: f(g, k) and f(g, k, False) would be two entries
 def _winners(g: DynkinGraph, kind: str, ade: bool) -> _Winners:
     """{type multiset: smallest (A, B)} over the outcomes of ``kind`` on
-    ``g``, only the A/D/E ones when ``ade``.  The fold joins the components
-    in index order and keeps the smallest (A, B) per state, which stays the
-    smallest after any later component (see the enumeration notes)."""
+    ``g``, only the A/D/E ones when ``ade``.  The memo serves the catalog's
+    A/D/E folds; the public functions call the uncached body."""
     return _fold([(lo, core.table(kind, ade)) for lo, core in _core(g)], kind == "tie")
 
 
 @cache
 def _reach(g: DynkinGraph, kind: str) -> set[int]:
-    """The keys of ``_winners(g, kind, True)``, from the same fold without
-    witnesses.  A set of products does not depend on the join order, so the
-    tables join smallest first, which keeps fewer states to multiply."""
-    tables = sorted((core.table(kind, True) for _, core in _core(g)),
-                    key=lambda table: sum(map(len, table.values())))
-    states, rest = tables[0] if tables else _UNIT, tables[1:] or [_UNIT]
-    for i, table in enumerate(rest, 1 - len(rest)):  # i == 0 at the last join
-        nxt: dict = {}
-        for descs, group in table.items():
-            for held, held_types in states.items():
-                if join := _settle(held, descs) if i else _end(held, descs, kind == "tie"):
-                    products = [join[0] * h * t for h in held_types for t in group]
-                    nxt.setdefault(join[1], set()).update(products)
-        states = nxt
-    return states.get(None, set())
+    """The keys of ``_winners(g, kind, True)``: the same fold in its key-only mode."""
+    return _fold([(lo, core.table(kind, True)) for lo, core in _core(g)], kind == "tie", True)
 
 
 def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]:
@@ -637,7 +633,7 @@ def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]
     ``g``, and removing everything yields the empty graph.
     """
     out = [(_decode_graph(t), _choice(ElementaryChoice, a))
-           for t, (a, _) in _winners(g, "elementary", False).items()]
+           for t, (a, _) in _winners.__wrapped__(g, "elementary", False).items()]
     out.sort(key=lambda pair: pair[0].name)
     return out
 
@@ -653,6 +649,6 @@ def tie_all(g: DynkinGraph) -> list[tuple[DynkinGraph, TieChoice]]:
     """
     seen: dict[tuple, tuple] = {}  # equal A-parts share one tuple, as the results keep them
     out = [(_decode_graph(t), _choice(TieChoice, seen.setdefault(a, a), b))
-           for t, (a, b) in _winners(g, "tie", False).items()]
+           for t, (a, b) in _winners.__wrapped__(g, "tie", False).items()]
     out.sort(key=lambda pair: pair[0].name)
     return out

@@ -275,10 +275,11 @@ class TestInvariants:
         assert _reach(h, "tie") == set(winners)
         old = {ct: c._tables["tie", True] for ct, c in transforms._CORE_MEMO.items() if ct != D(10)}
         assert len(old) == 3
-        # one cache holds every winner table, keyed by graph, kind and A/D/E cut,
-        # and another every key-only fold, keyed by graph and kind
+        # one cache holds the A/D/E winner tables, keyed by graph, kind and
+        # cut, and another the key-only folds, keyed by graph and kind; the
+        # public call leaves neither an entry
         memos = (transforms._winners, transforms._reach, transforms._settle, transforms._fuse)
-        assert [m.cache_info().currsize for m in memos[:2]] == [2, 1]
+        assert [m.cache_info().currsize for m in memos[:2]] == [1, 1]
         assert all(m.cache_info().currsize for m in memos)
         # a core reached only for its A/D/E cut keeps the cut alone
         assert all(("tie", False) not in transforms._CORE_MEMO[ct]._tables for ct in old)
@@ -304,6 +305,22 @@ class TestInvariants:
         for ct, table in old.items():
             assert transforms._CORE_MEMO[ct]._tables["tie", True] is not table
         clear_transform_cache()
+
+    def test_public_transforms_leave_no_per_graph_memo(self):
+        # only a catalog build reads a fold of one graph again, so the
+        # per-graph memos hold its A/D/E folds and no public result; a
+        # repeat call folds again and gives the same interned outcome graphs
+        g = parse_name("E7+G2")
+        memos = (transforms._winners, transforms._reach)
+        clear_transform_cache()
+        try:
+            for run in (tie_all, elementary_all):
+                first, again = run(g), run(g)
+                assert [m.cache_info().currsize for m in memos] == [0, 0]
+                assert again == first
+                assert all(new is old for (new, _), (old, _) in zip(again, first))
+        finally:
+            clear_transform_cache()
 
     @pytest.mark.parametrize("symbol", ["Q10", "Z12", "Q12"])
     def test_ade_winners_agree_with_public_results(self, symbol):
