@@ -196,7 +196,7 @@ def _compute_catalog(cls: SingularityClass) -> Catalog:
         if all(bound > limits.get(types, bound) for types in _reach(s1.output, kind)):
             continue
         len1 = len(enc1)
-        for types, (a, b) in _winners(s1.output, kind, True).items():
+        for types, (a, b) in _winners(s1.output, kind).items():
             b = b if kind == "tie" else None
             enc2 = _encode_step(mid_name, a, b)
             length = len1 + len(enc2)

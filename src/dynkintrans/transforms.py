@@ -198,19 +198,19 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # components, the types of its residual pieces and, for a tie, the
 # descriptors of its B-vertices that are still open.  ``_fold`` merges the
 # tables component by component into states keyed the same way.  A tie
-# option takes one A-part per signature: the gcd g of its coefficients and,
-# per residual piece, the piece type with its multiset of (descriptor,
-# coefficient mod g), held flat as one small int per distinct piece entry:
-# the sorted ids, then g.  (Without the mod-g classes, D9+BC1 loses its tie
-# outcome A5+A1+A1+A1+A1.)  Its B is at most three B-candidates in distinct
-# pieces, one per (piece, descriptor, coefficient mod g) class, the smallest
-# vertex of the class, with gcd(g, B-coefficient sum) = 1, a condition on
-# the component's own vertices only.  ``_settle`` drops a B that cannot
-# fuse and fuses at once one that can take no more; it is then closed.
+# option takes one A-part per signature, what its options read: the gcd g
+# of its coefficients and, per residual piece, its prime with the set of
+# (descriptor, coefficient mod g) classes of its vertices with a descriptor,
+# held flat as one small int per distinct piece entry: the sorted ids, then
+# g.  (Without the mod-g classes, D9+BC1 loses A5+A1+A1+A1+A1.)  Its B is
+# at most three B-candidates in distinct pieces, the smallest vertex of each
+# class, with gcd(g, B-coefficient sum) = 1, a condition on the component's
+# own vertices only.  ``_settle`` drops a B that cannot fuse and fuses at
+# once one that can take no more; it is then closed.
 #
-# Both tables visit masks in lex order of the ascending member tuple, the
-# order in which witnesses compare, so the first mask met per key is the
-# smallest and is kept without comparing tuples.
+# Every table keeps the first choice met per key, the smallest: masks come in
+# lex order of the ascending member tuple, the order in which witnesses
+# compare, so the A-parts of ``tie_reps`` too, and each B (``_b_sets``).
 #
 # Witnesses are the same as over the full product of choices.  A-parts of
 # one signature give the same options and have equal size, and swapping
@@ -222,10 +222,10 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # splits by component, and the smallest choice per key stays the smallest
 # after any suffix.
 #
-# A catalog keeps only A/D/E second-step outcomes: ``_winners(g, kind,
-# True)`` folds tables cut to their A/D/E entries.  That is exact: types
-# only accumulate through the fold, and a lone short root closes as G2 at
-# once, so an entry with a G2, G1 or BC1 code never reaches an A/D/E outcome.
+# A catalog keeps only A/D/E second-step outcomes: ``_winners(g, kind)``
+# folds tables cut to their A/D/E entries.  That is exact: types only
+# accumulate through the fold, and a lone short root closes as G2 at once,
+# so an entry with a G2, G1 or BC1 code never reaches an A/D/E outcome.
 # Those three codes hold the primes 2, 3 and 5, so a product is A/D/E
 # exactly when it is prime to 30.  The end of such a fold needs no second
 # cut: with A/D/E tables ``_settle`` closes a lone short root as G2 at
@@ -236,7 +236,7 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # keeps index order, on which the lex-order argument rests.  Both end each
 # state at the last join (``_end``).  The memos of ``_winners`` and
 # ``_reach`` hold the A/D/E folds a catalog build reads again; the public
-# functions fold uncached, as nothing reads their tables twice.
+# functions fold the whole tables uncached, as nothing reads them twice.
 # ---------------------------------------------------------------------------
 
 # The prime of each type code, the next one handed out on first use, so it is an
@@ -291,10 +291,7 @@ class _CompCore:
     vertex indices local to the component.  ``piece`` recognizes each
     distinct piece mask once, and each option table is built once."""
 
-    __slots__ = (
-        "size", "full", "adj", "coeff", "norm", "gcd_table", "order",
-        "_piece_memo", "_tables",
-    )
+    __slots__ = ("size", "full", "adj", "coeff", "norm", "_piece_memo", "_tables")
 
     def __init__(self, ct: ComponentType):
         lay = _layout(ct)  # extend(ct) without its labeled graph: the added vertex comes last
@@ -303,12 +300,7 @@ class _CompCore:
         self.full = (1 << self.size) - 1
         self.adj, self.norm = _mask_view(lay.norms, lay.edges)
         self.coeff = list(lay.coeffs)
-        table = [0]  # gcd of the coefficients picked by each submask
-        for c in self.coeff:
-            table += [gcd(c, t) for t in table]
-        self.gcd_table = table
-        self.order = _lex_masks(self.size)
-        # memos of this core, dropped with it: a cached method would keep every core alive
+        # its memos, all it keeps for later calls: a cached method would keep every core alive
         self._piece_memo: dict[int, tuple[int, tuple]] = {}
         self._tables: dict[tuple[str, bool], _Table] = {}  # by (kind, A/D/E only)
 
@@ -358,7 +350,7 @@ class _CompCore:
         residual_pieces = self.residual_pieces()
         primes: dict[int, int] = {}  # piece -> prime of its type
         first: dict[int, int] = {}
-        for removed in self.order:
+        for removed in _lex_masks(self.size):
             types = 1
             for piece in residual_pieces[self.full ^ removed]:
                 p = primes.get(piece)
@@ -369,39 +361,42 @@ class _CompCore:
         return {(): {t: (tuple(_bits(m)), ()) for t, m in first.items()}}
 
     def tie_reps(self) -> list[tuple[int, tuple[int, ...]]]:
-        """The smallest A-part of every tie signature, the first met in lex
-        order, in ascending mask order with the pieces of its residual."""
-        coeff, gcd_table = self.coeff, self.gcd_table
+        """The smallest A-part of every tie signature, the first met, with the
+        pieces of its residual, in lex order."""
+        coeff = self.coeff
+        gcds = [0]  # gcd of the coefficients picked by each submask
+        for c in coeff:
+            gcds += [gcd(c, t) for t in gcds]
         residual_pieces = self.residual_pieces()
-        # per (piece, g): the id of the piece type with its sorted (descriptor,
-        # coefficient mod g) classes, one per distinct entry; a None
-        # descriptor sorts as (), below every real one
+        # per (piece, g): the id of the piece's prime with its sorted set of
+        # (descriptor, coefficient mod g) classes, one per distinct entry
         ids: dict[tuple, int] = {}
         entry_ids: dict[tuple[int, int], int] = {}
         first: dict[tuple[int, ...], int] = {}  # sorted entry ids, then g
-        for a in self.order:
-            g = gcd_table[a]
+        for a in _lex_masks(self.size):
+            g = gcds[a]
             sig = []
             for piece in residual_pieces[self.full ^ a]:
                 i = entry_ids.get((piece, g))
                 if i is None:
-                    code, pairs = self.piece(piece)
-                    entry = (code, tuple(sorted((d or (), coeff[v] % g) for v, d in pairs)))
+                    p, pairs = self.piece(piece)
+                    entry = (p, tuple(sorted({(d, coeff[v] % g) for v, d in pairs if d})))
                     i = entry_ids[(piece, g)] = ids.setdefault(entry, len(ids))
                 sig.append(i)
             sig.sort()
             sig.append(g)
             first.setdefault(tuple(sig), a)
-        return [(a, residual_pieces[self.full ^ a]) for a in sorted(first.values())]
+        return [(a, residual_pieces[self.full ^ a]) for a in first.values()]
 
     def tie_table(self) -> _Table:
-        """Per (residual types, open descriptors), the smallest local (A, B):
-        A is one of ``tie_reps``, and B at most three of its B-candidates in
-        distinct pieces with gcd(g, sum of their coefficients) = 1."""
+        """Per (residual types, open descriptors), the first, so smallest, local
+        (A, B): A is one of ``tie_reps``, of coefficient gcd g, and B at most three
+        of its B-candidates in distinct pieces with gcd(g, their coefficient sum) = 1."""
         coeff = self.coeff
         table: _Table = {}
         for mask, pieces in self.tie_reps():
-            g, a = self.gcd_table[mask], tuple(_bits(mask))
+            a = tuple(_bits(mask))
+            g = gcd(*(coeff[v] for v in a))
             primes, cands = [], []
             for pid, piece in enumerate(pieces):
                 p, pairs = self.piece(piece)
@@ -419,10 +414,7 @@ class _CompCore:
                     continue
                 extra, still_open = join
                 types = residual * extra // prod(primes[i] for i in pids)  # B's pieces fuse
-                group = table.setdefault(still_open, {})
-                old = group.get(types)
-                if old is None or (a, b) < old:
-                    group[types] = (a, b)
+                table.setdefault(still_open, {}).setdefault(types, (a, b))
         return table
 
     def table(self, kind: str, ade: bool = False) -> _Table:
@@ -610,18 +602,22 @@ def clear_transform_cache() -> None:
         memo.cache_clear()
 
 
-@cache  # ade has no default: f(g, k) and f(g, k, False) would be two entries
-def _winners(g: DynkinGraph, kind: str, ade: bool) -> _Winners:
-    """{type multiset: smallest (A, B)} over the outcomes of ``kind`` on
-    ``g``, only the A/D/E ones when ``ade``.  The memo serves the catalog's
-    A/D/E folds; the public functions call the uncached body."""
-    return _fold([(lo, core.table(kind, ade)) for lo, core in _core(g)], kind == "tie")
+def _parts(g: DynkinGraph, kind: str, ade: bool = False) -> list[tuple[int, _Table]]:
+    """(first vertex index, option table, only A/D/E with ``ade``) of each component of ``g``."""
+    return [(lo, core.table(kind, ade)) for lo, core in _core(g)]
+
+
+@cache
+def _winners(g: DynkinGraph, kind: str) -> _Winners:
+    """{type multiset: smallest (A, B)} over the A/D/E outcomes of ``kind``
+    on ``g``: the catalog's memo of its witness folds."""
+    return _fold(_parts(g, kind, True), kind == "tie")
 
 
 @cache
 def _reach(g: DynkinGraph, kind: str) -> set[int]:
-    """The keys of ``_winners(g, kind, True)``: the same fold in its key-only mode."""
-    return _fold([(lo, core.table(kind, True)) for lo, core in _core(g)], kind == "tie", True)
+    """The keys of ``_winners(g, kind)``: the same fold in its key-only mode."""
+    return _fold(_parts(g, kind, True), kind == "tie", True)
 
 
 def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]:
@@ -633,7 +629,7 @@ def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]
     ``g``, and removing everything yields the empty graph.
     """
     out = [(_decode_graph(t), _choice(ElementaryChoice, a))
-           for t, (a, _) in _winners.__wrapped__(g, "elementary", False).items()]
+           for t, (a, _) in _fold(_parts(g, "elementary"), False).items()]
     out.sort(key=lambda pair: pair[0].name)
     return out
 
@@ -649,6 +645,6 @@ def tie_all(g: DynkinGraph) -> list[tuple[DynkinGraph, TieChoice]]:
     """
     seen: dict[tuple, tuple] = {}  # equal A-parts share one tuple, as the results keep them
     out = [(_decode_graph(t), _choice(TieChoice, seen.setdefault(a, a), b))
-           for t, (a, b) in _winners.__wrapped__(g, "tie", False).items()]
+           for t, (a, b) in _fold(_parts(g, "tie"), True).items()]
     out.sort(key=lambda pair: pair[0].name)
     return out

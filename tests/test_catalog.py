@@ -271,7 +271,8 @@ class TestWitnessSelection:
         # the made-up tables meet no cached real result, and leave none behind
         transforms.clear_transform_cache()
         try:
-            assert transforms._winners(g("A2"), "elementary", False)[_types(g("G2"))] == ((1,), ())
+            full = transforms._fold(transforms._parts(g("A2"), "elementary"), False)
+            assert full[_types(g("G2"))] == ((1,), ())
             cls = SingularityClass("X7", 7, g("A3"))
             catalog = catalog_module._compute_catalog(cls)
         finally:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -255,14 +256,16 @@ class TestInvariants:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_core_visits_masks_in_lex_order(self, n):
         # a core keeps the first mask it meets per key as the smallest, so it
-        # must visit masks in the order in which witnesses compare
+        # must visit masks, and give its tie A-parts, in the order in which
+        # witnesses compare
         def members(mask):
             return tuple(v for v in range(n) if mask >> v & 1)
 
         expected = sorted(range(1, 1 << n), key=members)
         assert _lex_masks(n) == expected
         if n > 1:
-            assert _CompCore(A(n - 1)).order == expected
+            masks = [a for a, _ in _CompCore(A(n - 1)).tie_reps()]
+            assert masks == sorted(masks, key=members)
 
     def test_clear_transform_cache_leaves_no_core(self, monkeypatch):
         # the transform sweep measures per-call work only if a clear drops
@@ -271,13 +274,13 @@ class TestInvariants:
         g, h = parse_name("D10"), parse_name("D4+A3+A1")
         clear_transform_cache()
         first = tie_all(g)
-        winners = _winners(h, "tie", True)
+        winners = _winners(h, "tie")
         assert _reach(h, "tie") == set(winners)
         old = {ct: c._tables["tie", True] for ct, c in transforms._CORE_MEMO.items() if ct != D(10)}
         assert len(old) == 3
-        # one cache holds the A/D/E winner tables, keyed by graph, kind and
-        # cut, and another the key-only folds, keyed by graph and kind; the
-        # public call leaves neither an entry
+        # one cache holds the A/D/E winner tables and another the key-only
+        # folds, both keyed by graph and kind; the public call leaves neither
+        # an entry
         memos = (transforms._winners, transforms._reach, transforms._settle, transforms._fuse)
         assert [m.cache_info().currsize for m in memos[:2]] == [1, 1]
         assert all(m.cache_info().currsize for m in memos)
@@ -300,11 +303,32 @@ class TestInvariants:
         assert built == [D(10)]
         # outcome graphs stay interned: the clear drops results, not graphs
         assert all(new is old for (new, _), (old, _) in zip(again, first))
-        assert _winners(h, "tie", True) == winners
+        assert _winners(h, "tie") == winners
         assert built == [D(10), D(4), A(3), A(1)]
         for ct, table in old.items():
             assert transforms._CORE_MEMO[ct]._tables["tie", True] is not table
         clear_transform_cache()
+
+    def test_core_keeps_only_its_tables(self):
+        # a core lists every vertex mask of its component while it builds its
+        # tables and keeps only the tables and its named pieces after: what
+        # tie_all and elementary_all of A15 leave allocated is less than the
+        # list of its 65,535 masks alone
+        g = parse_name("A15")
+        clear_transform_cache()
+        tracemalloc.start()
+        try:
+            tie_all(g)
+            elementary_all(g)
+            kept = tracemalloc.get_traced_memory()[0]
+            tracemalloc.clear_traces()
+            masks = _lex_masks(16)
+            listed = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            clear_transform_cache()
+        assert len(masks) == 2**16 - 1
+        assert kept < listed
 
     def test_public_transforms_leave_no_per_graph_memo(self):
         # only a catalog build reads a fold of one graph again, so the
@@ -330,7 +354,7 @@ class TestInvariants:
         clear_transform_cache()
         mids = {mid.name: mid for first in (elementary_all, tie_all) for mid, _ in first(basic)}
         tables = {  # before any public call
-            name: [_winners(mid, kind, True) for kind in ("elementary", "tie")]
+            name: [_winners(mid, kind) for kind in ("elementary", "tie")]
             for name, mid in mids.items()
         }
         for name, mid in mids.items():
@@ -369,7 +393,7 @@ class TestInvariants:
         clear_transform_cache()
         for g in graphs:
             for kind in ("elementary", "tie"):
-                assert _reach(g, kind) == set(_winners(g, kind, True)), (g.name, kind)
+                assert _reach(g, kind) == set(_winners(g, kind)), (g.name, kind)
         clear_transform_cache()
 
     def test_tie_witness_has_the_smallest_b_for_its_a(self):
