@@ -22,9 +22,9 @@ _PUBLIC = {
             parse_name realize""",
         "transforms": """ElementaryChoice GraphTooLarge InvalidChoice TieChoice TransformStep
             apply apply_labeled elementary_all tie_all""",
-        "catalog": """Catalog CatalogMember ENGINE_VERSION QueryNotADE SINGULARITY_CLASSES
-            SingularityClass build_catalog catalog_from_json catalog_to_json membership
-            singularity_class""",
+        "_catalog_type": "Catalog",
+        "catalog": """CatalogMember ENGINE_VERSION QueryNotADE SINGULARITY_CLASSES SingularityClass
+            build_catalog catalog_from_json catalog_to_json membership singularity_class""",
     }.items()
     for name in names.split()
 }

@@ -15,11 +15,9 @@ digest is the published digest of its class.
 
 from __future__ import annotations
 
-import bisect
 import json
 import os
 from _blake2 import blake2b  # builtin: hashlib would load OpenSSL for one digest
-from dataclasses import dataclass
 from functools import cache
 from operator import attrgetter
 from pathlib import Path
@@ -105,27 +103,11 @@ class CatalogMember(_Value):
         return self.graph.name
 
 
-@dataclass(frozen=True)  # the one dataclass: perfbench's tests copy one with dataclasses.replace
-class Catalog:
-    """The computed member set of one class, sorted by canonical name."""
-
-    singularity: SingularityClass
-    members: tuple[CatalogMember, ...]
-
-    def names(self) -> list[str]:
-        return [m.name for m in self.members]
-
-    def get(self, name: str) -> CatalogMember | None:
-        i = bisect.bisect_left(self.members, name, key=attrgetter("name"))
-        if i < len(self.members) and self.members[i].name == name:
-            return self.members[i]
-        return None
-
-    def __contains__(self, g: DynkinGraph) -> bool:
-        return self.get(g.name) is not None
-
-    def __len__(self) -> int:
-        return len(self.members)
+def __getattr__(name: str):  # PEP 562: Catalog, and with it dataclasses, on first use
+    if name == "Catalog":
+        from ._catalog_type import Catalog
+        return Catalog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @cache
@@ -214,6 +196,7 @@ def _compute_catalog(cls: SingularityClass) -> Catalog:
         choice = ElementaryChoice(a) if b is None else TieChoice(a, b)
         members.append(CatalogMember(out, (s1, TransformStep(choice, s1.output, out))))
     members.sort(key=attrgetter("name"))
+    from ._catalog_type import Catalog  # here, not at the top: a warm answer builds none
     return Catalog(cls, tuple(members))
 
 
@@ -317,6 +300,7 @@ def catalog_from_json(text: str) -> Catalog:
             members.append(CatalogMember(graph, _entry_witness(cls, entry, graph, mids)))
     except (AttributeError, IndexError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed catalog: {exc!r}") from exc
+    from ._catalog_type import Catalog
     return Catalog(cls, tuple(members))
 
 

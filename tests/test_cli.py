@@ -371,6 +371,34 @@ def test_lattice_checks_load_no_dynkintrans():
 
 
 def test_warm_check_loads_no_lattice_and_no_tempfile(all_catalogs, catalog_cache_dir):
-    unused = ["tempfile"]
+    """A warm answer builds no ``Catalog``, whose module alone loads
+    ``dataclasses`` and, with it, ``inspect``."""
+    unused = ["tempfile", "dataclasses", "inspect", "dynkintrans._catalog_type"]
     argv = ["check", "Z13", "A7+A4", "--cache-dir", str(catalog_cache_dir)]
     assert _modules_loaded(unused, argv) == "0 [] []"
+
+
+def test_catalog_off_the_warm_path_is_the_same_class(cli, all_catalogs):
+    """``Catalog`` is one class under each of its names, still a frozen
+    dataclass that pickles, and a miss answers ``check`` as a warm file does."""
+    import dataclasses
+    import pickle
+
+    import dynkintrans
+    from dynkintrans import catalog as catalog_mod
+    from dynkintrans.catalog import Catalog
+
+    assert dynkintrans.Catalog is catalog_mod.Catalog is Catalog
+    with pytest.raises(AttributeError, match="'dynkintrans.catalog' has no attribute 'Catalogs'"):
+        catalog_mod.Catalogs
+    q10 = all_catalogs["Q10"]
+    assert type(q10) is Catalog
+    fewer = dataclasses.replace(q10, members=q10.members[1:])
+    assert (fewer.singularity, fewer.members) == (q10.singularity, q10.members[1:])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q10.members = ()
+    assert pickle.loads(pickle.dumps(q10)) == q10
+    for graph, code in (("A7+A4", 0), ("A12", 1)):
+        warm = cli("check", "Z13", graph)
+        assert warm[0] == code
+        assert cli("check", "Z13", graph, "--no-cache", cache=False) == warm

@@ -153,14 +153,16 @@ def test_value_construction_rejects_a_wrong_call(args, kwargs):
 
 
 def test_catalog_is_the_only_dataclass():
-    """Every other value class is a ``graphs._Value``, so only ``catalog``
+    """Every other value class is a ``graphs._Value``, so only ``_catalog_type``
     loads ``dataclasses``; ``Catalog`` stays one for ``dataclasses.replace``."""
     modules = [importlib.import_module(f"dynkintrans.{name}")
-               for name in ("graphs", "transforms", "catalog", "cli")]
+               for name in ("graphs", "transforms", "catalog", "_catalog_type", "cli")]
     found = [f"{cls.__module__}.{cls.__name__}" for mod in modules for cls in vars(mod).values()
              if isinstance(cls, type) and cls.__module__ == mod.__name__
              and hasattr(cls, "__dataclass_fields__")]
-    assert found == ["dynkintrans.catalog.Catalog"]
+    assert found == ["dynkintrans._catalog_type.Catalog"]
+    assert [mod.__name__ for mod in modules if "dataclass" in vars(mod)] == [
+        "dynkintrans._catalog_type"]
 
 
 @pytest.mark.parametrize(

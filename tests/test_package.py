@@ -4,7 +4,7 @@ import pytest
 
 import dynkintrans
 
-MODULES = ("graphs", "transforms", "catalog")
+MODULES = ("graphs", "transforms", "catalog", "_catalog_type")
 
 
 def test_all_lists_exactly_the_public_names():
