@@ -20,8 +20,8 @@ _PUBLIC = {
         "graphs": """A BC1 ComponentType D DynkinGraph E EMPTY ExtendedGraph G1 G2
             LabeledGraph NotADynkinGraph ParseError Vertex classify extend gram
             parse_name realize""",
-        "transforms": """ElementaryChoice GraphTooLarge InvalidChoice TieChoice TransformStep
-            apply apply_labeled elementary_all tie_all""",
+        "steps": "ElementaryChoice TieChoice TransformStep",
+        "transforms": "GraphTooLarge InvalidChoice apply apply_labeled elementary_all tie_all",
         "_catalog_type": "Catalog",
         "catalog": """CatalogMember ENGINE_VERSION QueryNotADE SINGULARITY_CLASSES SingularityClass
             build_catalog catalog_from_json catalog_to_json membership singularity_class""",

@@ -23,17 +23,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .graphs import DynkinGraph, _Value, parse_name
-from .transforms import (
-    Choice,
-    ElementaryChoice,
-    TieChoice,
-    TransformStep,
-    _decode_graph,
-    _reach,
-    _winners,
-    elementary_all,
-    tie_all,
-)
+from .steps import Choice, ElementaryChoice, TieChoice, TransformStep
 
 ENGINE_VERSION = "1"
 
@@ -107,6 +97,9 @@ def __getattr__(name: str):  # PEP 562: Catalog, and with it dataclasses, on fir
     if name == "Catalog":
         from ._catalog_type import Catalog
         return Catalog
+    if name in ("elementary_all", "tie_all"):  # the engine's current objects
+        from . import transforms
+        return getattr(transforms, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -152,6 +145,8 @@ def _compute_catalog(cls: SingularityClass) -> Catalog:
     Members are keyed by the engine's type multisets; only each member's
     winner gets its graph, name, second-step choice and step.
     """
+    from .transforms import _decode_graph, _reach, _winners, elementary_all, tie_all
+
     basic = cls.basic
     basic_name = basic.name
     # intermediate name -> (enc1, first step)

@@ -5,9 +5,10 @@ verification, 2 usage or parse errors, or an ``--out`` file that cannot be
 written.  All text output is UTF-8, line-oriented and sorted, so runs diff
 cleanly.
 
-Importing this module loads only the graph layer and the transform engine,
-which every command uses.  ``catalog``, ``check`` and ``verify`` import the
-catalog layer when they run, and ``transform --json`` imports ``json``.
+Importing this module loads only the graph layer and the step classes.
+``catalog``, ``check`` and ``verify`` import the catalog layer when they run,
+``transform`` and ``verify`` the transform engine (as does a catalog that is
+computed, not read), and ``transform --json`` imports ``json``.
 """
 
 from __future__ import annotations
@@ -18,15 +19,16 @@ from functools import cache
 
 from . import __version__
 from .graphs import DynkinGraph, ParseError, extended_vertex_ids, parse_name
-from .transforms import (
-    ElementaryChoice,
-    GraphTooLarge,
-    TransformStep,
-    elementary_all,
-    tie_all,
-)
+from .steps import ElementaryChoice, TransformStep
 
 USAGE_ERROR = 2
+
+
+def __getattr__(name: str):  # PEP 562: the engine's current objects, loaded on first use
+    if name in ("elementary_all", "tie_all"):
+        from . import transforms
+        return getattr(transforms, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _emit(text: str, out_path: str | None) -> int:
@@ -112,6 +114,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from .transforms import GraphTooLarge, elementary_all, tie_all
+
     g = _parse_graph_arg(args.graph)
     try:
         results = elementary_all(g) if args.op == "elementary" else tie_all(g)
@@ -133,6 +137,7 @@ def _verify_checks(full: bool, cache_kwargs: dict):
     """Yield (name, ok, detail) tuples for the regression suite."""
     from .catalog import SINGULARITY_CLASSES, build_catalog, is_published
     from .graphs import A, BC1, D, E, G1, G2, check_extension_identity
+    from .transforms import elementary_all, tie_all
 
     try:
         for ct in (A(1), A(5), D(4), D(7), E(6), E(7), E(8), G2, G1, BC1):

@@ -51,11 +51,11 @@ from .graphs import (
     _legs_code,
     _mask_view,
     _recognize,
-    _set,
     _Value,
     classify,
     extend,
 )
+from .steps import Choice, ElementaryChoice, TieChoice, TransformStep
 
 
 class InvalidChoice(ValueError):
@@ -66,48 +66,11 @@ class GraphTooLarge(ValueError):
     """A graph is over the size budget of the enumeration engine."""
 
 
-class ElementaryChoice(_Value):
-    """Vertex indices of the extended graph removed by an elementary step."""
-
-    __slots__ = ("removed",)
-    kind = "elementary"
-
-    def __init__(self, removed: Iterable[int]) -> None:
-        _set(self, "removed", tuple(sorted(removed)))
-
-
-class TieChoice(_Value):
-    """The sets A (removed) and B (joined to the new vertex) of a tie step."""
-
-    __slots__ = ("a", "b")
-    kind = "tie"
-
-    def __init__(self, a: Iterable[int], b: Iterable[int]) -> None:
-        _set(self, "a", tuple(sorted(a)))
-        _set(self, "b", tuple(sorted(b)))
-
-
-Choice = ElementaryChoice | TieChoice
-
-
 def _choice(cls: type, *parts: tuple[int, ...]) -> Choice:
     """A choice from index tuples the fold yields sorted, not sorted again."""
     choice = object.__new__(cls)
     _Value.__init__(choice, *parts)
     return choice
-
-
-class TransformStep(_Value):
-    """One recorded transformation: replaying ``choice`` on ``input`` gives ``output``."""
-
-    __slots__ = ("choice", "input", "output")
-
-    @property
-    def kind(self) -> str:
-        return self.choice.kind
-
-    def replay(self) -> DynkinGraph:
-        return apply(self.input, self.choice)
 
 
 def _validate_indices(ext: ExtendedGraph, ids: Iterable[int], what: str) -> None:

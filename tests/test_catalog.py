@@ -265,8 +265,8 @@ class TestWitnessSelection:
             def tie_table(self):
                 return {None: {_types(out): (c.a, c.b) for out, c in tie[self.name]}}
 
-        monkeypatch.setattr(catalog_module, "elementary_all", fake_elementary)
-        monkeypatch.setattr(catalog_module, "tie_all", fake_tie)
+        monkeypatch.setattr(transforms, "elementary_all", fake_elementary)
+        monkeypatch.setattr(transforms, "tie_all", fake_tie)
         monkeypatch.setattr(transforms, "_core", lambda graph: [(0, MadeUpCore(graph.name))])
         # the made-up tables meet no cached real result, and leave none behind
         transforms.clear_transform_cache()

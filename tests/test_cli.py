@@ -372,10 +372,31 @@ def test_lattice_checks_load_no_dynkintrans():
 
 def test_warm_check_loads_no_lattice_and_no_tempfile(all_catalogs, catalog_cache_dir):
     """A warm answer builds no ``Catalog``, whose module alone loads
-    ``dataclasses`` and, with it, ``inspect``."""
-    unused = ["tempfile", "dataclasses", "inspect", "dynkintrans._catalog_type"]
+    ``dataclasses`` and, with it, ``inspect``; and it enumerates nothing,
+    so the transform engine does not load either."""
+    unused = ["tempfile", "dataclasses", "inspect", "dynkintrans._catalog_type",
+              "dynkintrans.transforms"]
     argv = ["check", "Z13", "A7+A4", "--cache-dir", str(catalog_cache_dir)]
     assert _modules_loaded(unused, argv) == "0 [] []"
+
+
+def test_engine_loads_only_to_enumerate_or_replay(all_catalogs, catalog_cache_dir):
+    """A warm ``membership`` answer leaves the engine unloaded, and each of
+    its witness steps then replays to its output, importing ``apply`` as it
+    runs; ``transform`` and a ``check`` that computes its catalog load it."""
+    script = (
+        "import sys\n"
+        "from dynkintrans.catalog import membership\n"
+        "from dynkintrans.graphs import parse_name\n"
+        f"witness = membership('Z13', parse_name('A7+A4'), cache_dir={str(catalog_cache_dir)!r})\n"
+        "warm = 'dynkintrans.transforms' in sys.modules\n"
+        "replayed = [step.replay() == step.output for step in witness]\n"
+        "print(warm, replayed, 'dynkintrans.transforms' in sys.modules)\n"
+    )
+    assert _last_line(script) == "False [True, True] True"
+    engine = ["dynkintrans.transforms"]
+    for argv in (["transform", "D6", "--op", "tie"], ["check", "Q10", "A5", "--no-cache"]):
+        assert _modules_loaded(engine, argv) == "0 [] ['dynkintrans.transforms']", argv
 
 
 def test_catalog_off_the_warm_path_is_the_same_class(cli, all_catalogs):

@@ -4,7 +4,7 @@ import pytest
 
 import dynkintrans
 
-MODULES = ("graphs", "transforms", "catalog", "_catalog_type")
+MODULES = ("graphs", "steps", "transforms", "catalog", "_catalog_type")
 
 
 def test_all_lists_exactly_the_public_names():
@@ -33,6 +33,40 @@ def test_names_are_looked_up_on_every_access(monkeypatch):
     monkeypatch.undo()
     assert dynkintrans.tie_all is transforms.tie_all
     assert "tie_all" not in vars(dynkintrans)
+
+
+@pytest.mark.parametrize("layer", ["catalog", "cli"])
+def test_engine_functions_forward_to_transforms(layer, monkeypatch):
+    # catalog and cli hold no engine function: each name reads transforms's current object
+    from dynkintrans import transforms
+
+    module = importlib.import_module(f"dynkintrans.{layer}")
+    for name in ("elementary_all", "tie_all"):
+        assert getattr(module, name) is getattr(transforms, name)
+        assert name not in vars(module)
+        monkeypatch.setattr(transforms, name, lambda g: [])
+        assert getattr(module, name) is getattr(transforms, name)
+        monkeypatch.undo()
+        assert getattr(module, name) is getattr(transforms, name)
+        assert name not in vars(module)
+    with pytest.raises(AttributeError, match=f"'dynkintrans.{layer}' has no attribute 'tie_al'"):
+        module.tie_al
+
+
+def test_step_classes_are_one_class_under_every_name(all_catalogs):
+    import pickle
+
+    from dynkintrans import catalog, cli, steps, transforms
+
+    for name in ("ElementaryChoice", "TieChoice", "TransformStep"):
+        home = getattr(steps, name)
+        assert getattr(dynkintrans, name) is getattr(transforms, name) is home
+        assert getattr(catalog, name) is home
+    assert cli.ElementaryChoice is steps.ElementaryChoice and cli.TransformStep is steps.TransformStep
+    assert transforms.Choice is catalog.Choice is steps.Choice
+    witness = all_catalogs["Z13"].get("A7+A4").witness
+    copy = pickle.loads(pickle.dumps(witness))
+    assert copy == witness and [type(step) for step in copy] == [steps.TransformStep] * 2
 
 
 def test_dir_lists_every_public_name():
