@@ -18,8 +18,7 @@ _PUBLIC = {
     name: module
     for module, names in {
         "graphs": """A BC1 ComponentType D DynkinGraph E EMPTY ExtendedGraph G1 G2
-            LabeledGraph NotADynkinGraph ParseError Vertex classify extend gram
-            parse_name realize""",
+            LabeledGraph NotADynkinGraph ParseError Vertex classify extend parse_name""",
         "steps": "ElementaryChoice TieChoice TransformStep",
         "transforms": "GraphTooLarge InvalidChoice apply apply_labeled elementary_all tie_all",
         "_catalog_type": "Catalog",

@@ -266,9 +266,6 @@ class LabeledGraph(_Value):
     def n(self) -> int:
         return len(self.vertices)
 
-    def norm(self, i: int) -> Fraction:
-        return self.vertices[i].norm
-
     def induced(self, indices: Iterable[int]) -> "LabeledGraph":
         """The induced subgraph on the given vertex indices."""
         idx = sorted(set(indices))
@@ -308,9 +305,9 @@ _Layout = namedtuple("_Layout", "norms edges roles coeffs")
 # by check_extension_identity (a transcription error cannot survive).
 _E_PATH_COEFFS = {6: (1, 2, 3, 2, 1), 7: (2, 3, 4, 3, 2, 1), 8: (2, 4, 6, 5, 4, 3, 2)}
 _E_BRANCH_COEFF = {6: 2, 7: 2, 8: 3}
-# Added vertex attaches to: E6 the branch vertex, E7 the first path vertex,
-# E8 the last path vertex.
-_E_ADDED_AT = {6: "branch", 7: "first", 8: "last"}
+# The index the added vertex attaches to: E6 the branch vertex (5), E7 the
+# first path vertex (0), E8 the last path vertex (6).
+_E_ADDED_AT = {6: 5, 7: 0, 8: 6}
 
 
 def _layout(ct: ComponentType) -> _Layout:
@@ -340,10 +337,10 @@ def _layout(ct: ComponentType) -> _Layout:
     if fam == "E":
         n = sub
         path = n - 1
-        at = {"branch": path, "first": 0, "last": path - 1}[_E_ADDED_AT[n]]
         norms = (NORM_LONG,) * (n + 1)
         edges = tuple((i, i + 1, m1) for i in range(path - 1))
-        edges += ((2, path, m1), (at, n, m1))  # the branch vertex hangs on the third path vertex
+        # the branch vertex hangs on the third path vertex
+        edges += ((2, path, m1), (_E_ADDED_AT[n], n, m1))
         roles = tuple(f"v{i + 1}" for i in range(path)) + ("b", "x")
         coeffs = _E_PATH_COEFFS[n] + (_E_BRANCH_COEFF[n], 1)
         return _Layout(norms, edges, roles, coeffs)
@@ -376,17 +373,6 @@ def extended_vertex_ids(g: DynkinGraph) -> list[str]:
     return [vid for _, _, ids in _named_layouts(g) for vid in ids]
 
 
-def realize(g: DynkinGraph) -> LabeledGraph:
-    """The standard labeled graph of ``g`` in the documented vertex order.
-
-    Components appear in canonical order; within a component the vertices
-    follow the layout order (path vertices, then fork/branch vertices).
-    It is ``extend(g)`` without its added vertices.
-    """
-    ext = _extend(g)
-    return ext.base.induced(v for comp in ext.components for v in comp[:-1])
-
-
 def extend(g: DynkinGraph) -> ExtendedGraph:
     """Replace each component by its extended graph and attach coefficients.
 
@@ -396,25 +382,13 @@ def extend(g: DynkinGraph) -> ExtendedGraph:
     coefficient table is checked by check_extension_identity the first time
     it is used for its component type.
     """
-    ext = _extend(g)
-    for ct, comp in zip(g.components, ext.components):
-        _check_once(ct, ext.coefficients[comp[0] : comp[-1] + 1])
-    return ext
-
-
-@cache  # a pair that fails raises, so only pairs that passed are kept
-def _check_once(ct: ComponentType, coeffs: tuple[int, ...]) -> None:
-    """check_extension_identity(ct), once per (type, coefficient table) pair."""
-    check_extension_identity(ct)
-
-
-def _extend(g: DynkinGraph) -> ExtendedGraph:
     verts: list[Vertex] = []
     edges: list[tuple[int, int, Fraction]] = []
     coeffs: list[int] = []
     comps: list[tuple[int, ...]] = []
     offset = 0
-    for _, lay, ids in _named_layouts(g):
+    for ct, lay, ids in _named_layouts(g):
+        _check_once(ct, lay.coeffs)
         verts.extend(map(Vertex, ids, lay.norms))
         edges.extend((offset + i, offset + j, val) for i, j, val in lay.edges)
         coeffs.extend(lay.coeffs)
@@ -427,6 +401,12 @@ def _extend(g: DynkinGraph) -> ExtendedGraph:
     )
 
 
+@cache  # a pair that fails raises, so only pairs that passed are kept
+def _check_once(ct: ComponentType, coeffs: tuple[int, ...]) -> None:
+    """check_extension_identity(ct), once per (type, coefficient table) pair."""
+    check_extension_identity(ct)
+
+
 def check_extension_identity(ct: ComponentType) -> None:
     """Raise AssertionError unless sum_i n_i (i, j) == 0 for each vertex j of the extended
     component ``ct``, summed over its layout's edges, with n_x = 1 for the added vertex x."""
@@ -437,18 +417,6 @@ def check_extension_identity(ct: ComponentType) -> None:
         acc[i], acc[j] = acc[i] + n[j] * val, acc[j] + n[i] * val
     if any(acc):
         raise AssertionError(f"maximal-root coefficient table broken for {ct.name}")
-
-
-def gram(lg: LabeledGraph) -> tuple[tuple[Fraction, ...], ...]:
-    """The symmetric Gram matrix of a labeled graph in its vertex order."""
-    n = lg.n
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = lg.norm(i)
-    for i, j, val in lg.edges:
-        m[i][j] = val
-        m[j][i] = val
-    return tuple(tuple(row) for row in m)
 
 
 # ---------------------------------------------------------------------------

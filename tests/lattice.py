@@ -2,7 +2,7 @@
 as rows of ints or Fractions, with no float in any result.  The short-vector
 enumeration is complete, so root counts, determinants and co-root systems are
 recomputed, not assumed.  Nothing here imports ``dynkintrans``: callers pass
-``gram(realize(g))``."""
+``oracles.gram`` of the finite part of ``extend(g)`` or of a reference diagram."""
 
 from __future__ import annotations
 

@@ -1,16 +1,23 @@
-"""Second route to the Q10 catalog, through the naive oracles alone.
+"""Second route to the Q10 catalog and to Lemma 2, through the naive oracles alone.
 
 Every elementary and tie choice (B of at most three vertices) on E6, and on
 each graph those give, is replayed literally and classified by Gram-matrix
-isomorphism search (``tests/oracles.py``); the A/D/E names reached must be
-exactly the names of the engine's Q10 catalog.  Each engine witness is also replayed through the
-oracle's own graph builders and ``oracle_classify``.
+isomorphism search against Bourbaki's diagrams (``tests/oracles.py``); the
+A/D/E names reached must be exactly the names of the engine's Q10 catalog.
+Each engine witness is also replayed through the oracle's own graph
+builders and ``oracle_classify``.
 
-Run from the repository root (about 15 s):
+Lemma 2 (the identity step): removing exactly the added vertices returns
+the input, so every A/D/E outcome of one step from a class's basic graph is
+a member.  The one-step outcomes of E7 must be members of Z11, and those of
+E8 members of E12; E6 against Q10 follows from the Q10 run.
+
+Run from the repository root (15 to 22 s on a 2-core machine):
 
     PYTHONPATH=src python tests/oracle_catalog.py
 
-It exits 1 and names the differences when the two routes disagree.
+It prints the wall time of each part, and exits 1 and names the
+differences when the two routes disagree.
 """
 
 from __future__ import annotations
@@ -48,6 +55,18 @@ def main() -> int:
         f"Q10: oracle {len(reached)} names, engine {len(engine)} names, "
         f"{2 * len(engine)} witness steps replayed in {time.monotonic() - start:.1f} s"
     )
+    for symbol in ("Z11", "E12"):
+        start = time.monotonic()
+        catalog = build_catalog(symbol, cache=False)
+        basic = catalog.singularity.basic.name
+        one_step = {name for name in _outcomes(basic) if parse_name(name).is_ade}
+        missing = sorted(one_step - set(catalog.names()))
+        failures += [f"Lemma 2: {name}, one step from {basic}, is not a member of {symbol}"
+                     for name in missing]
+        print(
+            f"Lemma 2 on {symbol}: {len(one_step)} A/D/E names one step from {basic}, "
+            f"{len(one_step) - len(missing)} members, in {time.monotonic() - start:.1f} s"
+        )
     for line in failures:
         print("FAIL", line)
     return 1 if failures else 0

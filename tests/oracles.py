@@ -2,10 +2,13 @@
 
 Nothing here shares code with the structural recognizer or the mask-based
 enumeration engine: classification goes through exhaustive Gram-matrix
-isomorphism search against the realize() catalog, transformations are
-replayed directly from their definitions on labeled graphs, highest-root
-coefficients are recomputed by reflection closure, and short vectors by a
-plain box search.
+isomorphism search against reference diagrams drawn from Bourbaki's plates,
+transformations are replayed directly from their definitions on labeled
+graphs, highest-root coefficients are recomputed by reflection closure, and
+short vectors by a plain box search.  The engine's layout is read only
+through ``extend``: in the replays, and in ``finite_part`` for the
+reflection closure, whose coefficients must come out in the layout's
+vertex order.
 """
 
 from __future__ import annotations
@@ -28,9 +31,54 @@ from dynkintrans.graphs import (
     ORDINARY_EDGE,
     Vertex,
     extend,
-    gram,
-    realize,
 )
+
+
+def gram(lg: LabeledGraph) -> tuple[tuple[Fraction, ...], ...]:
+    """The symmetric Gram matrix of a labeled graph in its vertex order."""
+    n = lg.n
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i, v in enumerate(lg.vertices):
+        m[i][i] = v.norm
+    for i, j, val in lg.edges:
+        m[i][j] = val
+        m[j][i] = val
+    return tuple(tuple(row) for row in m)
+
+
+def finite_part(g: DynkinGraph) -> LabeledGraph:
+    """``extend(g)`` without its added vertices: the simple roots of ``g``,
+    in the layout's vertex order."""
+    ext = extend(g)
+    return ext.base.induced(v for comp in ext.components for v in comp[:-1])
+
+
+def _diagram(norms: list[Fraction], edges: list[tuple[int, int]]) -> LabeledGraph:
+    return LabeledGraph(
+        tuple(Vertex(f"a{i + 1}", norm) for i, norm in enumerate(norms)),
+        tuple((i, j, Fraction(-1)) for i, j in edges),
+    )
+
+
+def reference(ct: ComponentType) -> LabeledGraph:
+    """The Dynkin diagram of one component type as drawn in Bourbaki, *Lie
+    Groups and Lie Algebras*, ch. VI, Plates I-IX, with simple roots scaled
+    so that a long root has norm 2, and inner product -1 on every edge.
+
+    A_n is a path.  D_n is a path of n - 1 vertices with one more hung on
+    its second-to-last, E_n one with one more hung on its third.  G2 joins
+    a long root to a short one of norm 2/3; G1 is one short root, and BC1
+    one root of norm 1/2, half of its maximal root.
+    """
+    n, long = ct.vertex_count, Fraction(2)
+    if ct.family == "A":
+        return _diagram([long] * n, [(i, i + 1) for i in range(n - 1)])
+    if ct.family in ("D", "E"):
+        hung_on = n - 3 if ct.family == "D" else 2
+        return _diagram([long] * n, [(i, i + 1) for i in range(n - 2)] + [(hung_on, n - 1)])
+    if ct == G2:
+        return _diagram([long, Fraction(2, 3)], [(0, 1)])
+    return _diagram([Fraction(2, 3) if ct == G1 else Fraction(1, 2)], [])
 
 
 def gram_isomorphic(left: LabeledGraph, right: LabeledGraph) -> bool:
@@ -105,7 +153,7 @@ def _component_type(comp: LabeledGraph) -> ComponentType | None:
             (
                 ct
                 for ct in _candidate_types(comp.n)
-                if gram_isomorphic(comp, realize(DynkinGraph((ct,))))
+                if gram_isomorphic(comp, reference(ct))
             ),
             None,
         )
@@ -143,7 +191,7 @@ def component_subgraphs(lg: LabeledGraph) -> Iterator[LabeledGraph]:
 
 
 def oracle_classify(lg: LabeledGraph) -> DynkinGraph | None:
-    """Match every component against the realize() catalog by isomorphism."""
+    """Match every component against the reference diagrams by isomorphism."""
     found = []
     for comp in component_subgraphs(lg):
         hit = _component_type(comp)
@@ -246,8 +294,9 @@ def naive_tie_all(g: DynkinGraph, max_b: int = 3) -> set[str]:
 
 
 def reflection_root_closure(ct: ComponentType) -> set[tuple[int, ...]]:
-    """All roots of one reduced component, generated by simple reflections."""
-    g = gram(realize(DynkinGraph((ct,))))
+    """All roots of one reduced component, generated by simple reflections,
+    as coefficient vectors over the simple roots in the layout's order."""
+    g = gram(finite_part(DynkinGraph((ct,))))
     n = len(g)
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
 

@@ -32,17 +32,33 @@ from dynkintrans.graphs import (
     classify,
     extend,
     extended_vertex_ids,
-    gram,
     parse_name,
-    realize,
 )
 from dynkintrans.catalog import CatalogMember, SingularityClass
 from dynkintrans.transforms import ElementaryChoice, TieChoice, TransformStep
 
 from lattice import determinant, ldl
-from oracles import highest_root_coefficients, oracle_classify
+from oracles import (
+    finite_part,
+    gram,
+    gram_isomorphic,
+    highest_root_coefficients,
+    oracle_classify,
+    reference,
+)
+from test_transform_digests import CORE_TYPES
 
 ALL_TYPES = [A(1), A(5), D(4), D(7), E(6), E(7), E(8), G2, G1, BC1]
+
+
+def textbook_determinant(ct: ComponentType) -> Fraction:
+    """The determinant of a component's Gram matrix, long roots of norm 2."""
+    if ct.family == "A":
+        return Fraction(ct.subscript + 1)
+    if ct.family == "D":
+        return Fraction(4)
+    return {E(6): Fraction(3), E(7): Fraction(2), E(8): Fraction(1),
+            G2: Fraction(1, 3), G1: Fraction(2, 3), BC1: Fraction(1, 2)}[ct]
 
 
 class TestComponentType:
@@ -280,12 +296,14 @@ class TestNaming:
 
 
 class TestRealize:
+    """The finite part of ``extend``: its extended graph without the added vertices."""
+
     def test_a1_single_circle(self):
-        lg = realize(parse_name("A1"))
-        assert lg.n == 1 and lg.edges == () and lg.norm(0) == 2
+        lg = finite_part(parse_name("A1"))
+        assert lg.n == 1 and lg.edges == () and lg.vertices[0].norm == 2
 
     def test_g2_shape(self):
-        lg = realize(DynkinGraph((G2,)))
+        lg = finite_part(DynkinGraph((G2,)))
         gm = gram(lg)
         assert gm == ((Fraction(2), Fraction(-1)), (Fraction(-1), Fraction(2, 3)))
         # Cartan integers of the long/short pair
@@ -293,17 +311,17 @@ class TestRealize:
         assert 2 * gm[0][1] / gm[1][1] == -3
 
     def test_bc1_shape(self):
-        lg = realize(DynkinGraph((BC1,)))
+        lg = finite_part(DynkinGraph((BC1,)))
         assert gram(lg) == ((NORM_HALF,),)
 
     def test_a2_gram(self):
-        assert gram(realize(parse_name("A2"))) == (
+        assert gram(finite_part(parse_name("A2"))) == (
             (Fraction(2), Fraction(-1)),
             (Fraction(-1), Fraction(2)),
         )
 
     def test_component_order_and_vertex_ids(self):
-        lg = realize(parse_name("A3+A3+G2"))
+        lg = finite_part(parse_name("A3+A3+G2"))
         ids = [v.id for v in lg.vertices]
         assert ids == [
             "A3[1].v1",
@@ -318,30 +336,38 @@ class TestRealize:
 
     def test_gram_positive_definite(self, family12):
         for g in family12 + [parse_name("E8+G2+BC1"), parse_name("D5+A2+G1")]:
-            ldl(gram(realize(g)))  # raises unless positive definite
+            ldl(gram(finite_part(g)))  # raises unless positive definite
 
 
 class TestDeterminants:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_a_series(self, k):
-        assert determinant(gram(realize(DynkinGraph((A(k),))))) == k + 1
+        assert determinant(gram(finite_part(DynkinGraph((A(k),))))) == k + 1
 
     @pytest.mark.parametrize("l", range(4, 9))
     def test_d_series(self, l):
-        assert determinant(gram(realize(DynkinGraph((D(l),))))) == 4
+        assert determinant(gram(finite_part(DynkinGraph((D(l),))))) == 4
 
     @pytest.mark.parametrize("n,value", [(6, 3), (7, 2), (8, 1)])
     def test_e_series(self, n, value):
-        assert determinant(gram(realize(DynkinGraph((E(n),))))) == value
+        assert determinant(gram(finite_part(DynkinGraph((E(n),))))) == value
 
     def test_special_norms(self):
-        assert determinant(gram(realize(DynkinGraph((BC1,))))) == Fraction(1, 2)
-        assert determinant(gram(realize(DynkinGraph((G1,))))) == Fraction(2, 3)
-        assert determinant(gram(realize(DynkinGraph((G2,))))) == Fraction(1, 3)
+        assert determinant(gram(finite_part(DynkinGraph((BC1,))))) == Fraction(1, 2)
+        assert determinant(gram(finite_part(DynkinGraph((G1,))))) == Fraction(2, 3)
+        assert determinant(gram(finite_part(DynkinGraph((G2,))))) == Fraction(1, 3)
+
+    @pytest.mark.parametrize("ct", CORE_TYPES, ids=lambda ct: ct.name)
+    def test_reference_diagram_is_the_textbook_one_and_the_layout(self, ct):
+        # the oracle's diagram has its textbook determinant, and the layout's
+        # finite part is the same diagram up to a permutation of its vertices
+        ref = reference(ct)
+        assert determinant(gram(ref)) == textbook_determinant(ct), ct.name
+        assert gram_isomorphic(ref, finite_part(DynkinGraph((ct,)))), ct.name
 
     def test_against_sympy(self, family12):
         for g in family12:
-            gm = gram(realize(g))
+            gm = gram(finite_part(g))
             expected = sympy.Matrix([[sympy.Rational(x) for x in row] for row in gm]).det()
             assert sympy.Rational(determinant(gm)) == expected
 
@@ -350,13 +376,13 @@ class TestExtend:
     def test_bc1_extension(self):
         ext = extend(DynkinGraph((BC1,)))
         assert ext.coefficients == (2, 1)
-        assert ext.base.norm(0) == NORM_HALF and ext.base.norm(1) == NORM_LONG
+        assert ext.base.vertices[0].norm == NORM_HALF and ext.base.vertices[1].norm == NORM_LONG
         assert ext.base.edges == ((0, 1, Fraction(-1)),)
 
     def test_g1_extension(self):
         ext = extend(DynkinGraph((G1,)))
         assert ext.coefficients == (1, 1)
-        assert ext.base.norm(1) == NORM_SHORT
+        assert ext.base.vertices[1].norm == NORM_SHORT
         assert ext.base.edges == ((0, 1, Fraction(-2, 3)),)
 
     def test_a1_extension(self):
@@ -397,7 +423,7 @@ class TestExtend:
         ext = extend(DynkinGraph((ct,)))
         k = ct.vertex_count
         eta = highest_root_coefficients(ct)
-        gm = gram(realize(DynkinGraph((ct,))))
+        gm = gram(finite_part(DynkinGraph((ct,))))
         ext_gm = gram(ext.base)
         for j in range(k):
             expected = -sum(eta[i] * gm[i][j] for i in range(k))
@@ -477,7 +503,7 @@ class TestClassify:
             parse_name("2A3+D4"),
             EMPTY,
         ]:
-            assert classify(realize(g)) == g
+            assert classify(finite_part(g)) == g
 
     def test_cycle_rejected(self):
         square = LabeledGraph(
@@ -562,8 +588,8 @@ class TestClassify:
 
     def test_long_path(self):
         # beyond any component of the nine catalogs, and beyond 1023 vertices
-        assert classify(realize(parse_name("A1100+D1030"))) == parse_name("A1100+D1030")
+        assert classify(finite_part(parse_name("A1100+D1030"))) == parse_name("A1100+D1030")
 
     def test_agrees_with_isomorphism_oracle(self, family12):
         for g in family12:
-            assert oracle_classify(realize(g)) == g
+            assert oracle_classify(finite_part(g)) == g

@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from dynkintrans.graphs import gram, parse_name, realize
+from dynkintrans.graphs import parse_name
 
 from lattice import coroot_system, determinant, ldl, root_count, short_vectors
-from oracles import naive_short_vectors
+from oracles import finite_part, gram, naive_short_vectors
 
 
 def root_gram(name):
     """The Gram matrix of the simple roots of the graph named ``name``."""
-    return gram(realize(parse_name(name)))
+    return gram(finite_part(parse_name(name)))
 
 
 class TestLattice:
