@@ -152,9 +152,9 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # ``_decode_graph`` decodes a product, where an outcome graph is built.
 # One core per component type is shared by every graph containing it, and
 # it caches the connected piece: one recognizer walk per distinct piece
-# gives its type and an attachment descriptor for each of its vertices,
-# from which the shape of any tie fusion follows arithmetically by the
-# same legs rule.
+# gives its type and an attachment descriptor for each vertex where the new
+# vertex can attach, from which the shape of any tie fusion follows
+# arithmetically by the same legs rule.
 #
 # Each core holds an option table per transform: the smallest local choice
 # per key, where the key is what the choice leaves for the other
@@ -163,11 +163,12 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # tables component by component into states keyed the same way.  A tie
 # option takes one A-part per signature, what its options read: the gcd g
 # of its coefficients and, per residual piece, its prime with the set of
-# (descriptor, coefficient mod g) classes of its vertices with a descriptor,
-# held flat as one small int per distinct piece entry: the sorted ids, then
-# g.  (Without the mod-g classes, D9+BC1 loses A5+A1+A1+A1+A1.)  Its B is
-# at most three B-candidates in distinct pieces, the smallest vertex of each
-# class, with gcd(g, B-coefficient sum) = 1, a condition on the component's
+# (descriptor, coefficient mod g) classes of the vertices it lists, held
+# flat as one small int per distinct piece entry: the sorted ids, then g.
+# (Without the mod-g classes, D9+BC1 loses A5+A1+A1+A1+A1.)  That pass keeps
+# each class's smallest vertex as a B-candidate, and ``tie_table`` takes g
+# and the candidates from it: B is at most three candidates in distinct
+# pieces with gcd(g, B-coefficient sum) = 1, a condition on the component's
 # own vertices only.  ``_settle`` drops a B that cannot fuse and fuses at
 # once one that can take no more; it is then closed.
 #
@@ -269,13 +270,13 @@ class _CompCore:
 
     def piece(self, piece: int) -> tuple[int, tuple]:
         """The prime of the type of one connected piece and the (vertex,
-        attachment descriptor) pair of each of its vertices, in ascending
-        vertex order, from one recognizer walk."""
+        attachment descriptor) pair of each of its vertices where the new
+        vertex can attach, in ascending vertex order, from one recognizer walk."""
         info = self._piece_memo.get(piece)
         if info is not None:
             return info
         code, legs = _recognize(self.adj, self.norm, piece)
-        desc: dict[int, tuple | None] = dict.fromkeys(_bits(piece))
+        desc: dict[int, tuple] = {}
         if len(legs) == 3:  # D or E: only the leaves can take the new vertex
             size = piece.bit_count()
             for k, leg in enumerate(legs):
@@ -289,7 +290,7 @@ class _CompCore:
             for d1, v in enumerate(path):
                 d2 = size - 1 - d1
                 desc[v] = (_D_PATH, size, d1, d2) if d1 <= d2 else (_D_PATH, size, d2, d1)
-        info = self._piece_memo[piece] = (_prime(code), tuple(desc.items()))
+        info = self._piece_memo[piece] = (_prime(code), tuple(sorted(desc.items())))
         return info
 
     def residual_pieces(self) -> list[tuple[int, ...]]:
@@ -323,54 +324,49 @@ class _CompCore:
             first.setdefault(types, removed)
         return {(): {t: (tuple(_bits(m)), ()) for t, m in first.items()}}
 
-    def tie_reps(self) -> list[tuple[int, tuple[int, ...]]]:
-        """The smallest A-part of every tie signature, the first met, with the
-        pieces of its residual, in lex order."""
+    def tie_reps(self) -> list[tuple[int, int, tuple[int, ...], list[tuple]]]:
+        """The smallest A-part of every tie signature, the first met, in lex
+        order, with its coefficient gcd g, the pieces of its residual and the
+        entry of each piece at g: (signature id, prime, B-candidates), the first
+        (vertex, descriptor, coefficient) of each (descriptor, coefficient mod g) class."""
         coeff = self.coeff
         gcds = [0]  # gcd of the coefficients picked by each submask
         for c in coeff:
             gcds += [gcd(c, t) for t in gcds]
         residual_pieces = self.residual_pieces()
-        # per (piece, g): the id of the piece's prime with its sorted set of
-        # (descriptor, coefficient mod g) classes, one per distinct entry
-        ids: dict[tuple, int] = {}
-        entry_ids: dict[tuple[int, int], int] = {}
+        ids: dict[tuple, int] = {}  # (prime, sorted (descriptor, coefficient mod g) classes)
+        entries: dict[tuple[int, int], tuple] = {}  # per (piece, g)
         first: dict[tuple[int, ...], int] = {}  # sorted entry ids, then g
         for a in _lex_masks(self.size):
             g = gcds[a]
             sig = []
             for piece in residual_pieces[self.full ^ a]:
-                i = entry_ids.get((piece, g))
-                if i is None:
+                entry = entries.get((piece, g))
+                if entry is None:
                     p, pairs = self.piece(piece)
-                    entry = (p, tuple(sorted({(d, coeff[v] % g) for v, d in pairs if d})))
-                    i = entry_ids[(piece, g)] = ids.setdefault(entry, len(ids))
-                sig.append(i)
+                    classes: dict[tuple, tuple] = {}
+                    for v, d in pairs:
+                        classes.setdefault((d, coeff[v] % g), (v, d, coeff[v]))
+                    i = ids.setdefault((p, tuple(sorted(classes))), len(ids))
+                    entry = entries[piece, g] = (i, p, tuple(classes.values()))
+                sig.append(entry[0])
             sig.sort()
             sig.append(g)
             first.setdefault(tuple(sig), a)
-        return [(a, residual_pieces[self.full ^ a]) for a in first.values()]
+        return [(a, g, pieces, [entries[piece, g] for piece in pieces])
+                for a in first.values()
+                for g, pieces in [(gcds[a], residual_pieces[self.full ^ a])]]
 
     def tie_table(self) -> _Table:
         """Per (residual types, open descriptors), the first, so smallest, local
-        (A, B): A is one of ``tie_reps``, of coefficient gcd g, and B at most three
-        of its B-candidates in distinct pieces with gcd(g, their coefficient sum) = 1."""
-        coeff = self.coeff
+        (A, B): A is one of ``tie_reps``, and B at most three of the B-candidates
+        it lists, in distinct pieces, with gcd(g, their coefficient sum) = 1."""
         table: _Table = {}
-        for mask, pieces in self.tie_reps():
+        for mask, g, _, entries in self.tie_reps():
             a = tuple(_bits(mask))
-            g = gcd(*(coeff[v] for v in a))
-            primes, cands = [], []
-            for pid, piece in enumerate(pieces):
-                p, pairs = self.piece(piece)
-                primes.append(p)
-                seen = set()
-                for v, d in pairs:  # vertices without a descriptor never fuse
-                    cls = (d, coeff[v] % g)
-                    if d is not None and cls not in seen:
-                        seen.add(cls)
-                        cands.append((v, pid, d, coeff[v]))
-            cands.sort()
+            primes = [p for _, p, _ in entries]
+            cands = sorted((v, pid, d, k)
+                           for pid, (_, _, vdk) in enumerate(entries) for v, d, k in vdk)
             residual = prod(primes)
             for b, pids, descs, csum in _b_sets(cands):
                 if gcd(g, csum) != 1 or (join := _settle((), descs)) is None:
@@ -413,9 +409,8 @@ def _b_sets(cands: list[tuple]) -> Iterator[tuple]:
 
 
 # Attachment descriptors: how the new tie vertex may fasten to a residual
-# piece at one of its vertices.  None marks attachments that can never give
-# a Dynkin shape (norm-1/2 vertices, G2 pieces, fork vertices, interior
-# vertices of forked pieces).
+# piece at one of its vertices.  A piece lists none where no Dynkin shape
+# can follow: norm-1/2 vertices, G2 pieces, forks and inner leg vertices.
 _D_PATH = 0  # (0, size, dnear, dfar): path piece, distances to its two ends
 _D_FORK = 1  # (1, size, leg_a, leg_b, leg_own): leaf of a one-fork piece
 _D_SHORT = 2  # (2,): isolated norm-2/3 vertex; new--short is the G2 shape
@@ -426,7 +421,6 @@ def _is_end(d: tuple) -> bool:
     return d[0] == _D_PATH and d[2] == 0
 
 
-@cache
 def _fuse(descs: tuple) -> int | None:
     """The prime of the shape of: new vertex joined to the pieces of
     ``descs``, one descriptor per piece in any order, or standing alone."""
@@ -561,7 +555,7 @@ def _core(g: DynkinGraph) -> list[tuple[int, _CompCore]]:
 def clear_transform_cache() -> None:
     """Drop the in-process enumeration memos (mostly for benchmarks/tests)."""
     _CORE_MEMO.clear()
-    for memo in (_winners, _reach, _end, _settle, _fuse):
+    for memo in (_winners, _reach, _end, _settle):
         memo.cache_clear()
 
 

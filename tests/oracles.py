@@ -112,20 +112,6 @@ def gram_isomorphic(left: LabeledGraph, right: LabeledGraph) -> bool:
     return place(0)
 
 
-def permutation_gram_isomorphic(left: LabeledGraph, right: LabeledGraph) -> bool:
-    """Plain all-permutations isomorphism check, for small graphs only."""
-    if left.n != right.n:
-        return False
-    gl, gr = gram(left), gram(right)
-    n = left.n
-    for perm in itertools.permutations(range(n)):
-        if all(
-            gl[i][j] == gr[perm[i]][perm[j]] for i in range(n) for j in range(n)
-        ):
-            return True
-    return False
-
-
 def _candidate_types(size: int) -> list[ComponentType]:
     out: list[ComponentType] = []
     if size >= 1:

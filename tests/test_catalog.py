@@ -225,6 +225,18 @@ class TestWitnessSelection:
                         slack.append(len1 + len(enc2) - (bound - 2 * out.total_vertices))
         assert min(slack) == 0  # never shorter, and met exactly: no sharper bound of this form
 
+    def test_cold_q10_build_folds_as_few_pairs_as_the_skip_limit_allows(self):
+        # each miss of _winners is one witness fold and each miss of _reach one
+        # key-only fold; a looser skip limit keeps every witness but folds more
+        # pairs, which only these counts show
+        transforms.clear_transform_cache()
+        try:
+            catalog_module._compute_catalog(SINGULARITY_CLASSES["Q10"])
+            folds = [transforms._winners.cache_info().misses, transforms._reach.cache_info().misses]
+        finally:
+            transforms.clear_transform_cache()
+        assert folds == [15, 72]
+
     def test_selection_rule_on_made_up_transforms(self, monkeypatch):
         # Made-up outcome tables over the basic graph A3: A1 is best reached
         # through A2 by its elementary first step, although the tie step

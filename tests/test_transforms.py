@@ -264,7 +264,7 @@ class TestInvariants:
         expected = sorted(range(1, 1 << n), key=members)
         assert _lex_masks(n) == expected
         if n > 1:
-            masks = [a for a, _ in _CompCore(A(n - 1)).tie_reps()]
+            masks = [a for a, _, _, _ in _CompCore(A(n - 1)).tie_reps()]
             assert masks == sorted(masks, key=members)
 
     def test_clear_transform_cache_leaves_no_core(self, monkeypatch):
@@ -281,7 +281,7 @@ class TestInvariants:
         # one cache holds the A/D/E winner tables and another the key-only
         # folds, both keyed by graph and kind; the public call leaves neither
         # an entry
-        memos = (transforms._winners, transforms._reach, transforms._settle, transforms._fuse)
+        memos = (transforms._winners, transforms._reach, transforms._settle, transforms._end)
         assert [m.cache_info().currsize for m in memos[:2]] == [1, 1]
         assert all(m.cache_info().currsize for m in memos)
         # a core reached only for its A/D/E cut keeps the cut alone
