@@ -22,8 +22,8 @@ from functools import cache
 from operator import attrgetter
 from pathlib import Path
 
-from .graphs import DynkinGraph, _Value, parse_name
-from .steps import Choice, ElementaryChoice, TieChoice, TransformStep
+from .graphs import (Choice, DynkinGraph, ElementaryChoice, TieChoice, TransformStep, _Value,
+                     parse_name)
 
 ENGINE_VERSION = "1"
 

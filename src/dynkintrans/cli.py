@@ -5,7 +5,7 @@ verification, 2 usage or parse errors, or an ``--out`` file that cannot be
 written.  All text output is UTF-8, line-oriented and sorted, so runs diff
 cleanly.
 
-Importing this module loads only the graph layer and the step classes.
+Importing this module loads only the graph layer, which holds the step values.
 ``catalog``, ``check`` and ``verify`` import the catalog layer when they run,
 ``transform`` and ``verify`` the transform engine (as does a catalog that is
 computed, not read), and ``transform --json`` imports ``json``.
@@ -18,8 +18,8 @@ import sys
 from functools import cache
 
 from . import __version__
-from .graphs import DynkinGraph, ParseError, extended_vertex_ids, parse_name
-from .steps import ElementaryChoice, TransformStep
+from .graphs import (DynkinGraph, ElementaryChoice, ParseError, TransformStep,
+                     extended_vertex_ids, parse_name)
 
 USAGE_ERROR = 2
 

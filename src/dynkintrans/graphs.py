@@ -13,6 +13,8 @@ products: -1 for every ordinary edge, -2 for the doubled edge of the
 extended A1 graph, -2/3 for the doubled edge of the extended G1 graph.
 Types B_k, C_k, F4 and BC_l with l >= 2 are unrepresentable: a root of
 norm 1 never occurs here.
+
+The recorded steps of a witness, ``TransformStep`` and its two choices, live here too.
 """
 
 from __future__ import annotations
@@ -295,6 +297,44 @@ class ExtendedGraph(_Value):
     @property
     def n(self) -> int:
         return self.base.n
+
+
+class ElementaryChoice(_Value):
+    """Vertex indices of the extended graph removed by an elementary step."""
+
+    __slots__ = ("removed",)
+    kind = "elementary"
+
+    def __init__(self, removed: Iterable[int]) -> None:
+        _set(self, "removed", tuple(sorted(removed)))
+
+
+class TieChoice(_Value):
+    """The sets A (removed) and B (joined to the new vertex) of a tie step."""
+
+    __slots__ = ("a", "b")
+    kind = "tie"
+
+    def __init__(self, a: Iterable[int], b: Iterable[int]) -> None:
+        _set(self, "a", tuple(sorted(a)))
+        _set(self, "b", tuple(sorted(b)))
+
+
+Choice = ElementaryChoice | TieChoice
+
+
+class TransformStep(_Value):
+    """One recorded transformation: replaying ``choice`` on ``input`` gives ``output``."""
+
+    __slots__ = ("choice", "input", "output")
+
+    @property
+    def kind(self) -> str:
+        return self.choice.kind
+
+    def replay(self) -> DynkinGraph:
+        from .transforms import apply  # the engine loads only for a replay
+        return apply(self.input, self.choice)
 
 
 # The recipe of the extended graph of one component type; its added vertex, role "x", is last.

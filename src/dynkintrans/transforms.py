@@ -31,12 +31,16 @@ from functools import cache
 from math import gcd, prod
 
 from .graphs import (
+    Choice,
     ComponentType,
     DynkinGraph,
+    ElementaryChoice,
     ExtendedGraph,
     LabeledGraph,
     NORM_LONG,
     ORDINARY_EDGE,
+    TieChoice,
+    TransformStep,
     Vertex,
     _CODE_A1,
     _CODE_BC1,
@@ -55,7 +59,6 @@ from .graphs import (
     classify,
     extend,
 )
-from .steps import Choice, ElementaryChoice, TieChoice, TransformStep
 
 
 class InvalidChoice(ValueError):
@@ -324,10 +327,10 @@ class _CompCore:
             first.setdefault(types, removed)
         return {(): {t: (tuple(_bits(m)), ()) for t, m in first.items()}}
 
-    def tie_reps(self) -> list[tuple[int, int, tuple[int, ...], list[tuple]]]:
+    def tie_reps(self) -> list[tuple[int, int, list[tuple]]]:
         """The smallest A-part of every tie signature, the first met, in lex
-        order, with its coefficient gcd g, the pieces of its residual and the
-        entry of each piece at g: (signature id, prime, B-candidates), the first
+        order, with its coefficient gcd g and the entry at g of each piece of its
+        residual: (signature id, prime, B-candidates), the first
         (vertex, descriptor, coefficient) of each (descriptor, coefficient mod g) class."""
         coeff = self.coeff
         gcds = [0]  # gcd of the coefficients picked by each submask
@@ -353,16 +356,15 @@ class _CompCore:
             sig.sort()
             sig.append(g)
             first.setdefault(tuple(sig), a)
-        return [(a, g, pieces, [entries[piece, g] for piece in pieces])
-                for a in first.values()
-                for g, pieces in [(gcds[a], residual_pieces[self.full ^ a])]]
+        return [(a, g, [entries[piece, g] for piece in residual_pieces[self.full ^ a]])
+                for a in first.values() for g in [gcds[a]]]
 
     def tie_table(self) -> _Table:
         """Per (residual types, open descriptors), the first, so smallest, local
         (A, B): A is one of ``tie_reps``, and B at most three of the B-candidates
         it lists, in distinct pieces, with gcd(g, their coefficient sum) = 1."""
         table: _Table = {}
-        for mask, g, _, entries in self.tie_reps():
+        for mask, g, entries in self.tie_reps():
             a = tuple(_bits(mask))
             primes = [p for _, p, _ in entries]
             cands = sorted((v, pid, d, k)

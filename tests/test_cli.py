@@ -343,6 +343,32 @@ def _modules_loaded(modules, argv):
     return _last_line(script, argv)
 
 
+_CLI_MODULES = ["dynkintrans", "dynkintrans.cli", "dynkintrans.graphs"]
+
+
+@pytest.mark.parametrize("argv, more", [
+    ([], []),
+    (["check", "Z13", "A7+A4", "--cache-dir", "{cache}"], ["dynkintrans.catalog"]),
+    (["transform", "D6", "--op", "tie"], ["dynkintrans.transforms"]),
+    (["check", "Q10", "A5", "--no-cache"],
+     ["dynkintrans._catalog_type", "dynkintrans.catalog", "dynkintrans.transforms"]),
+], ids=["import", "warm-check", "transform", "computed-check"])
+def test_each_command_loads_exactly_its_package_modules(argv, more, all_catalogs, catalog_cache_dir):
+    """The ``dynkintrans`` modules of a fresh ``python -S`` after importing the
+    CLI, then after running ``argv`` (a warm ``check`` reads the session cache):
+    every command loads the graph layer, which holds the step values, and
+    besides it only the layers that the command uses."""
+    argv = [arg.format(cache=catalog_cache_dir) for arg in argv]
+    script = (
+        "import sys, dynkintrans.cli\n"
+        "def package(): return sorted(m for m in sys.modules if m.split('.')[0] == 'dynkintrans')\n"
+        "imported = package()\n"
+        "code = dynkintrans.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(code, imported, package())\n"
+    )
+    assert _last_line(script, argv) == f"0 {_CLI_MODULES} {sorted(_CLI_MODULES + more)}"
+
+
 def test_warm_check_loads_no_openssl(all_catalogs, catalog_cache_dir):
     """The cache digest uses the builtin BLAKE2b: hashlib would load OpenSSL."""
     argv = ["check", "Z13", "A7+A4", "--cache-dir", str(catalog_cache_dir)]
@@ -383,7 +409,8 @@ def test_warm_check_loads_no_lattice_and_no_tempfile(all_catalogs, catalog_cache
 def test_engine_loads_only_to_enumerate_or_replay(all_catalogs, catalog_cache_dir):
     """A warm ``membership`` answer leaves the engine unloaded, and each of
     its witness steps then replays to its output, importing ``apply`` as it
-    runs; ``transform`` and a ``check`` that computes its catalog load it."""
+    runs; ``test_each_command_loads_exactly_its_package_modules`` pins which
+    commands load it."""
     script = (
         "import sys\n"
         "from dynkintrans.catalog import membership\n"
@@ -394,9 +421,6 @@ def test_engine_loads_only_to_enumerate_or_replay(all_catalogs, catalog_cache_di
         "print(warm, replayed, 'dynkintrans.transforms' in sys.modules)\n"
     )
     assert _last_line(script) == "False [True, True] True"
-    engine = ["dynkintrans.transforms"]
-    for argv in (["transform", "D6", "--op", "tie"], ["check", "Q10", "A5", "--no-cache"]):
-        assert _modules_loaded(engine, argv) == "0 [] ['dynkintrans.transforms']", argv
 
 
 def test_catalog_off_the_warm_path_is_the_same_class(cli, all_catalogs):

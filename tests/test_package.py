@@ -4,7 +4,7 @@ import pytest
 
 import dynkintrans
 
-MODULES = ("graphs", "steps", "transforms", "catalog", "_catalog_type")
+MODULES = ("graphs", "transforms", "catalog", "_catalog_type")
 
 
 def test_all_lists_exactly_the_public_names():
@@ -56,17 +56,17 @@ def test_engine_functions_forward_to_transforms(layer, monkeypatch):
 def test_step_classes_are_one_class_under_every_name(all_catalogs):
     import pickle
 
-    from dynkintrans import catalog, cli, steps, transforms
+    from dynkintrans import catalog, cli, graphs, transforms
 
     for name in ("ElementaryChoice", "TieChoice", "TransformStep"):
-        home = getattr(steps, name)
+        home = getattr(graphs, name)
         assert getattr(dynkintrans, name) is getattr(transforms, name) is home
         assert getattr(catalog, name) is home
-    assert cli.ElementaryChoice is steps.ElementaryChoice and cli.TransformStep is steps.TransformStep
-    assert transforms.Choice is catalog.Choice is steps.Choice
+    assert cli.ElementaryChoice is graphs.ElementaryChoice and cli.TransformStep is graphs.TransformStep
+    assert transforms.Choice is catalog.Choice is graphs.Choice
     witness = all_catalogs["Z13"].get("A7+A4").witness
     copy = pickle.loads(pickle.dumps(witness))
-    assert copy == witness and [type(step) for step in copy] == [steps.TransformStep] * 2
+    assert copy == witness and [type(step) for step in copy] == [graphs.TransformStep] * 2
 
 
 def test_dir_lists_every_public_name():

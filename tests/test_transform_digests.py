@@ -106,7 +106,8 @@ def test_core_table_digest():
     counts = {}
     for ct in CORE_TYPES:
         core = _CompCore(ct)
-        reps = [(a, pieces) for a, _, pieces, _ in core.tie_reps()]  # what the digest took
+        residual_pieces = core.residual_pieces()  # the pieces of each A-part's residual, as hashed
+        reps = [(a, residual_pieces[core.full ^ a]) for a, _, _ in core.tie_reps()]
         tie = sorted(
             ((descs is None, descs or (), _codes(types)), w)
             for descs, group in core.tie_table().items()

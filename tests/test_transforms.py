@@ -264,7 +264,7 @@ class TestInvariants:
         expected = sorted(range(1, 1 << n), key=members)
         assert _lex_masks(n) == expected
         if n > 1:
-            masks = [a for a, _, _, _ in _CompCore(A(n - 1)).tie_reps()]
+            masks = [a for a, _, _ in _CompCore(A(n - 1)).tie_reps()]
             assert masks == sorted(masks, key=members)
 
     def test_clear_transform_cache_leaves_no_core(self, monkeypatch):
