@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 _PUBLIC = {
     name: module
     for module, names in {
-        "graphs": """A BC1 ComponentType D DynkinGraph E EMPTY ElementaryChoice ExtendedGraph G1
-            G2 LabeledGraph NotADynkinGraph ParseError TieChoice TransformStep Vertex classify
-            extend parse_name""",
+        "graphs": """A BC1 ComponentType D DynkinGraph E EMPTY ElementaryChoice G1 G2
+            NotADynkinGraph ParseError TieChoice TransformStep parse_name""",
+        "exact": "ExtendedGraph LabeledGraph Vertex classify extend",
         "transforms": "GraphTooLarge InvalidChoice apply apply_labeled elementary_all tie_all",
         "_catalog_type": "Catalog",
         "catalog": """CatalogMember ENGINE_VERSION QueryNotADE SINGULARITY_CLASSES SingularityClass

@@ -5,17 +5,19 @@ verification, 2 usage or parse errors, or an ``--out`` file that cannot be
 written.  All text output is UTF-8, line-oriented and sorted, so runs diff
 cleanly.
 
-Importing this module loads only the graph layer, which holds the step values.
-``catalog``, ``check`` and ``verify`` import the catalog layer when they run,
-``transform`` and ``verify`` the transform engine (as does a catalog that is
-computed, not read), and ``transform --json`` imports ``json``.
+Importing this module loads only the graph layer, which holds the step values,
+and not ``argparse``: ``main`` reads the plain form of ``check`` itself and
+builds the parser for any other command line.  ``catalog``, ``check`` and
+``verify`` import the catalog layer when they run, ``transform`` and ``verify``
+the transform engine and the exact layer (as does a catalog that is computed,
+not read), and ``transform --json`` imports ``json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from functools import cache
+from types import SimpleNamespace
 
 from . import __version__
 from .graphs import (DynkinGraph, ElementaryChoice, ParseError, TransformStep,
@@ -136,7 +138,8 @@ def _cmd_transform(args) -> int:
 def _verify_checks(full: bool, cache_kwargs: dict):
     """Yield (name, ok, detail) tuples for the regression suite."""
     from .catalog import SINGULARITY_CLASSES, build_catalog, is_published
-    from .graphs import A, BC1, D, E, G1, G2, check_extension_identity
+    from .exact import check_extension_identity
+    from .graphs import A, BC1, D, E, G1, G2
     from .transforms import elementary_all, tie_all
 
     try:
@@ -177,6 +180,8 @@ def _cmd_verify(args) -> int:
 
 @cache  # built by the first main() call
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dynkintrans",
         description=(
@@ -220,9 +225,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_check(argv: list[str]) -> SimpleNamespace | None:
+    """The fields ``build_parser().parse_args(argv)`` sets for exactly ``check SYMBOL
+    GRAPH [--no-cache] [--cache-dir DIR]``, options in any order and the last
+    ``--cache-dir`` winning; None for any other argv, which argparse then reads."""
+    if argv[:1] != ["check"]:
+        return None
+    fields = {"command": "check", "no_cache": False, "cache_dir": None, "func": _cmd_check}
+    positionals = []
+    tokens = iter(argv[1:])
+    for arg in tokens:
+        if arg == "--no-cache":
+            fields["no_cache"] = True
+        elif arg == "--cache-dir":
+            value = next(tokens, "-")  # none left: argparse reports the missing value
+            if value.startswith("-"):
+                return None
+            fields["cache_dir"] = value
+        elif arg.startswith("-"):  # -h, --, an abbreviation or --cache-dir=DIR
+            return None
+        else:
+            positionals.append(arg)
+    if len(positionals) != 2:
+        return None
+    fields["symbol"], fields["graph"] = positionals
+    return SimpleNamespace(**fields)
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _plain_check(argv) or build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         code = exc.code

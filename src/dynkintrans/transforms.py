@@ -1,7 +1,7 @@
 """Elementary and tie transformations of Dynkin graphs.
 
 Both transformations start by replacing every connected component with its
-extended graph carrying maximal-root coefficients (``graphs.extend``).
+extended graph carrying maximal-root coefficients (``exact.extend``).
 
 * An elementary transformation removes at least one vertex from each
   component of the extended graph.  Every such removal yields a Dynkin
@@ -20,7 +20,7 @@ Both refuse a graph over the engine's size budget with GraphTooLarge.
 labeled-graph path, independently of the enumeration engine.
 
 Choice indices always refer to the documented vertex ordering of
-``graphs.extend`` on the input graph, so witnesses are stable across runs.
+``exact.extend`` on the input graph, so witnesses are stable across runs.
 """
 
 from __future__ import annotations
@@ -30,35 +30,11 @@ from collections.abc import Iterable, Iterator
 from functools import cache
 from math import gcd, prod
 
-from .graphs import (
-    Choice,
-    ComponentType,
-    DynkinGraph,
-    ElementaryChoice,
-    ExtendedGraph,
-    LabeledGraph,
-    NORM_LONG,
-    ORDINARY_EDGE,
-    TieChoice,
-    TransformStep,
-    Vertex,
-    _CODE_A1,
-    _CODE_BC1,
-    _CODE_G1,
-    _CODE_G2,
-    _RANK_A,
-    _bits,
-    _code,
-    _check_once,
-    _decode,
-    _layout,
-    _legs_code,
-    _mask_view,
-    _recognize,
-    _Value,
-    classify,
-    extend,
-)
+from .exact import (NORM_LONG, ORDINARY_EDGE, _CODE_A1, _CODE_BC1, _CODE_G1, _CODE_G2, _RANK_A,
+                    ExtendedGraph, LabeledGraph, Vertex, _adjacency, _bits, _check_once,
+                    _decode, _legs_code, _recognize, classify, extend)
+from .graphs import (Choice, ComponentType, DynkinGraph, ElementaryChoice, TieChoice,
+                     TransformStep, _code, _layout, _Value)
 
 
 class InvalidChoice(ValueError):
@@ -148,7 +124,7 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # Fast enumeration core.
 #
 # The engine mirrors extend(g) as bitmask data and names residual pieces
-# with the shape recognizer of ``graphs`` that ``classify`` uses, so
+# with the shape recognizer of ``exact`` that ``classify`` uses, so
 # component types are its integer codes.  A multiset of types is the
 # product of one prime per code, 1 when empty: unique factorization makes
 # it an exact key, and merging two multisets is one multiplication.  Only
@@ -265,7 +241,7 @@ class _CompCore:
         _check_once(ct, lay.coeffs)
         self.size = len(lay.coeffs)
         self.full = (1 << self.size) - 1
-        self.adj, self.norm = _mask_view(lay.norms, lay.edges)
+        self.adj, self.norm = _adjacency(self.size, lay.edges), lay.norms
         self.coeff = list(lay.coeffs)
         # its memos, all it keeps for later calls: a cached method would keep every core alive
         self._piece_memo: dict[int, tuple[int, tuple]] = {}

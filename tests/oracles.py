@@ -17,21 +17,8 @@ import itertools
 from fractions import Fraction
 from typing import Iterator
 
-from dynkintrans.graphs import (
-    A,
-    BC1,
-    ComponentType,
-    D,
-    DynkinGraph,
-    E,
-    G1,
-    G2,
-    LabeledGraph,
-    NORM_LONG,
-    ORDINARY_EDGE,
-    Vertex,
-    extend,
-)
+from dynkintrans.exact import NORM_LONG, ORDINARY_EDGE, LabeledGraph, Vertex, extend
+from dynkintrans.graphs import A, BC1, ComponentType, D, DynkinGraph, E, G1, G2
 
 
 def gram(lg: LabeledGraph) -> tuple[tuple[Fraction, ...], ...]:

@@ -18,6 +18,7 @@ from dynkintrans.catalog import (
     clear_memory_cache,
     membership,
 )
+from dynkintrans.exact import check_extension_identity
 from dynkintrans.graphs import (
     A,
     BC1,
@@ -26,7 +27,6 @@ from dynkintrans.graphs import (
     E,
     G1,
     G2,
-    check_extension_identity,
     parse_name,
 )
 from dynkintrans.transforms import (

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -159,6 +161,48 @@ def test_check_output_is_pinned(cli, all_catalogs, fresh_memory_cache, query):
     assert out == PINNED_CHECK_OUTPUT[query]
 
 
+# Every order of SYMBOL, GRAPH and each set of the two options, SYMBOL before GRAPH.
+_PLAIN_ORDERS = [
+    [token for part in order for token in part]
+    for options in ([], [["--no-cache"]], [["--cache-dir", "d"]], [["--no-cache"], ["--cache-dir", "d"]])
+    for order in itertools.permutations([["Z13"], ["A7+A4"], *options])
+    if order.index(["Z13"]) < order.index(["A7+A4"])
+]
+_PLAIN_CASES = [(["check", *argv], True) for argv in _PLAIN_ORDERS + [
+    ["Z13", "A7+A4", "--no-cache", "--no-cache"],
+    ["--cache-dir", "a", "Z13", "--cache-dir", "b", "A7+A4"],  # the last value wins
+    ["Z13", "A7+A4", "--cache-dir", ""],
+    ["Q10", ""],  # the empty graph
+]] + [(["check", *argv], False) for argv in [
+    [],
+    ["Z13"],
+    ["Z13", "A7+A4", "A1"],
+    ["Z13", "A7+A4", "--cache-dir"],
+    ["Z13", "A7+A4", "--cache-dir", "-d"],
+    ["Z13", "A7+A4", "--cache-dir=d"],
+    ["Z13", "A7+A4", "--no-c"],  # an abbreviation that argparse accepts
+    ["Z13", "--", "A7+A4"],
+    ["Z13", "A7+A4", "-h"],
+    ["Z13", "-A1"],
+    ["Z13", "-1"],  # argparse reads a negative number as a positional
+]] + [(["catalog", "Z13"], False), (["--version"], False)]
+
+
+@pytest.mark.parametrize("argv, plain", _PLAIN_CASES, ids=[shlex.join(a) for a, _ in _PLAIN_CASES])
+def test_plain_check_parses_as_argparse_does(argv, plain, capsys):
+    """``main`` reads the plain ``check`` form without argparse: the fields it
+    sets are those of ``parse_args``, and any other argv goes to argparse."""
+    fast = cli_mod._plain_check(argv)
+    try:
+        parsed = vars(cli_mod.build_parser().parse_args(argv))
+    except SystemExit as exc:
+        parsed = exc.code
+    capsys.readouterr()
+    assert (fast is not None) == plain
+    if plain:
+        assert vars(fast) == parsed
+
+
 class TestMain:
     @pytest.mark.parametrize("argv", [["check"], ["frob"]])
     def test_usage_error_returns_two(self, argv, capsys):
@@ -304,12 +348,12 @@ class TestVerifyCommand:
         assert "verify-crashed" not in out
 
     def test_crashed_check_is_reported(self, cli, monkeypatch):
-        from dynkintrans import graphs as gmod
+        from dynkintrans import exact
 
         def crash(ct):
             raise RuntimeError("table unreadable")
 
-        monkeypatch.setattr(gmod, "check_extension_identity", crash)
+        monkeypatch.setattr(exact, "check_extension_identity", crash)
         code, out, _ = cli("verify")
         assert code == 1
         assert out == "FAIL verify-crashed: RuntimeError: table unreadable\n1 check(s) failed\n"
@@ -349,15 +393,17 @@ _CLI_MODULES = ["dynkintrans", "dynkintrans.cli", "dynkintrans.graphs"]
 @pytest.mark.parametrize("argv, more", [
     ([], []),
     (["check", "Z13", "A7+A4", "--cache-dir", "{cache}"], ["dynkintrans.catalog"]),
-    (["transform", "D6", "--op", "tie"], ["dynkintrans.transforms"]),
+    (["transform", "D6", "--op", "tie"], ["dynkintrans.exact", "dynkintrans.transforms"]),
     (["check", "Q10", "A5", "--no-cache"],
-     ["dynkintrans._catalog_type", "dynkintrans.catalog", "dynkintrans.transforms"]),
+     ["dynkintrans._catalog_type", "dynkintrans.catalog", "dynkintrans.exact",
+      "dynkintrans.transforms"]),
 ], ids=["import", "warm-check", "transform", "computed-check"])
 def test_each_command_loads_exactly_its_package_modules(argv, more, all_catalogs, catalog_cache_dir):
     """The ``dynkintrans`` modules of a fresh ``python -S`` after importing the
     CLI, then after running ``argv`` (a warm ``check`` reads the session cache):
     every command loads the graph layer, which holds the step values, and
-    besides it only the layers that the command uses."""
+    besides it only the layers that the command uses: the exact layer only
+    with the transform engine."""
     argv = [arg.format(cache=catalog_cache_dir) for arg in argv]
     script = (
         "import sys, dynkintrans.cli\n"
@@ -396,11 +442,14 @@ def test_lattice_checks_load_no_dynkintrans():
     assert _last_line(script) == "6 []"
 
 
-def test_warm_check_loads_no_lattice_and_no_tempfile(all_catalogs, catalog_cache_dir):
+def test_warm_check_loads_only_what_its_answer_reads(all_catalogs, catalog_cache_dir):
     """A warm answer builds no ``Catalog``, whose module alone loads
-    ``dataclasses`` and, with it, ``inspect``; and it enumerates nothing,
-    so the transform engine does not load either."""
-    unused = ["tempfile", "dataclasses", "inspect", "dynkintrans._catalog_type",
+    ``dataclasses`` and, with it, ``inspect``; it enumerates nothing, so
+    neither the transform engine nor the exact layer, with ``fractions`` and
+    ``decimal``, loads; and its plain command line is read without
+    ``argparse``, which would load ``shutil`` for the help width."""
+    unused = ["tempfile", "dataclasses", "inspect", "argparse", "shutil", "fractions",
+              "decimal", "dynkintrans._catalog_type", "dynkintrans.exact",
               "dynkintrans.transforms"]
     argv = ["check", "Z13", "A7+A4", "--cache-dir", str(catalog_cache_dir)]
     assert _modules_loaded(unused, argv) == "0 [] []"

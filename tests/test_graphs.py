@@ -10,6 +10,17 @@ from itertools import combinations_with_replacement
 import pytest
 import sympy
 
+from dynkintrans.exact import (
+    ExtendedGraph,
+    LabeledGraph,
+    NORM_HALF,
+    NORM_LONG,
+    NORM_SHORT,
+    Vertex,
+    check_extension_identity,
+    classify,
+    extend,
+)
 from dynkintrans.graphs import (
     A,
     BC1,
@@ -18,19 +29,10 @@ from dynkintrans.graphs import (
     DynkinGraph,
     E,
     EMPTY,
-    ExtendedGraph,
     G1,
     G2,
-    LabeledGraph,
-    NORM_HALF,
-    NORM_LONG,
-    NORM_SHORT,
     NotADynkinGraph,
     ParseError,
-    Vertex,
-    check_extension_identity,
-    classify,
-    extend,
     extended_vertex_ids,
     parse_name,
 )
@@ -172,7 +174,7 @@ def test_catalog_is_the_only_dataclass():
     """Every other value class is a ``graphs._Value``, so only ``_catalog_type``
     loads ``dataclasses``; ``Catalog`` stays one for ``dataclasses.replace``."""
     modules = [importlib.import_module(f"dynkintrans.{name}")
-               for name in ("graphs", "transforms", "catalog", "_catalog_type", "cli")]
+               for name in ("graphs", "exact", "transforms", "catalog", "_catalog_type", "cli")]
     found = [f"{cls.__module__}.{cls.__name__}" for mod in modules for cls in vars(mod).values()
              if isinstance(cls, type) and cls.__module__ == mod.__name__
              and hasattr(cls, "__dataclass_fields__")]
@@ -467,13 +469,14 @@ class TestExtend:
             check_extension_identity(E(8))
 
     def test_extend_checks_each_table_once(self, monkeypatch):
+        from dynkintrans import exact
         from dynkintrans import graphs as gmod
 
         extend(parse_name("E7+A2"))
         checked = []
-        real = gmod.check_extension_identity
+        real = exact.check_extension_identity
         monkeypatch.setattr(
-            gmod, "check_extension_identity", lambda ct: checked.append(ct) or real(ct)
+            exact, "check_extension_identity", lambda ct: checked.append(ct) or real(ct)
         )
         extend(parse_name("E7+2A2"))
         assert checked == []

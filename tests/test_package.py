@@ -4,7 +4,7 @@ import pytest
 
 import dynkintrans
 
-MODULES = ("graphs", "transforms", "catalog", "_catalog_type")
+MODULES = ("graphs", "exact", "transforms", "catalog", "_catalog_type")
 
 
 def test_all_lists_exactly_the_public_names():
@@ -67,6 +67,20 @@ def test_step_classes_are_one_class_under_every_name(all_catalogs):
     witness = all_catalogs["Z13"].get("A7+A4").witness
     copy = pickle.loads(pickle.dumps(witness))
     assert copy == witness and [type(step) for step in copy] == [graphs.TransformStep] * 2
+
+
+def test_graphs_forwards_only_the_certifier_names():
+    """``graphs`` forwards the five exact-layer names that the benchmark's
+    certifier reads from it, each the current object of ``exact``, and no other."""
+    from dynkintrans import exact, graphs
+
+    for name in ("extend", "Vertex", "LabeledGraph", "NORM_LONG", "ORDINARY_EDGE"):
+        assert getattr(graphs, name) is getattr(exact, name)
+        assert name not in vars(graphs)
+    for name in ("ExtendedGraph", "classify", "check_extension_identity", "NORM_SHORT",
+                 "_recognize", "Fraction", "extent"):
+        with pytest.raises(AttributeError, match=f"'dynkintrans.graphs' has no attribute '{name}'"):
+            getattr(graphs, name)
 
 
 def test_dir_lists_every_public_name():

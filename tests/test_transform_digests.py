@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import hashlib
 
-from dynkintrans.graphs import A, BC1, D, DynkinGraph, E, G1, G2, extend, parse_name
+from dynkintrans.exact import extend
+from dynkintrans.graphs import A, BC1, D, DynkinGraph, E, G1, G2, parse_name
 from dynkintrans.transforms import (
     _CompCore,
     _decode_graph,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from dynkintrans.exact import extend
 from dynkintrans.graphs import (
     A,
     BC1,
@@ -17,7 +18,6 @@ from dynkintrans.graphs import (
     G1,
     G2,
     NotADynkinGraph,
-    extend,
     parse_name,
 )
 from dynkintrans import transforms
