@@ -1,11 +1,9 @@
-import bisect
 from dataclasses import dataclass
-from operator import attrgetter
 
-from .catalog import CatalogMember, DynkinGraph, SingularityClass
+from .catalog import CatalogMember, DynkinGraph, SingularityClass, _find
 
 
-@dataclass(frozen=True)  # kept a dataclass for perfbench's replace(), out of catalog's warm path
+@dataclass(frozen=True)  # for perfbench's replace(); built by build_catalog and catalog_from_json
 class Catalog:
     """The computed member set of one class, sorted by canonical name."""
 
@@ -16,10 +14,7 @@ class Catalog:
         return [m.name for m in self.members]
 
     def get(self, name: str) -> CatalogMember | None:
-        i = bisect.bisect_left(self.members, name, key=attrgetter("name"))
-        if i < len(self.members) and self.members[i].name == name:
-            return self.members[i]
-        return None
+        return _find(self.members, name)
 
     def __contains__(self, g: DynkinGraph) -> bool:
         return self.get(g.name) is not None

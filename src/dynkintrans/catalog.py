@@ -15,7 +15,6 @@ digest is the published digest of its class.
 
 from __future__ import annotations
 
-import json
 import os
 from _blake2 import blake2b  # builtin: hashlib would load OpenSSL for one digest
 from functools import cache
@@ -120,8 +119,8 @@ def _encode_step(input_name: str, a: tuple, b: tuple | None = None) -> str:
     return '{"a":[%s],"b":[%s],"input":"%s","kind":"tie"}' % (_joined(a), _joined(b), input_name)
 
 
-def _compute_catalog(cls: SingularityClass) -> Catalog:
-    """Members with their witnesses.
+def _compute_catalog(cls: SingularityClass) -> tuple[CatalogMember, ...]:
+    """The members with their witnesses, sorted by name.
 
     Per member the witness (s1, s2) whose compact JSON encoding
     ``"[" + enc1 + "," + enc2 + "]"`` is shortest, then smallest, wins.
@@ -191,8 +190,14 @@ def _compute_catalog(cls: SingularityClass) -> Catalog:
         choice = ElementaryChoice(a) if b is None else TieChoice(a, b)
         members.append(CatalogMember(out, (s1, TransformStep(choice, s1.output, out))))
     members.sort(key=attrgetter("name"))
-    from ._catalog_type import Catalog  # here, not at the top: a warm answer builds none
-    return Catalog(cls, tuple(members))
+    return tuple(members)
+
+
+def _find(members: tuple[CatalogMember, ...], name: str) -> CatalogMember | None:
+    """The member named ``name`` of ``members``, which are sorted by name, or None."""
+    from bisect import bisect_left
+    i = bisect_left(members, name, key=attrgetter("name"))
+    return members[i] if i < len(members) and members[i].name == name else None
 
 
 # --------------------------------------------------------------------------
@@ -244,11 +249,10 @@ def _step_json(step: TransformStep) -> str:
     return _TIE_JSON % (_index_list(choice.a), _index_list(choice.b), name)
 
 
-def catalog_to_json(catalog: Catalog) -> str:
-    """Byte-stable JSON: sorted keys, fixed indentation, trailing newline."""
-    cls = catalog.singularity
-    members = ",\n".join(_MEMBER_JSON % (m.name, *map(_step_json, m.witness))
-                         for m in catalog.members)
+def catalog_to_json(catalog: Catalog | tuple[SingularityClass, tuple[CatalogMember, ...]]) -> str:
+    """The published layout, byte-stable, of a Catalog or a (class, members) pair."""
+    cls, members = catalog if type(catalog) is tuple else (catalog.singularity, catalog.members)
+    members = ",\n".join(_MEMBER_JSON % (m.name, *map(_step_json, m.witness)) for m in members)
     members = "[\n" + members + "\n  ]" if members else "[]"
     return _CATALOG_JSON % (cls.basic.name, cls.symbol, ENGINE_VERSION, members, cls.milnor)
 
@@ -275,6 +279,13 @@ def _entry_witness(cls: SingularityClass, entry: dict, graph: DynkinGraph, mids:
 def catalog_from_json(text: str) -> Catalog:
     """The catalog of JSON text from outside the program, whose header and
     each entry's name, order and first step are checked; ValueError if malformed."""
+    from ._catalog_type import Catalog
+    return Catalog(*_from_json(text))
+
+
+def _from_json(text: str) -> tuple[SingularityClass, tuple[CatalogMember, ...]]:
+    """The (class, members) pair of catalog_from_json, with no Catalog built."""
+    import json
     data = json.loads(text)  # outside the try: a non-string argument stays a TypeError
     try:
         cls = singularity_class(data["class"])
@@ -295,8 +306,7 @@ def catalog_from_json(text: str) -> Catalog:
             members.append(CatalogMember(graph, _entry_witness(cls, entry, graph, mids)))
     except (AttributeError, IndexError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed catalog: {exc!r}") from exc
-    from ._catalog_type import Catalog
-    return Catalog(cls, tuple(members))
+    return cls, tuple(members)
 
 
 def default_cache_dir() -> Path:
@@ -334,13 +344,13 @@ def _cached(cls, cache, cache_dir) -> tuple[SingularityClass, Path | None, bytes
     return cls, path, data if _is_published(cls.symbol, data) else None
 
 
-def _computed(cls: SingularityClass, path: Path | None) -> Catalog:
-    """The computed catalog of ``cls``, its JSON written atomically to ``path``
-    unless that is None.  A write that fails with OSError warns at the line
-    that called build_catalog or membership."""
-    catalog = _compute_catalog(cls)
+def _computed(cls: SingularityClass, path: Path | None) -> tuple[CatalogMember, ...]:
+    """The computed members of ``cls``, their catalog's JSON written atomically
+    to ``path`` unless that is None.  A write that fails with OSError warns at
+    the line that called build_catalog, membership or _class_members."""
+    members = _compute_catalog(cls)
     if path is None:
-        return catalog
+        return members
     import tempfile  # with random and shutil, only when a file is written
 
     try:
@@ -348,7 +358,7 @@ def _computed(cls: SingularityClass, path: Path | None) -> Catalog:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(catalog_to_json(catalog))
+                fh.write(catalog_to_json((cls, members)))
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -357,7 +367,13 @@ def _computed(cls: SingularityClass, path: Path | None) -> Catalog:
         import warnings
 
         warnings.warn(f"cannot write catalog cache {path}: {exc}", RuntimeWarning, stacklevel=3)
-    return catalog
+    return members
+
+
+def _class_members(cls, cache, cache_dir) -> tuple[SingularityClass, tuple[CatalogMember, ...]]:
+    """The class and members of build_catalog's catalog, with no Catalog built."""
+    cls, path, data = _cached(cls, cache, cache_dir)
+    return (cls, _computed(cls, path)) if data is None else _from_json(data.decode())
 
 
 def build_catalog(
@@ -379,7 +395,10 @@ def build_catalog(
     issues a RuntimeWarning, and the catalog is returned all the same.
     """
     cls, path, data = _cached(cls, cache, cache_dir)
-    return _computed(cls, path) if data is None else catalog_from_json(data.decode())
+    if data is not None:
+        return catalog_from_json(data.decode())
+    from ._catalog_type import Catalog  # API only: the catalog and check commands build none
+    return Catalog(cls, _computed(cls, path))
 
 
 def clear_memory_cache() -> None:
@@ -407,10 +426,11 @@ def membership(
         raise QueryNotADE(f"membership is undefined for non-ADE graph {g.name!r}")
     cls, path, data = _cached(cls, cache, cache_dir)
     if data is None:
-        member = _computed(cls, path).get(g.name)
+        member = _find(_computed(cls, path), g.name)
         return None if member is None else member.witness
     # Exact on published bytes: sort_keys and indent=2 fix the layout, and
     # only member entries have a "name" key.
+    import json
     text = data.decode("utf-8")
     i = text.find('"name": "%s",' % g.name)
     if i < 0:

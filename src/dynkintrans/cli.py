@@ -6,11 +6,12 @@ written.  All text output is UTF-8, line-oriented and sorted, so runs diff
 cleanly.
 
 Importing this module loads only the graph layer, which holds the step values,
-and not ``argparse``: ``main`` reads the plain form of ``check`` itself and
-builds the parser for any other command line.  ``catalog``, ``check`` and
-``verify`` import the catalog layer when they run, ``transform`` and ``verify``
-the transform engine and the exact layer (as does a catalog that is computed,
-not read), and ``transform --json`` imports ``json``.
+and not ``argparse``: ``main`` reads the plain forms of ``catalog`` and ``check``
+itself and builds the parser for any other command line.  ``catalog``, ``check``
+and ``verify`` import the catalog layer when they run; only ``verify`` builds a
+``Catalog`` (with ``dataclasses``), the others read member tuples.  ``transform``
+and ``verify`` import the transform engine and the exact layer, as does a catalog
+that is computed, not read, and ``transform --json`` imports ``json``.
 """
 
 from __future__ import annotations
@@ -72,14 +73,13 @@ def _cache_kwargs(args) -> dict:
 
 
 def _cmd_catalog(args) -> int:
-    from .catalog import build_catalog, catalog_to_json
+    from .catalog import _class_members, catalog_to_json
 
-    cls = _parse_class_arg(args.symbol)
-    catalog = build_catalog(cls, **_cache_kwargs(args))
+    pair = _class_members(_parse_class_arg(args.symbol), **_cache_kwargs(args))
     if args.json:
-        text = catalog_to_json(catalog)
+        text = catalog_to_json(pair)
     else:
-        text = "\n".join(str(m.graph) for m in catalog.members) + "\n"
+        text = "\n".join(str(m.graph) for m in pair[1]) + "\n"
     return _emit(text, args.out)
 
 
@@ -225,37 +225,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _plain_check(argv: list[str]) -> SimpleNamespace | None:
-    """The fields ``build_parser().parse_args(argv)`` sets for exactly ``check SYMBOL
-    GRAPH [--no-cache] [--cache-dir DIR]``, options in any order and the last
-    ``--cache-dir`` winning; None for any other argv, which argparse then reads."""
-    if argv[:1] != ["check"]:
+_PLAIN = {  # the forms main reads without argparse: command -> (handler, positionals, options)
+    "catalog": (_cmd_catalog, ("symbol",),
+                {"--json": False, "--out": None, "--no-cache": False, "--cache-dir": None}),
+    "check": (_cmd_check, ("symbol", "graph"), {"--no-cache": False, "--cache-dir": None}),
+}
+
+
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """The fields ``build_parser().parse_args(argv)`` sets for exactly a plain form of
+    ``_PLAIN``: positionals and options in any order, an option with a default of None
+    taking a value and its last value winning; None for any other argv, read by argparse."""
+    func, names, options = _PLAIN.get(argv[0] if argv else "", (None, (), {}))
+    if func is None:
         return None
-    fields = {"command": "check", "no_cache": False, "cache_dir": None, "func": _cmd_check}
+    fields = {"command": argv[0], "func": func}
+    fields.update((opt[2:].replace("-", "_"), default) for opt, default in options.items())
     positionals = []
     tokens = iter(argv[1:])
     for arg in tokens:
-        if arg == "--no-cache":
-            fields["no_cache"] = True
-        elif arg == "--cache-dir":
-            value = next(tokens, "-")  # none left: argparse reports the missing value
-            if value.startswith("-"):
+        if arg not in options:
+            if arg.startswith("-"):  # -h, --, an abbreviation or --out=FILE
                 return None
-            fields["cache_dir"] = value
-        elif arg.startswith("-"):  # -h, --, an abbreviation or --cache-dir=DIR
-            return None
-        else:
             positionals.append(arg)
-    if len(positionals) != 2:
-        return None
-    fields["symbol"], fields["graph"] = positionals
-    return SimpleNamespace(**fields)
+            continue
+        value = True if options[arg] is False else next(tokens, "-")  # "-": argparse reports it
+        if value is not True and value.startswith("-"):
+            return None
+        fields[arg[2:].replace("-", "_")] = value
+    fields.update(zip(names, positionals))
+    return SimpleNamespace(**fields) if len(positionals) == len(names) else None
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _plain_check(argv) or build_parser().parse_args(argv)
+        args = _plain(argv) or build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         code = exc.code

@@ -194,7 +194,7 @@ def test_criterion_8_golden_member_counts(all_catalogs):
 def test_criterion_9_golden_catalog_digests():
     # the engine's own output, not a catalog that the loader checked
     published = {
-        symbol: catalog_to_json(_compute_catalog(cls)).encode("utf-8")
+        symbol: catalog_to_json((cls, _compute_catalog(cls))).encode("utf-8")
         for symbol, cls in SINGULARITY_CLASSES.items()
     }
     sha256 = {symbol: hashlib.sha256(data).hexdigest() for symbol, data in published.items()}

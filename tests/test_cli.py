@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynkintrans import cli as cli_mod
 from dynkintrans import transforms
@@ -185,14 +187,53 @@ _PLAIN_CASES = [(["check", *argv], True) for argv in _PLAIN_ORDERS + [
     ["Z13", "A7+A4", "-h"],
     ["Z13", "-A1"],
     ["Z13", "-1"],  # argparse reads a negative number as a positional
-]] + [(["catalog", "Z13"], False), (["--version"], False)]
+]]
+# Every order of SYMBOL and each set of the four options of `catalog`.
+_CATALOG_OPTIONS = [["--json"], ["--out", "F"], ["--no-cache"], ["--cache-dir", "D"]]
+_PLAIN_CASES += [
+    (["catalog", *(token for part in order for token in part)], True)
+    for k in range(len(_CATALOG_OPTIONS) + 1)
+    for options in itertools.combinations(_CATALOG_OPTIONS, k)
+    for order in itertools.permutations([["Z13"], *options])
+] + [(["catalog", *argv], True) for argv in [
+    ["Z13", "--json", "--json", "--no-cache", "--no-cache"],
+    ["--out", "a", "Z13", "--out", "b"],  # the last value wins
+    ["--cache-dir", "a", "--cache-dir", "b", "Z13", "--cache-dir", "c"],
+    ["Z13", "--out", "", "--cache-dir", ""],
+]] + [(["catalog", *argv], False) for argv in [
+    [],
+    ["Z13", "Q10"],
+    ["Z13", "-h"],
+    ["--help", "Z13"],
+    ["--", "Z13"],
+    ["Z13", "--js"],  # abbreviations that argparse accepts
+    ["Z13", "--o", "F"],
+    ["Z13", "--no-c"],
+    ["Z13", "--cache", "D"],
+    ["Z13", "--out=F"],
+    ["Z13", "--cache-dir=D"],
+    ["Z13", "--out"],
+    ["Z13", "--cache-dir"],
+    ["Z13", "--out", "-f"],
+    ["Z13", "--out", "--json"],
+    ["Z13", "--cache-dir", "-d"],
+    ["Z13", "--graph", "A1"],
+    ["-1"],
+    ["Z13", "-x"],
+]] + [(argv, False) for argv in [
+    ["--version"],
+    ["transform", "A2", "--op", "tie"],
+    ["verify"],
+    ["verify", "--no-cache"],
+]]
 
 
 @pytest.mark.parametrize("argv, plain", _PLAIN_CASES, ids=[shlex.join(a) for a, _ in _PLAIN_CASES])
 def test_plain_check_parses_as_argparse_does(argv, plain, capsys):
-    """``main`` reads the plain ``check`` form without argparse: the fields it
-    sets are those of ``parse_args``, and any other argv goes to argparse."""
-    fast = cli_mod._plain_check(argv)
+    """``main`` reads the plain ``catalog`` and ``check`` forms without argparse:
+    the fields it sets are those of ``parse_args``, and any other argv goes to
+    argparse."""
+    fast = cli_mod._plain(argv)
     try:
         parsed = vars(cli_mod.build_parser().parse_args(argv))
     except SystemExit as exc:
@@ -200,6 +241,52 @@ def test_plain_check_parses_as_argparse_does(argv, plain, capsys):
     capsys.readouterr()
     assert (fast is not None) == plain
     if plain:
+        assert vars(fast) == parsed
+
+
+# Each command's positional count, flags and options with a value, as its usage names them.
+_USAGE = {
+    "catalog": (1, ["--json", "--no-cache"], ["--out", "--cache-dir"]),
+    "check": (2, ["--no-cache"], ["--cache-dir"]),
+    "transform": (1, ["--json"], ["--op", "--out"]),
+    "verify": (0, ["--full", "--no-cache"], ["--cache-dir"]),
+    "--version": (0, ["--version"], []),
+}
+_NAMES = ["Z13", "A7+A4", "tie", "F", ""]
+_ODD_TOKENS = ["-x", "-1", "-", "--", "-h", "--out=F", "--cache-dir=D", "--no-c", "--js",
+               "--version", "--out", "--cache-dir"]
+
+
+def _argvs(command):
+    """``command`` and, in any order: its options, each with a value if it takes
+    one, which may start with ``-``; about its number of positionals; and at most
+    one token that only argparse reads, or a valued option without its value."""
+    n, flags, valued = _USAGE[command]
+    value = st.sampled_from(_NAMES + ["-x", "-1", "-"])
+    with_value = st.tuples(st.sampled_from(valued), value).map(list) if valued else st.nothing()
+    option = st.one_of(st.sampled_from(flags).map(lambda flag: [flag]), with_value)
+    name = st.sampled_from(_NAMES).map(lambda name: [name])
+    positionals = st.sampled_from([n, n, n + 1, max(n - 1, 0)]).flatmap(
+        lambda k: st.lists(name, min_size=k, max_size=k))
+    odd = st.lists(st.sampled_from(_ODD_TOKENS).map(lambda token: [token]), max_size=1)
+    pieces = st.tuples(st.lists(option, max_size=4), positionals, odd).flatmap(
+        lambda parts: st.permutations([piece for part in parts for piece in part]))
+    return pieces.map(lambda order: [command, *itertools.chain(*order)])
+
+
+@given(st.sampled_from(sorted(_USAGE)).flatmap(_argvs))
+@settings(max_examples=500, deadline=None)
+def test_plain_forms_parse_as_argparse_does(argv):
+    """Any argv that the plain reader takes sets the fields ``parse_args`` sets;
+    it takes no ``transform``, ``verify`` or ``--version`` command line."""
+    fast = cli_mod._plain(argv)
+    if argv[0] in ("transform", "verify", "--version"):
+        assert fast is None
+    if fast is not None:
+        try:
+            parsed = vars(cli_mod.build_parser().parse_args(argv))
+        except SystemExit as exc:  # hypothesis would not report it as a failure
+            parsed = exc.code
         assert vars(fast) == parsed
 
 
@@ -331,13 +418,11 @@ class TestVerifyCommand:
         self, cli, all_catalogs, fresh_memory_cache, monkeypatch
     ):
         from dynkintrans import catalog as catalog_mod
-        from dynkintrans.catalog import Catalog
 
         compute = catalog_mod._compute_catalog
 
         def lossy(cls):
-            catalog = compute(cls)
-            return Catalog(catalog.singularity, catalog.members[:-1])
+            return compute(cls)[:-1]
 
         monkeypatch.setattr(catalog_mod, "_compute_catalog", lossy)
         code, out, _ = cli("verify", "--no-cache", cache=False)
@@ -395,16 +480,19 @@ _CLI_MODULES = ["dynkintrans", "dynkintrans.cli", "dynkintrans.graphs"]
     (["check", "Z13", "A7+A4", "--cache-dir", "{cache}"], ["dynkintrans.catalog"]),
     (["transform", "D6", "--op", "tie"], ["dynkintrans.exact", "dynkintrans.transforms"]),
     (["check", "Q10", "A5", "--no-cache"],
-     ["dynkintrans._catalog_type", "dynkintrans.catalog", "dynkintrans.exact",
-      "dynkintrans.transforms"]),
-], ids=["import", "warm-check", "transform", "computed-check"])
-def test_each_command_loads_exactly_its_package_modules(argv, more, all_catalogs, catalog_cache_dir):
+     ["dynkintrans.catalog", "dynkintrans.exact", "dynkintrans.transforms"]),
+    (["catalog", "Q10", "--cache-dir", "{empty}"],
+     ["dynkintrans.catalog", "dynkintrans.exact", "dynkintrans.transforms"]),
+], ids=["import", "warm-check", "transform", "computed-check", "computed-catalog"])
+def test_each_command_loads_exactly_its_package_modules(
+    argv, more, all_catalogs, catalog_cache_dir, tmp_path
+):
     """The ``dynkintrans`` modules of a fresh ``python -S`` after importing the
     CLI, then after running ``argv`` (a warm ``check`` reads the session cache):
     every command loads the graph layer, which holds the step values, and
     besides it only the layers that the command uses: the exact layer only
-    with the transform engine."""
-    argv = [arg.format(cache=catalog_cache_dir) for arg in argv]
+    with the transform engine; a computed catalog or answer builds no ``Catalog``."""
+    argv = [arg.format(cache=catalog_cache_dir, empty=tmp_path / "empty") for arg in argv]
     script = (
         "import sys, dynkintrans.cli\n"
         "def package(): return sorted(m for m in sys.modules if m.split('.')[0] == 'dynkintrans')\n"
@@ -453,6 +541,18 @@ def test_warm_check_loads_only_what_its_answer_reads(all_catalogs, catalog_cache
               "dynkintrans.transforms"]
     argv = ["check", "Z13", "A7+A4", "--cache-dir", str(catalog_cache_dir)]
     assert _modules_loaded(unused, argv) == "0 [] []"
+
+
+def test_computed_catalog_loads_only_what_it_prints(tmp_path):
+    """A ``catalog`` computed into an empty cache dir prints and writes its
+    member tuple, so it builds no ``Catalog``, whose module alone loads
+    ``dataclasses`` and, with it, ``inspect``; it parses no JSON; and its plain
+    command line is read without ``argparse``, which would load ``gettext``."""
+    unused = ["argparse", "gettext", "dataclasses", "inspect", "json",
+              "dynkintrans._catalog_type"]
+    argv = ["catalog", "Q10", "--cache-dir", str(tmp_path / "empty")]
+    assert _modules_loaded(unused, argv) == "0 [] []"
+    assert (tmp_path / "empty" / f"Q10-v{ENGINE_VERSION}.json").is_file()
 
 
 def test_engine_loads_only_to_enumerate_or_replay(all_catalogs, catalog_cache_dir):
