@@ -26,15 +26,16 @@ Choice indices always refer to the documented vertex ordering of
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import cache
 from math import gcd, prod
+from operator import add, mul
 
 from .exact import (NORM_LONG, ORDINARY_EDGE, _CODE_A1, _CODE_BC1, _CODE_G1, _CODE_G2, _RANK_A,
                     ExtendedGraph, LabeledGraph, Vertex, _adjacency, _bits, _check_once,
                     _decode, _legs_code, _recognize, classify, extend)
 from .graphs import (Choice, ComponentType, DynkinGraph, ElementaryChoice, TieChoice,
-                     TransformStep, _code, _layout, _Value)
+                     TransformStep, _code, _layout, _set)
 
 
 class InvalidChoice(ValueError):
@@ -43,13 +44,6 @@ class InvalidChoice(ValueError):
 
 class GraphTooLarge(ValueError):
     """A graph is over the size budget of the enumeration engine."""
-
-
-def _choice(cls: type, *parts: tuple[int, ...]) -> Choice:
-    """A choice from index tuples the fold yields sorted, not sorted again."""
-    choice = object.__new__(cls)
-    _Value.__init__(choice, *parts)
-    return choice
 
 
 def _validate_indices(ext: ExtendedGraph, ids: Iterable[int], what: str) -> None:
@@ -142,9 +136,15 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # tables component by component into states keyed the same way.  A tie
 # option takes one A-part per signature, what its options read: the gcd g
 # of its coefficients and, per residual piece, its prime with the set of
-# (descriptor, coefficient mod g) classes of the vertices it lists, held
-# flat as one small int per distinct piece entry: the sorted ids, then g.
-# (Without the mod-g classes, D9+BC1 loses A5+A1+A1+A1+A1.)  That pass keeps
+# (descriptor, coefficient mod g) classes of the vertices it lists, held as
+# (g, key): the key sums one 5-bit field per piece entry, an exact multiset
+# key.  (Without the mod-g classes, D9+BC1 loses A5+A1+A1+A1+A1.)
+#
+# Both tables read one residual pass.  ``residual_pieces`` keeps, per
+# residual mask, the piece of its lowest vertex; the rest of the mask comes
+# before it, so ``_per_residual`` gives every residual's type product, and
+# its key at g = 1, in one step per mask.  A mask then costs one lookup, and
+# only the masks with g > 1 walk their pieces.  The signature pass keeps
 # each class's smallest vertex as a B-candidate, and ``tie_table`` takes g
 # and the candidates from it: B is at most three candidates in distinct
 # pieces with gcd(g, B-coefficient sum) = 1, a condition on the component's
@@ -272,67 +272,76 @@ class _CompCore:
         info = self._piece_memo[piece] = (_prime(code), tuple(sorted(desc.items())))
         return info
 
-    def residual_pieces(self) -> list[tuple[int, ...]]:
-        """The connected pieces of every residual mask below ``full``, in
-        order of their lowest vertex: a mask's lowest vertex joins the pieces
-        of the rest that it touches, which all start above it."""
-        out: list[tuple[int, ...]] = [()] * self.full
+    def residual_pieces(self) -> list[int]:
+        """Per residual mask below ``full``, its piece that holds its lowest
+        vertex; the other pieces follow by ``r ^= piece`` (``_chain``), in
+        order of their lowest vertex.  That vertex joins the pieces of the
+        rest that hold its neighbours, met in that order."""
+        adj, out = self.adj, [0] * self.full
         for r in range(1, self.full):
             low = r & -r
-            near, piece, rest = self.adj[low.bit_length() - 1], low, []
-            for p in out[r ^ low]:
+            rest = r ^ low
+            near, piece = adj[low.bit_length() - 1] & rest, low
+            while near:
+                p = out[rest]
                 if p & near:
                     piece |= p
-                else:
-                    rest.append(p)
-            out[r] = (piece, *rest)
+                    near &= ~p
+                rest ^= p
+            out[r] = piece
         return out
 
     def elementary_table(self) -> _Table:
         """Per residual type multiset, the smallest (first in lex order) removed set."""
-        residual_pieces = self.residual_pieces()
-        primes: dict[int, int] = {}  # piece -> prime of its type
+        pieces, full = self.residual_pieces(), self.full
+        types = _per_residual(pieces, {p: self.piece(p)[0] for p in set(pieces[1:])}, mul, 1)
         first: dict[int, int] = {}
         for removed in _lex_masks(self.size):
-            types = 1
-            for piece in residual_pieces[self.full ^ removed]:
-                p = primes.get(piece)
-                if p is None:
-                    p = primes[piece] = self.piece(piece)[0]
-                types *= p
-            first.setdefault(types, removed)
+            first.setdefault(types[full ^ removed], removed)
         return {(): {t: (tuple(_bits(m)), ()) for t, m in first.items()}}
 
+    def entry(self, piece: int, g: int, ids: dict[tuple, int]) -> tuple:
+        """The entry at gcd ``g`` of one piece: (weight, prime, B-candidates), the
+        first (vertex, descriptor, coefficient) of each (descriptor, coefficient
+        mod g) class.  Equal (prime, sorted classes) share one number in ``ids``,
+        and the weight is a 5-bit field at it: a residual has under 20 pieces, so
+        a sum of weights is an exact multiset key."""
+        p, pairs = self.piece(piece)
+        coeff, classes = self.coeff, {}
+        for v, d in pairs:
+            classes.setdefault((d, coeff[v] % g), (v, d, coeff[v]))
+        i = ids.setdefault((p, tuple(sorted(classes))), len(ids))
+        return 1 << 5 * i, p, tuple(classes.values())
+
     def tie_reps(self) -> list[tuple[int, int, list[tuple]]]:
-        """The smallest A-part of every tie signature, the first met, in lex
-        order, with its coefficient gcd g and the entry at g of each piece of its
-        residual: (signature id, prime, B-candidates), the first
-        (vertex, descriptor, coefficient) of each (descriptor, coefficient mod g) class."""
-        coeff = self.coeff
+        """The smallest A-part of every tie signature (g, key), the first met, in
+        lex order, with its coefficient gcd g and the ``entry`` at g of each piece
+        of its residual, whose weights sum to the key."""
+        full = self.full
         gcds = [0]  # gcd of the coefficients picked by each submask
-        for c in coeff:
+        for c in self.coeff:
             gcds += [gcd(c, t) for t in gcds]
-        residual_pieces = self.residual_pieces()
-        ids: dict[tuple, int] = {}  # (prime, sorted (descriptor, coefficient mod g) classes)
-        entries: dict[tuple[int, int], tuple] = {}  # per (piece, g)
-        first: dict[tuple[int, ...], int] = {}  # sorted entry ids, then g
+        pieces = self.residual_pieces()
+        ids: dict[tuple, int] = {}
+        at = {g: {} for g in set(gcds[1:])}  # per g: {piece: its entry}
+        at[1] = {p: self.entry(p, 1, ids) for p in set(pieces[1:])}
+        keys = _per_residual(pieces, {p: e[0] for p, e in at[1].items()}, add, 0)
+        first: dict = {}  # by signature, held as the key alone when g = 1
         for a in _lex_masks(self.size):
             g = gcds[a]
-            sig = []
-            for piece in residual_pieces[self.full ^ a]:
-                entry = entries.get((piece, g))
-                if entry is None:
-                    p, pairs = self.piece(piece)
-                    classes: dict[tuple, tuple] = {}
-                    for v, d in pairs:
-                        classes.setdefault((d, coeff[v] % g), (v, d, coeff[v]))
-                    i = ids.setdefault((p, tuple(sorted(classes))), len(ids))
-                    entry = entries[piece, g] = (i, p, tuple(classes.values()))
-                sig.append(entry[0])
-            sig.sort()
-            sig.append(g)
-            first.setdefault(tuple(sig), a)
-        return [(a, g, [entries[piece, g] for piece in residual_pieces[self.full ^ a]])
+            if g == 1:
+                first.setdefault(keys[full ^ a], a)
+                continue
+            at_g, r, key = at[g], full ^ a, 0
+            while r:  # the pieces of the residual, as in _chain
+                p = pieces[r]
+                e = at_g.get(p)
+                if e is None:
+                    e = at_g[p] = self.entry(p, g, ids)
+                key += e[0]
+                r ^= p
+            first.setdefault((g, key), a)
+        return [(a, g, [at[g][p] for p in _chain(pieces, full ^ a)])
                 for a in first.values() for g in [gcds[a]]]
 
     def tie_table(self) -> _Table:
@@ -342,16 +351,15 @@ class _CompCore:
         table: _Table = {}
         for mask, g, entries in self.tie_reps():
             a = tuple(_bits(mask))
-            primes = [p for _, p, _ in entries]
-            cands = sorted((v, pid, d, k)
-                           for pid, (_, _, vdk) in enumerate(entries) for v, d, k in vdk)
-            residual = prod(primes)
-            for b, pids, descs, csum in _b_sets(cands):
-                if gcd(g, csum) != 1 or (join := _settle((), descs)) is None:
+            cands = sorted((v, pid, p, d, k)
+                           for pid, (_, p, vdk) in enumerate(entries) for v, d, k in vdk)
+            residual = prod(p for _, p, _ in entries)
+            for b, fused, descs, csum in _b_sets(cands):
+                if (g != 1 and gcd(g, csum) != 1) or (join := _settle((), descs)) is None:
                     continue
                 extra, still_open = join
-                types = residual * extra // prod(primes[i] for i in pids)  # B's pieces fuse
-                table.setdefault(still_open, {}).setdefault(types, (a, b))
+                # B's pieces fuse with the new vertex
+                table.setdefault(still_open, {}).setdefault(residual * extra // fused, (a, b))
         return table
 
     def table(self, kind: str, ade: bool = False) -> _Table:
@@ -371,19 +379,41 @@ class _CompCore:
 
 
 def _b_sets(cands: list[tuple]) -> Iterator[tuple]:
-    """(B, pieces, descriptors, coefficient sum) of each B of at most three
-    candidates (vertex, piece, descriptor, coefficient), given sorted by vertex,
-    in distinct pieces, as two in one piece close a cycle; ``_settle`` judges the rest."""
-    yield (), (), (), 0
-    for i, (v0, p0, d0, k0) in enumerate(cands):
-        yield (v0,), (p0,), (d0,), k0
+    """(B, product of its pieces' primes, descriptors, coefficient sum) of each B of
+    at most three candidates (vertex, piece, prime, descriptor, coefficient), given
+    sorted by vertex, in distinct pieces, as two in one piece close a cycle;
+    ``_settle`` judges the rest."""
+    yield (), 1, (), 0
+    for i, (v0, i0, p0, d0, k0) in enumerate(cands):
+        yield (v0,), p0, (d0,), k0
         for j in range(i + 1, len(cands)):
-            v1, p1, d1, k1 = cands[j]
-            if p1 != p0:
-                yield (v0, v1), (p0, p1), (d0, d1), k0 + k1
-                for v2, p2, d2, k2 in cands[j + 1:]:
-                    if p2 != p0 and p2 != p1:
-                        yield (v0, v1, v2), (p0, p1, p2), (d0, d1, d2), k0 + k1 + k2
+            v1, i1, p1, d1, k1 = cands[j]
+            if i1 != i0:
+                yield (v0, v1), p0 * p1, (d0, d1), k0 + k1
+                for v2, i2, p2, d2, k2 in cands[j + 1:]:
+                    if i2 != i0 and i2 != i1:
+                        yield (v0, v1, v2), p0 * p1 * p2, (d0, d1, d2), k0 + k1 + k2
+
+
+def _per_residual(pieces: list[int], value: dict[int, int], join: Callable, unit: int
+                  ) -> list[int]:
+    """Per residual mask, the ``value`` of its pieces joined by ``join`` (a
+    product or a sum with ``unit``): its lowest piece's, joined with that of the
+    mask without the piece, which comes before it."""
+    out = [unit] * len(pieces)
+    for r in range(1, len(pieces)):
+        p = pieces[r]
+        out[r] = join(value[p], out[r ^ p])
+    return out
+
+
+def _chain(pieces: list[int], r: int) -> Iterator[int]:
+    """The pieces of residual mask ``r``, in order of their lowest vertex, from
+    ``residual_pieces``."""
+    while r:
+        p = pieces[r]
+        yield p
+        r ^= p
 
 
 # Attachment descriptors: how the new tie vertex may fasten to a residual
@@ -480,9 +510,10 @@ def _fold(parts: list[tuple[int, _Table]], tie: bool, keys: bool = False) -> _Wi
                     base = held_types * extra
                     for types, (a, b) in opts:
                         merged = base * types
-                        w = (held_a + a, held_b + b)
                         old = out.get(merged)
-                        if old is None or w < old:
+                        if old is None:
+                            out[merged] = (held_a + a, held_b + b)
+                        elif (w := (held_a + a, held_b + b)) < old:
                             out[merged] = w
         states = nxt
     return states.get(None, set() if keys else {})
@@ -563,8 +594,11 @@ def elementary_all(g: DynkinGraph) -> list[tuple[DynkinGraph, ElementaryChoice]]
     index tuple is kept.  Removing exactly the added vertices reproduces
     ``g``, and removing everything yields the empty graph.
     """
-    out = [(_decode_graph(t), _choice(ElementaryChoice, a))
-           for t, (a, _) in _fold(_parts(g, "elementary"), False).items()]
+    out = []
+    for t, (a, _) in _fold(_parts(g, "elementary"), False).items():
+        choice = object.__new__(ElementaryChoice)  # the fold yields sorted tuples: no sort again
+        _set(choice, "removed", a)
+        out.append((_decode_graph(t), choice))
     out.sort(key=lambda pair: pair[0].name)
     return out
 
@@ -579,7 +613,11 @@ def tie_all(g: DynkinGraph) -> list[tuple[DynkinGraph, TieChoice]]:
     canonical name with the smallest (A, B) witness.
     """
     seen: dict[tuple, tuple] = {}  # equal A-parts share one tuple, as the results keep them
-    out = [(_decode_graph(t), _choice(TieChoice, seen.setdefault(a, a), b))
-           for t, (a, b) in _fold(_parts(g, "tie"), True).items()]
+    out = []
+    for t, (a, b) in _fold(_parts(g, "tie"), True).items():
+        choice = object.__new__(TieChoice)
+        _set(choice, "a", seen.setdefault(a, a))
+        _set(choice, "b", b)
+        out.append((_decode_graph(t), choice))
     out.sort(key=lambda pair: pair[0].name)
     return out

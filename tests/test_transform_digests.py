@@ -26,6 +26,7 @@ import hashlib
 from dynkintrans.exact import extend
 from dynkintrans.graphs import A, BC1, D, DynkinGraph, E, G1, G2, parse_name
 from dynkintrans.transforms import (
+    _chain,
     _CompCore,
     _decode_graph,
     clear_transform_cache,
@@ -107,8 +108,8 @@ def test_core_table_digest():
     counts = {}
     for ct in CORE_TYPES:
         core = _CompCore(ct)
-        residual_pieces = core.residual_pieces()  # the pieces of each A-part's residual, as hashed
-        reps = [(a, residual_pieces[core.full ^ a]) for a, _, _ in core.tie_reps()]
+        pieces = core.residual_pieces()  # the pieces of each A-part's residual, as hashed
+        reps = [(a, tuple(_chain(pieces, core.full ^ a))) for a, _, _ in core.tie_reps()]
         tie = sorted(
             ((descs is None, descs or (), _codes(types)), w)
             for descs, group in core.tie_table().items()

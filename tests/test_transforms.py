@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+from math import prod
+from operator import add, mul
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dynkintrans.exact import extend
+from dynkintrans.exact import _pieces, _recognize, extend
 from dynkintrans.graphs import (
     A,
     BC1,
@@ -27,9 +29,12 @@ from dynkintrans.transforms import (
     GraphTooLarge,
     InvalidChoice,
     TieChoice,
+    _chain,
     _CompCore,
     _decode_graph,
     _lex_masks,
+    _per_residual,
+    _prime,
     _reach,
     _winners,
     apply,
@@ -48,6 +53,7 @@ from oracles import (
     naive_tie_witnesses,
     oracle_classify,
 )
+from test_transform_digests import CORE_TYPES
 
 
 def names(results) -> set[str]:
@@ -266,6 +272,30 @@ class TestInvariants:
         if n > 1:
             masks = [a for a, _, _ in _CompCore(A(n - 1)).tie_reps()]
             assert masks == sorted(masks, key=members)
+
+    def test_residual_pass_is_the_flood_fill(self):
+        # a core keeps, per residual mask, only the piece of its lowest vertex
+        # and reads the other pieces by r ^= piece; for every residual of
+        # every core table the digest pins, that chain must be the flood fill
+        # classify uses, and the recurrence over it must give the product of
+        # the recognized piece types and the g = 1 signature key, which counts
+        # each piece entry in a 5-bit field
+        for ct in CORE_TYPES:
+            core = _CompCore(ct)
+            pieces, ids = core.residual_pieces(), {}
+            distinct = set(pieces[1:])
+            types = _per_residual(pieces, {p: core.piece(p)[0] for p in distinct}, mul, 1)
+            weight = {p: core.entry(p, 1, ids)[0] for p in distinct}
+            keys = _per_residual(pieces, weight, add, 0)
+            prime = {p: _prime(_recognize(core.adj, core.norm, p)[0]) for p in distinct}
+            most = 0  # pieces in one residual: under 32 keeps the fields apart
+            for r in range(core.full):
+                flood = _pieces(core.adj, r)
+                assert list(_chain(pieces, r)) == flood, (ct, r)
+                assert types[r] == prod(prime[p] for p in flood), (ct, r)
+                assert keys[r] == sum(weight[p] for p in flood), (ct, r)
+                most = max(most, len(flood))
+            assert most < 32 and len(set(weight.values())) == len(ids)  # one field per entry
 
     def test_clear_transform_cache_leaves_no_core(self, monkeypatch):
         # the transform sweep measures per-call work only if a clear drops
