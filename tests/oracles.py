@@ -9,16 +9,23 @@ short vectors by a plain box search.  The engine's layout is read only
 through ``extend``: in the replays, and in ``finite_part`` for the
 reflection closure, whose coefficients must come out in the layout's
 vertex order.
+
+``literal_tie_table`` is the one exception: it checks the signature
+quotient and the class minima of one core's tie table, not the recognizer
+or the fusion rule, so it reads the core's piece descriptors and the
+engine's ``_settle``.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, prod
 from typing import Iterator
 
 from dynkintrans.exact import NORM_LONG, ORDINARY_EDGE, LabeledGraph, Vertex, extend
 from dynkintrans.graphs import A, BC1, ComponentType, D, DynkinGraph, E, G1, G2
+from dynkintrans.transforms import _settle
 
 
 def gram(lg: LabeledGraph) -> tuple[tuple[Fraction, ...], ...]:
@@ -228,8 +235,6 @@ def naive_tie_witnesses(
 ) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
     """Smallest (A, B) per outcome name over every admissible tie choice,
     replayed literally."""
-    from math import gcd
-
     ext = extend(g)
     per_comp = [
         [set(sub) for r in range(1, len(comp) + 1) for sub in itertools.combinations(comp, r)]
@@ -264,6 +269,69 @@ def naive_tie_witnesses(
 def naive_tie_all(g: DynkinGraph, max_b: int = 3) -> set[str]:
     """Outcome names of every admissible tie choice, replayed literally."""
     return set(naive_tie_witnesses(g, max_b))
+
+
+def _mask_pieces(adj: list[int], mask: int) -> list[int]:
+    """The connected pieces of a vertex mask, by depth-first search."""
+    out = []
+    while mask:
+        piece, stack = 0, [mask & -mask]
+        while stack:
+            bit = stack.pop()
+            if not piece & bit:
+                piece |= bit
+                near = adj[bit.bit_length() - 1] & mask & ~piece
+                while near:
+                    stack.append(near & -near)
+                    near &= near - 1
+        out.append(piece)
+        mask &= ~piece
+    return out
+
+
+def literal_tie_table(core) -> dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """{(open descriptors or None, residual types): smallest (A, B)} of one
+    engine core, over every nonempty A and every B of at most three vertices
+    with a descriptor, in distinct pieces of the residual, with gcd(A
+    coefficients, B-coefficient sum) = 1, that ``_settle`` keeps.  No
+    signature, no class minimum and no visiting order: every (A, B) is tried
+    and the smallest kept per key."""
+    n, coeff = core.size, core.coeff
+    best: dict[tuple, tuple] = {}
+    for amask in range(1, 1 << n):
+        a = tuple(v for v in range(n) if amask >> v & 1)
+        g = gcd(*(coeff[v] for v in a))
+        residual, groups = 1, []  # per piece: its (vertex, prime, descriptor, coefficient)
+        for piece in _mask_pieces(core.adj, core.full & ~amask):
+            p, pairs = core.piece(piece)
+            residual *= p
+            if pairs:
+                groups.append([(v, p, d, coeff[v]) for v, d in pairs])
+        for b in _one_per_piece(groups):
+            vs, ps, ds, cs = zip(*b) if b else ((), (), (), ())
+            if gcd(g, sum(cs)) != 1 or (join := _settle((), ds)) is None:
+                continue
+            extra, still_open = join
+            key = (still_open, residual * extra // prod(ps))
+            old = best.get(key)
+            if old is None or (a, vs) < old:
+                best[key] = (a, vs)
+    return best
+
+
+def _one_per_piece(groups: list[list[tuple]]) -> Iterator[list[tuple]]:
+    """Every choice of at most three members, each from its own group, in
+    ascending order."""
+    yield []
+    for i, gi in enumerate(groups):
+        for x in gi:
+            yield [x]
+            for j in range(i + 1, len(groups)):
+                for y in groups[j]:
+                    yield sorted((x, y))
+                    for gl in groups[j + 1:]:
+                        for z in gl:
+                            yield sorted((x, y, z))
 
 
 def reflection_root_closure(ct: ComponentType) -> set[tuple[int, ...]]:

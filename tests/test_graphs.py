@@ -3,12 +3,15 @@ from __future__ import annotations
 import copy
 import importlib
 import pickle
+import re
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynkintrans.exact import (
     ExtendedGraph,
@@ -513,7 +516,7 @@ class TestClassify:
             tuple(Vertex(f"c{i}", NORM_LONG) for i in range(4)),
             ((0, 1, Fraction(-1)), (1, 2, Fraction(-1)), (2, 3, Fraction(-1)), (0, 3, Fraction(-1))),
         )
-        with pytest.raises(NotADynkinGraph):
+        with pytest.raises(NotADynkinGraph, match=re.escape("component with 4 edges on 4 vertices")):
             classify(square)
 
     def test_mixed_components(self):
@@ -532,7 +535,7 @@ class TestClassify:
             (Vertex("p", NORM_LONG), Vertex("q", NORM_LONG)),
             ((0, 1, Fraction(-2)),),
         )
-        with pytest.raises(NotADynkinGraph):
+        with pytest.raises(NotADynkinGraph, match=re.escape("edge label -2 (only -1 allowed)")):
             classify(lg)
 
     def test_half_norm_in_big_component_rejected(self):
@@ -540,7 +543,9 @@ class TestClassify:
             (Vertex("p", NORM_LONG), Vertex("q", NORM_HALF)),
             ((0, 1, Fraction(-1)),),
         )
-        with pytest.raises(NotADynkinGraph):
+        with pytest.raises(
+            NotADynkinGraph, match=re.escape("norm-1/2 vertex in a component of size > 1")
+        ):
             classify(lg)
 
     def test_two_forks_rejected(self):
@@ -549,7 +554,7 @@ class TestClassify:
             tuple(Vertex(f"v{i}", NORM_LONG) for i in range(6)),
             tuple((i, j, Fraction(-1)) for i, j in edges),
         )
-        with pytest.raises(NotADynkinGraph):
+        with pytest.raises(NotADynkinGraph, match=re.escape("more than one trivalent vertex")):
             classify(lg)
 
     def test_affine_leg_pattern_rejected(self):
@@ -559,7 +564,9 @@ class TestClassify:
             tuple(Vertex(f"v{i}", NORM_LONG) for i in range(7)),
             tuple((i, j, Fraction(-1)) for i, j in edges),
         )
-        with pytest.raises(NotADynkinGraph):
+        with pytest.raises(
+            NotADynkinGraph, match=re.escape("trivalent tree with leg lengths [2, 2, 2]")
+        ):
             classify(lg)
 
     def test_degree_four_rejected(self):
@@ -568,25 +575,33 @@ class TestClassify:
             tuple(Vertex(f"v{i}", NORM_LONG) for i in range(5)),
             tuple((i, j, Fraction(-1)) for i, j in edges),
         )
-        with pytest.raises(NotADynkinGraph):
+        with pytest.raises(NotADynkinGraph, match=re.escape("vertex of degree > 3")):
             classify(lg)
 
     @pytest.mark.parametrize(
-        "norms, edges",
+        "norms, edges, message",
         [
-            ((Fraction(1),), ()),  # isolated vertex of norm 1
-            ((NORM_LONG, NORM_SHORT, NORM_LONG), ((0, 1), (1, 2))),  # short root in a path of 3
-            ((NORM_SHORT, NORM_SHORT), ((0, 1),)),  # two joined short roots
-            ((NORM_LONG, Fraction(1)), ((0, 1),)),  # norm-1 vertex in a 2-vertex component
+            ((Fraction(1),), (), "vertex of norm 1"),  # isolated vertex of norm 1
+            (
+                (NORM_LONG, NORM_SHORT, NORM_LONG),
+                ((0, 1), (1, 2)),
+                "norm-2/3 vertex in a component of size 3 that is not the G2 shape",
+            ),  # short root in a path of 3
+            (
+                (NORM_SHORT, NORM_SHORT),
+                ((0, 1),),
+                "norm-2/3 vertex in a component of size 2 that is not the G2 shape",
+            ),  # two joined short roots
+            ((NORM_LONG, Fraction(1)), ((0, 1),), "vertex of norm 1"),  # in a 2-vertex component
         ],
         ids=["isolated-norm-1", "short-in-path-of-3", "two-shorts", "norm-1-in-pair"],
     )
-    def test_bad_norm_pattern_rejected(self, norms, edges):
+    def test_bad_norm_pattern_rejected(self, norms, edges, message):
         lg = LabeledGraph(
             tuple(Vertex(f"v{i}", n) for i, n in enumerate(norms)),
             tuple((i, j, Fraction(-1)) for i, j in edges),
         )
-        with pytest.raises(NotADynkinGraph):
+        with pytest.raises(NotADynkinGraph, match=re.escape(message)):
             classify(lg)
 
     def test_long_path(self):
@@ -596,3 +611,30 @@ class TestClassify:
     def test_agrees_with_isomorphism_oracle(self, family12):
         for g in family12:
             assert oracle_classify(finite_part(g)) == g
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rejects_exactly_what_the_oracle_cannot_match(self, data):
+        # random labeled graphs of at most 6 vertices, mostly forests of
+        # norm-2 vertices and -1 edges: classify raises exactly where the
+        # isomorphism oracle finds no reference diagram, and otherwise names
+        # the same graph
+        n = data.draw(st.integers(0, 6))
+        norms = data.draw(st.lists(
+            st.sampled_from([NORM_LONG] * 24 + [NORM_SHORT, NORM_HALF, Fraction(1)]),
+            min_size=n, max_size=n))
+        # a forest, each vertex hung on an earlier one or on none, and up to
+        # two more edges, which may close a cycle
+        hung = [(data.draw(st.integers(0, i - 1) | st.none()), i) for i in range(1, n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        more = data.draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else []
+        joined = sorted({(i, j) for i, j in hung if i is not None} | set(more))
+        values = data.draw(st.lists(st.sampled_from([Fraction(-1)] * 15 + [Fraction(-2)]),
+                                    min_size=len(joined), max_size=len(joined)))
+        lg = LabeledGraph(tuple(Vertex(f"v{i}", norm) for i, norm in enumerate(norms)),
+                          tuple((i, j, val) for (i, j), val in zip(joined, values)))
+        try:
+            got = classify(lg)
+        except NotADynkinGraph:
+            got = None
+        assert got == oracle_classify(lg)

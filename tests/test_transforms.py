@@ -47,6 +47,7 @@ from dynkintrans.transforms import (
 from oracles import (
     finite_part,
     gram_isomorphic,
+    literal_tie_table,
     naive_elementary_all,
     naive_elementary_witnesses,
     naive_tie_all,
@@ -296,6 +297,22 @@ class TestInvariants:
                 assert keys[r] == sum(weight[p] for p in flood), (ct, r)
                 most = max(most, len(flood))
             assert most < 32 and len(set(weight.values())) == len(ids)  # one field per entry
+
+    @pytest.mark.parametrize("ct", CORE_TYPES, ids=lambda ct: ct.name)
+    def test_tie_table_is_the_literal_build(self, ct):
+        # tie_table takes one A-part per signature and one B-candidate per
+        # class; the literal build tries every (A, B) of the core and keeps
+        # the smallest per key, so the two agree only if the signature and
+        # the classes lose no key and no smaller choice
+        core = _CompCore(ct)
+        table = {(descs, types): w
+                 for descs, group in core.tie_table().items() for types, w in group.items()}
+        literal = literal_tie_table(core)
+        for descs, types in table.keys() | literal.keys():
+            key = (descs, types)
+            assert table.get(key) == literal.get(key), (
+                f"{ct.name}, key ({descs}, {_decode_graph(types).name}): "
+                f"table {table.get(key)}, literal {literal.get(key)}")
 
     def test_clear_transform_cache_leaves_no_core(self, monkeypatch):
         # the transform sweep measures per-call work only if a clear drops
