@@ -233,45 +233,73 @@ def _adjacency(n: int, edges: Iterable[tuple]) -> list[int]:
     return adj
 
 
-def _recognize(adj: list[int], norm: Sequence[int], piece: int) -> tuple[int, list[list[int]]]:
-    """Type code and legs of one connected piece, or NotADynkinGraph.
-
-    The legs of a fork-free piece are its one path, from the end with the
-    smaller index; a forked piece has three, each read outward from the
-    fork (fork excluded), in ascending order of their first vertex.
-    """
-    verts = _bits(piece)
-    size = len(verts)
+def _recognize(adj: list[int], norm: Sequence[int], piece: int) -> int:
+    """Type code of one connected piece, or NotADynkinGraph, from one pass
+    over its norms, degrees and leaves.  A Dynkin fork has two leaves next to
+    it, legs (1, 1, l), or one there and one a step out, legs (1, 2, l); other
+    forked trees walk their legs, for ``_legs_code`` to reject."""
+    size = piece.bit_count()
     if size == 1:
-        return _SINGLE_CODES[norm[verts[0]]], [verts]
-    odd = [norm[v] for v in verts if norm[v]]
+        return _SINGLE_CODES[norm[piece.bit_length() - 1]]
+    odd = half = ends = forks = fork = high = leaves = near_leaf = 0
+    rest = piece
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        v = b.bit_length() - 1
+        if norm[v]:
+            odd += 1
+            half |= norm[v] == _HALF
+        near = adj[v] & piece
+        d = near.bit_count()
+        ends += d  # edge ends
+        if d == 1:
+            leaves |= b
+            near_leaf |= near
+        elif d > 2:
+            high = max(high, d)
+            forks += 1
+            fork = v
     if odd:
-        if _HALF in odd:
+        if half:
             raise NotADynkinGraph("norm-1/2 vertex in a component of size > 1")
-        if size == 2 and len(odd) == 1:
-            return _CODE_G2, [verts]
+        if size == 2 and odd == 1:
+            return _CODE_G2
         raise NotADynkinGraph(
             f"norm-2/3 vertex in a component of size {size} that is not the G2 shape"
         )
-    degs = [(adj[v] & piece).bit_count() for v in verts]
-    nedges = sum(degs) // 2
-    if nedges != size - 1:
-        raise NotADynkinGraph(f"component with {nedges} edges on {size} vertices")
-    if max(degs) > 3:
+    if ends // 2 != size - 1:
+        raise NotADynkinGraph(f"component with {ends // 2} edges on {size} vertices")
+    if high > 3:
         raise NotADynkinGraph("vertex of degree > 3")
-    forks = [v for v, d in zip(verts, degs) if d == 3]
     if not forks:
-        end = verts[degs.index(1)]
-        return _code(_RANK_A, size), [_walk(adj, piece, end, end)]
-    if len(forks) > 1:
+        return _code(_RANK_A, size)
+    if forks > 1:
         raise NotADynkinGraph("more than one trivalent vertex")
-    fork = forks[0]
-    legs = [_walk(adj, piece, fork, first) for first in _bits(adj[fork] & piece)]
-    lengths = sorted(len(leg) for leg in legs)
+    near = adj[fork] & piece
+    if (near & leaves).bit_count() > 1:
+        lengths = [1, 1, size - 3]
+    elif near & leaves and near & near_leaf:  # a leaf next to the fork, one two steps out
+        lengths = [1, 2, size - 4]
+    else:
+        lengths = sorted(map(len, _legs(adj, piece)))
     code = _legs_code(*lengths)
     if code is None:
         raise NotADynkinGraph(f"trivalent tree with leg lengths {lengths}")
-    return code, legs
+    return code
+
+
+def _legs(adj: list[int], piece: int) -> list[list[int]]:
+    """The legs of a path or one-fork tree: a path is one leg, from the end
+    with the smaller index; a forked piece has three, each read outward from
+    the fork (fork excluded), in ascending order of their first vertex."""
+    verts = _bits(piece)
+    degs = [(adj[v] & piece).bit_count() for v in verts]
+    if 3 in degs:
+        fork = verts[degs.index(3)]
+        return [_walk(adj, piece, fork, first) for first in _bits(adj[fork] & piece)]
+    end = verts[degs.index(min(degs))]  # degree 1, or 0 for a single vertex
+    return [_walk(adj, piece, end, end)]
 
 
 def classify(lg: LabeledGraph) -> DynkinGraph:
@@ -279,7 +307,7 @@ def classify(lg: LabeledGraph) -> DynkinGraph:
 
     Every edge must be an ordinary -1 edge and every norm one of 2, 1/2 and
     2/3; each connected piece is then named by the shape recognizer shared
-    with the enumeration engine (norm census, degrees, fork and legs).
+    with the enumeration engine (norm census, degrees, fork and leaves).
     """
     for _i, _j, val in lg.edges:
         if val != ORDINARY_EDGE:
@@ -292,4 +320,4 @@ def classify(lg: LabeledGraph) -> DynkinGraph:
         norm.append(code)
     adj = _adjacency(lg.n, lg.edges)
     pieces = _pieces(adj, (1 << lg.n) - 1)
-    return DynkinGraph(tuple(_decode(_recognize(adj, norm, p)[0]) for p in pieces))
+    return DynkinGraph(tuple(_decode(_recognize(adj, norm, p)) for p in pieces))

@@ -26,14 +26,13 @@ Choice indices always refer to the documented vertex ordering of
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from functools import cache
 from math import gcd, prod
-from operator import add, mul
 
 from .exact import (NORM_LONG, ORDINARY_EDGE, _CODE_A1, _CODE_BC1, _CODE_G1, _CODE_G2, _RANK_A,
                     ExtendedGraph, LabeledGraph, Vertex, _adjacency, _bits, _check_once,
-                    _decode, _legs_code, _recognize, classify, extend)
+                    _decode, _legs, _legs_code, _recognize, classify, extend)
 from .graphs import (Choice, ComponentType, DynkinGraph, ElementaryChoice, TieChoice,
                      TransformStep, _code, _layout, _set)
 
@@ -123,11 +122,11 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # product of one prime per code, 1 when empty: unique factorization makes
 # it an exact key, and merging two multisets is one multiplication.  Only
 # ``_decode_graph`` decodes a product, where an outcome graph is built.
-# One core per component type is shared by every graph containing it, and
-# it caches the connected piece: one recognizer walk per distinct piece
-# gives its type and an attachment descriptor for each vertex where the new
-# vertex can attach, from which the shape of any tie fusion follows
-# arithmetically by the same legs rule.
+# One core per component type is shared by every graph containing it.  The
+# recognizer names a piece in one pass over its vertices.  Only a tie table
+# reads a piece's legs, for the descriptor of each vertex where the new
+# vertex can attach: leg lengths and a place on them, no index, so a piece's
+# descriptors follow from its type, and a fusion's shape by the legs rule.
 #
 # Each core holds an option table per transform: the smallest local choice
 # per key, where the key is what the choice leaves for the other
@@ -136,20 +135,21 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # tables component by component into states keyed the same way.  A tie
 # option takes one A-part per signature, what its options read: the gcd g
 # of its coefficients and, per residual piece, its prime with the set of
-# (descriptor, coefficient mod g) classes of the vertices it lists, held as
-# (g, key): the key sums one 5-bit field per piece entry, an exact multiset
-# key.  (Without the mod-g classes, D9+BC1 loses A5+A1+A1+A1+A1.)
+# (descriptor, coefficient mod g) classes of the vertices it lists.  At
+# g = 1 a class is a descriptor, so that is the residual's type product; at
+# g > 1 it is (g, key), the key a sum of one 5-bit field per piece entry.
+# (Without the mod-g classes, D9+BC1 loses A5+A1+A1+A1+A1.)
 #
-# Both tables read one residual pass.  ``residual_pieces`` keeps, per
-# residual mask, the piece of its lowest vertex; the rest of the mask comes
-# before it, so ``_per_residual`` gives every residual's type product, and
-# its key at g = 1, in one step per mask.  A mask then costs one lookup, and
-# only the masks with g > 1 walk their pieces.  The signature pass keeps
-# each class's smallest vertex as a B-candidate, and ``tie_table`` takes g
-# and the candidates from it: B is at most three candidates in distinct
-# pieces with gcd(g, B-coefficient sum) = 1, a condition on the component's
-# own vertices only.  ``_settle`` drops a B that cannot fuse and fuses at
-# once one that can take no more; it is then closed.
+# Both tables read one residual pass.  ``residual_types`` keeps, per residual
+# mask, the piece of its lowest vertex; the rest of the mask comes before it,
+# so the type product takes one step per mask, and a mask with g = 1 costs
+# one lookup.  Only masks with g > 1 walk their pieces, and only the pieces of
+# the A-parts kept get descriptors and B-candidates (``entry``).  The
+# signature pass keeps each class's smallest vertex as a B-candidate, and
+# ``tie_table`` takes g and the candidates from it: B is at most three
+# candidates in distinct pieces with gcd(g, B-coefficient sum) = 1, a
+# condition on the component's own vertices only.  ``_settle`` drops a B that
+# cannot fuse and fuses at once one that can take no more; it is then closed.
 #
 # Every table keeps the first choice met per key, the smallest: masks come in
 # lex order of the ascending member tuple, the order in which witnesses
@@ -250,98 +250,102 @@ class _CompCore:
     def piece(self, piece: int) -> tuple[int, tuple]:
         """The prime of the type of one connected piece and the (vertex,
         attachment descriptor) pair of each of its vertices where the new
-        vertex can attach, in ascending vertex order, from one recognizer walk."""
+        vertex can attach, in ascending vertex order, from its legs."""
         info = self._piece_memo.get(piece)
         if info is not None:
             return info
-        code, legs = _recognize(self.adj, self.norm, piece)
-        desc: dict[int, tuple] = {}
-        if len(legs) == 3:  # D or E: only the leaves can take the new vertex
-            size = piece.bit_count()
-            for k, leg in enumerate(legs):
-                others = [len(legs[j]) for j in range(3) if j != k]
-                desc[leg[-1]] = (_D_FORK, size, others[0], others[1], len(leg))
-        elif code == _CODE_G1:
-            desc[legs[0][0]] = (_D_SHORT,)
-        elif code <= _CODE_A1:  # a path; G2 and BC1 sort after A1, take nothing
-            path = legs[0]
-            size = len(path)
-            for d1, v in enumerate(path):
-                d2 = size - 1 - d1
-                desc[v] = (_D_PATH, size, d1, d2) if d1 <= d2 else (_D_PATH, size, d2, d1)
+        code, desc = _recognize(self.adj, self.norm, piece), {}
+        if code == _CODE_G1:
+            desc[piece.bit_length() - 1] = (_D_SHORT,)
+        elif code <= _CODE_A1:  # A, D or E; G2 and BC1 sort after A1, take nothing
+            legs, size = _legs(self.adj, piece), piece.bit_count()
+            if len(legs) == 3:  # D or E: only the leaves can take the new vertex
+                for k, leg in enumerate(legs):
+                    short, long = sorted(len(legs[j]) for j in range(3) if j != k)
+                    desc[leg[-1]] = (_D_FORK, size, short, long, len(leg))
+            else:  # a path
+                for d1, v in enumerate(legs[0]):
+                    d2 = size - 1 - d1
+                    desc[v] = (_D_PATH, size, d1, d2) if d1 <= d2 else (_D_PATH, size, d2, d1)
         info = self._piece_memo[piece] = (_prime(code), tuple(sorted(desc.items())))
         return info
 
-    def residual_pieces(self) -> list[int]:
+    def residual_types(self) -> tuple[list[int], list[int]]:
         """Per residual mask below ``full``, its piece that holds its lowest
-        vertex; the other pieces follow by ``r ^= piece`` (``_chain``), in
-        order of their lowest vertex.  That vertex joins the pieces of the
-        rest that hold its neighbours, met in that order."""
-        adj, out = self.adj, [0] * self.full
-        for r in range(1, self.full):
+        vertex, and the product of the primes of its pieces' types.  The other
+        pieces follow by ``r ^= piece`` (``_chain``), in order of their lowest
+        vertex, and come before it; that vertex joins the pieces of the rest
+        that hold its neighbours, met in that order.  Each distinct piece is
+        named once, by the recognizer's type code alone."""
+        adj, norm, full = self.adj, self.norm, self.full
+        pieces, types, primes = [0] * full, [1] * full, {}
+        for r in range(1, full):
             low = r & -r
             rest = r ^ low
             near, piece = adj[low.bit_length() - 1] & rest, low
             while near:
-                p = out[rest]
+                p = pieces[rest]
                 if p & near:
                     piece |= p
                     near &= ~p
                 rest ^= p
-            out[r] = piece
-        return out
+            pieces[r] = piece
+            prime = primes.get(piece)
+            if prime is None:
+                prime = primes[piece] = _prime(_recognize(adj, norm, piece))
+            types[r] = prime * types[r ^ piece]
+        return pieces, types
 
     def elementary_table(self) -> _Table:
         """Per residual type multiset, the smallest (first in lex order) removed set."""
-        pieces, full = self.residual_pieces(), self.full
-        types = _per_residual(pieces, {p: self.piece(p)[0] for p in set(pieces[1:])}, mul, 1)
+        full, (_, types) = self.full, self.residual_types()
         first: dict[int, int] = {}
         for removed in _lex_masks(self.size):
             first.setdefault(types[full ^ removed], removed)
         return {(): {t: (tuple(_bits(m)), ()) for t, m in first.items()}}
 
-    def entry(self, piece: int, g: int, ids: dict[tuple, int]) -> tuple:
-        """The entry at gcd ``g`` of one piece: (weight, prime, B-candidates), the
+    def entry(self, piece: int, g: int) -> tuple[int, dict]:
+        """The entry at gcd ``g`` of one piece: its prime and its B-candidates, the
         first (vertex, descriptor, coefficient) of each (descriptor, coefficient
-        mod g) class.  Equal (prime, sorted classes) share one number in ``ids``,
-        and the weight is a 5-bit field at it: a residual has under 20 pieces, so
-        a sum of weights is an exact multiset key."""
+        mod g) class, by class."""
         p, pairs = self.piece(piece)
         coeff, classes = self.coeff, {}
         for v, d in pairs:
             classes.setdefault((d, coeff[v] % g), (v, d, coeff[v]))
-        i = ids.setdefault((p, tuple(sorted(classes))), len(ids))
-        return 1 << 5 * i, p, tuple(classes.values())
+        return p, classes
 
     def tie_reps(self) -> list[tuple[int, int, list[tuple]]]:
-        """The smallest A-part of every tie signature (g, key), the first met, in
-        lex order, with its coefficient gcd g and the ``entry`` at g of each piece
-        of its residual, whose weights sum to the key."""
+        """The smallest A-part of every tie signature, the first met, in lex
+        order, with its coefficient gcd g and the ``entry`` at g of each piece of
+        its residual.  The signature is the residual's type product at g = 1, else
+        (g, key): the key sums a 5-bit field per piece at the number of its (prime,
+        sorted classes) in ``ids``, exact as a residual has under 20 pieces."""
         full = self.full
         gcds = [0]  # gcd of the coefficients picked by each submask
         for c in self.coeff:
             gcds += [gcd(c, t) for t in gcds]
-        pieces = self.residual_pieces()
+        pieces, types = self.residual_types()
+        entry = cache(self.entry)  # built once per (piece, g) in this call
         ids: dict[tuple, int] = {}
-        at = {g: {} for g in set(gcds[1:])}  # per g: {piece: its entry}
-        at[1] = {p: self.entry(p, 1, ids) for p in set(pieces[1:])}
-        keys = _per_residual(pieces, {p: e[0] for p, e in at[1].items()}, add, 0)
-        first: dict = {}  # by signature, held as the key alone when g = 1
+        fields = {g: {} for g in set(gcds[1:])}  # per g: {piece: its 5-bit field}
+        first: dict = {}  # by signature
         for a in _lex_masks(self.size):
             g = gcds[a]
             if g == 1:
-                first.setdefault(keys[full ^ a], a)
+                first.setdefault(types[full ^ a], a)
                 continue
-            at_g, r, key = at[g], full ^ a, 0
+            at_g, r, key = fields[g], full ^ a, 0
             while r:  # the pieces of the residual, as in _chain
                 p = pieces[r]
-                e = at_g.get(p)
-                if e is None:
-                    e = at_g[p] = self.entry(p, g, ids)
-                key += e[0]
+                f = at_g.get(p)
+                if f is None:
+                    prime, classes = entry(p, g)
+                    i = ids.setdefault((prime, tuple(sorted(classes))), len(ids))
+                    f = at_g[p] = 1 << 5 * i
+                key += f
                 r ^= p
             first.setdefault((g, key), a)
-        return [(a, g, [at[g][p] for p in _chain(pieces, full ^ a)])
+        return [(a, g, [entry(p, g) for p in _chain(pieces, full ^ a)])
                 for a in first.values() for g in [gcds[a]]]
 
     def tie_table(self) -> _Table:
@@ -351,9 +355,9 @@ class _CompCore:
         table: _Table = {}
         for mask, g, entries in self.tie_reps():
             a = tuple(_bits(mask))
-            cands = sorted((v, pid, p, d, k)
-                           for pid, (_, p, vdk) in enumerate(entries) for v, d, k in vdk)
-            residual = prod(p for _, p, _ in entries)
+            cands = sorted((v, pid, p, d, k) for pid, (p, classes) in enumerate(entries)
+                           for v, d, k in classes.values())
+            residual = prod(p for p, _ in entries)
             for b, fused, descs, csum in _b_sets(cands):
                 if (g != 1 and gcd(g, csum) != 1) or (join := _settle((), descs)) is None:
                     continue
@@ -395,21 +399,9 @@ def _b_sets(cands: list[tuple]) -> Iterator[tuple]:
                         yield (v0, v1, v2), p0 * p1 * p2, (d0, d1, d2), k0 + k1 + k2
 
 
-def _per_residual(pieces: list[int], value: dict[int, int], join: Callable, unit: int
-                  ) -> list[int]:
-    """Per residual mask, the ``value`` of its pieces joined by ``join`` (a
-    product or a sum with ``unit``): its lowest piece's, joined with that of the
-    mask without the piece, which comes before it."""
-    out = [unit] * len(pieces)
-    for r in range(1, len(pieces)):
-        p = pieces[r]
-        out[r] = join(value[p], out[r ^ p])
-    return out
-
-
 def _chain(pieces: list[int], r: int) -> Iterator[int]:
     """The pieces of residual mask ``r``, in order of their lowest vertex, from
-    ``residual_pieces``."""
+    ``residual_types``."""
     while r:
         p = pieces[r]
         yield p
@@ -420,7 +412,7 @@ def _chain(pieces: list[int], r: int) -> Iterator[int]:
 # piece at one of its vertices.  A piece lists none where no Dynkin shape
 # can follow: norm-1/2 vertices, G2 pieces, forks and inner leg vertices.
 _D_PATH = 0  # (0, size, dnear, dfar): path piece, distances to its two ends
-_D_FORK = 1  # (1, size, leg_a, leg_b, leg_own): leaf of a one-fork piece
+_D_FORK = 1  # (1, size, short, long, own): leaf of a one-fork piece, the other legs sorted
 _D_SHORT = 2  # (2,): isolated norm-2/3 vertex; new--short is the G2 shape
 
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import tracemalloc
 from math import prod
-from operator import add, mul
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -33,7 +32,6 @@ from dynkintrans.transforms import (
     _CompCore,
     _decode_graph,
     _lex_masks,
-    _per_residual,
     _prime,
     _reach,
     _winners,
@@ -279,24 +277,32 @@ class TestInvariants:
         # and reads the other pieces by r ^= piece; for every residual of
         # every core table the digest pins, that chain must be the flood fill
         # classify uses, and the recurrence over it must give the product of
-        # the recognized piece types and the g = 1 signature key, which counts
-        # each piece entry in a 5-bit field
+        # the recognized piece types, which both tables key on
         for ct in CORE_TYPES:
             core = _CompCore(ct)
-            pieces, ids = core.residual_pieces(), {}
-            distinct = set(pieces[1:])
-            types = _per_residual(pieces, {p: core.piece(p)[0] for p in distinct}, mul, 1)
-            weight = {p: core.entry(p, 1, ids)[0] for p in distinct}
-            keys = _per_residual(pieces, weight, add, 0)
-            prime = {p: _prime(_recognize(core.adj, core.norm, p)[0]) for p in distinct}
-            most = 0  # pieces in one residual: under 32 keeps the fields apart
+            pieces, types = core.residual_types()
+            prime = {p: _prime(_recognize(core.adj, core.norm, p)) for p in set(pieces[1:])}
+            most = 0  # pieces in one residual: under 32 keeps the 5-bit fields apart
             for r in range(core.full):
                 flood = _pieces(core.adj, r)
                 assert list(_chain(pieces, r)) == flood, (ct, r)
                 assert types[r] == prod(prime[p] for p in flood), (ct, r)
-                assert keys[r] == sum(weight[p] for p in flood), (ct, r)
                 most = max(most, len(flood))
-            assert most < 32 and len(set(weight.values())) == len(ids)  # one field per entry
+            assert most < 32
+
+    def test_pieces_of_one_type_have_one_descriptor_set(self):
+        # at g = 1 the tie signature is the residual's type product, which is
+        # exact only because a piece's descriptors follow from its type: every
+        # piece of one type lists the same descriptors
+        for ct in CORE_TYPES + [A(17), D(16)]:
+            core, by_type = _CompCore(ct), {}
+            for piece in set(core.residual_types()[0][1:]):
+                prime, pairs = core.piece(piece)
+                descs = sorted(d for _, d in pairs)
+                first = by_type.setdefault(prime, (piece, descs))
+                assert first[1] == descs, (
+                    f"{ct.name}: {_decode_graph(prime).name} pieces {bin(first[0])} and "
+                    f"{bin(piece)} list {first[1]} and {descs}")
 
     @pytest.mark.parametrize("ct", CORE_TYPES, ids=lambda ct: ct.name)
     def test_tie_table_is_the_literal_build(self, ct):
