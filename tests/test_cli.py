@@ -320,6 +320,132 @@ class TestMain:
             assert (cache_dir / f"Q10-v{ENGINE_VERSION}.json").is_file()
 
 
+# The help and usage text at 80 columns: the same bytes on Python 3.10 to 3.13.
+_HELP = {  # stdout of main([*command, "-h"]) at COLUMNS=80
+    (): (
+        'usage: dynkintrans [-h] [--version] {catalog,check,transform,verify} ...\n'
+        '\n'
+        'Dynkin-graph transformation catalogs for the nine E/Z/Q triangle singularity\n'
+        'classes\n'
+        '\n'
+        'positional arguments:\n'
+        '  {catalog,check,transform,verify}\n'
+        '    catalog             write the full catalog of one class\n'
+        '    check               membership query with a two-step witness\n'
+        '    transform           apply one kind of transformation exhaustively\n'
+        '    verify              run the regression suite\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        "  --version             show program's version number and exit\n"
+    ),
+    ('catalog',): (
+        'usage: dynkintrans catalog [-h] [--json] [--out OUT] [--no-cache]\n'
+        '                           [--cache-dir CACHE_DIR]\n'
+        '                           symbol\n'
+        '\n'
+        'positional arguments:\n'
+        '  symbol                class symbol, e.g. Z13\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --json                JSON output\n'
+        '  --out OUT             write to a file instead of stdout\n'
+        '  --no-cache            compute without the disk cache\n'
+        '  --cache-dir CACHE_DIR\n'
+        '                        cache directory (default: $DYNKINTRANS_CACHE_DIR, else\n'
+        '                        $XDG_CACHE_HOME/dynkintrans or ~/.cache/dynkintrans)\n'
+    ),
+    ('check',): (
+        'usage: dynkintrans check [-h] [--no-cache] [--cache-dir CACHE_DIR]\n'
+        '                         symbol graph\n'
+        '\n'
+        'positional arguments:\n'
+        '  symbol\n'
+        '  graph                 graph name, e.g. A7+A4\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --no-cache            compute without the disk cache\n'
+        '  --cache-dir CACHE_DIR\n'
+        '                        cache directory (default: $DYNKINTRANS_CACHE_DIR, else\n'
+        '                        $XDG_CACHE_HOME/dynkintrans or ~/.cache/dynkintrans)\n'
+    ),
+    ('transform',): (
+        'usage: dynkintrans transform [-h] --op {elementary,tie} [--json] [--out OUT]\n'
+        '                             graph\n'
+        '\n'
+        'positional arguments:\n'
+        '  graph\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --op {elementary,tie}\n'
+        '  --json\n'
+        '  --out OUT\n'
+    ),
+    ('verify',): (
+        'usage: dynkintrans verify [-h] [--full] [--no-cache] [--cache-dir CACHE_DIR]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --full                verify all nine classes\n'
+        '  --no-cache            compute without the disk cache\n'
+        '  --cache-dir CACHE_DIR\n'
+        '                        cache directory (default: $DYNKINTRANS_CACHE_DIR, else\n'
+        '                        $XDG_CACHE_HOME/dynkintrans or ~/.cache/dynkintrans)\n'
+    ),
+}
+_USAGE_ERRORS = {  # exit code and stderr of main(argv) at COLUMNS=80
+    ('check',): (2, (
+        'usage: dynkintrans check [-h] [--no-cache] [--cache-dir CACHE_DIR]\n'
+        '                         symbol graph\n'
+        'dynkintrans check: error: the following arguments are required: symbol, graph\n'
+    )),
+    ('catalog',): (2, (
+        'usage: dynkintrans catalog [-h] [--json] [--out OUT] [--no-cache]\n'
+        '                           [--cache-dir CACHE_DIR]\n'
+        '                           symbol\n'
+        'dynkintrans catalog: error: the following arguments are required: symbol\n'
+    )),
+    ('transform', 'A1'): (2, (
+        'usage: dynkintrans transform [-h] --op {elementary,tie} [--json] [--out OUT]\n'
+        '                             graph\n'
+        'dynkintrans transform: error: the following arguments are required: --op\n'
+    )),
+    ('transform', 'A1', '--op', 'x'): (2, (
+        'usage: dynkintrans transform [-h] --op {elementary,tie} [--json] [--out OUT]\n'
+        '                             graph\n'
+        "dynkintrans transform: error: argument --op: invalid choice: 'x'"
+        " (choose from 'elementary', 'tie')\n"
+    )),
+    ('verify', 'X'): (2, (
+        'usage: dynkintrans [-h] [--version] {catalog,check,transform,verify} ...\n'
+        'dynkintrans: error: unrecognized arguments: X\n'
+    )),
+    ('frob',): (2, (
+        'usage: dynkintrans [-h] [--version] {catalog,check,transform,verify} ...\n'
+        "dynkintrans: error: argument command: invalid choice: 'frob'"
+        " (choose from 'catalog', 'check', 'transform', 'verify')\n"
+    )),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HELP), ids=lambda c: " ".join(c) or "dynkintrans")
+def test_help_is_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([*command, "-h"]) == 0
+    assert capsys.readouterr() == (_HELP[command], "")
+
+
+@pytest.mark.parametrize("argv", sorted(_USAGE_ERRORS), ids=" ".join)
+def test_usage_errors_are_pinned(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, err = _USAGE_ERRORS[argv]
+    assert main(list(argv)) == code
+    assert capsys.readouterr() == ("", err)
+
+
 class TestTransformCommand:
     def test_tie_text(self, cli):
         code, out, _ = cli("transform", "E7+G2", "--op", "tie")
