@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynkintrans import _cli_argparse
 from dynkintrans import cli as cli_mod
 from dynkintrans import transforms
 from dynkintrans.catalog import (
@@ -235,7 +236,7 @@ def test_plain_check_parses_as_argparse_does(argv, plain, capsys):
     argparse."""
     fast = cli_mod._plain(argv)
     try:
-        parsed = vars(cli_mod.build_parser().parse_args(argv))
+        parsed = vars(_cli_argparse.build_parser().parse_args(argv))
     except SystemExit as exc:
         parsed = exc.code
     capsys.readouterr()
@@ -255,6 +256,17 @@ _USAGE = {
 _NAMES = ["Z13", "A7+A4", "tie", "F", ""]
 _ODD_TOKENS = ["-x", "-1", "-", "--", "-h", "--out=F", "--cache-dir=D", "--no-c", "--js",
                "--version", "--out", "--cache-dir"]
+
+
+def test_usage_is_the_command_table():
+    """``_USAGE`` lists what ``cli._COMMANDS`` declares, so the property below draws
+    every option of the grammar: a default of False makes a flag, None a valued option."""
+    declared = {
+        command: (len(positionals), [flag for flag, default, *_ in options if default is False],
+                  [flag for flag, default, *_ in options if default is None])
+        for command, (_help, _func, positionals, options) in cli_mod._COMMANDS.items()
+    }
+    assert {command: _USAGE[command] for command in _USAGE if command != "--version"} == declared
 
 
 def _argvs(command):
@@ -284,7 +296,7 @@ def test_plain_forms_parse_as_argparse_does(argv):
         assert fast is None
     if fast is not None:
         try:
-            parsed = vars(cli_mod.build_parser().parse_args(argv))
+            parsed = vars(_cli_argparse.build_parser().parse_args(argv))
         except SystemExit as exc:  # hypothesis would not report it as a failure
             parsed = exc.code
         assert vars(fast) == parsed
@@ -301,11 +313,11 @@ class TestMain:
         assert capsys.readouterr().out.strip() == "0.1.0"
 
     def test_parser_is_built_once(self):
-        cli_mod.build_parser.cache_clear()
+        _cli_argparse.build_parser.cache_clear()
         main(["--version"])
         main(["check"])
         main(["transform", "A2", "--op", "tie"])
-        assert cli_mod.build_parser.cache_info().misses == 1
+        assert _cli_argparse.build_parser.cache_info().misses == 1
 
     def test_cache_dir_help_names_the_environment_variable(self, capsys):
         assert main(["check", "--help"]) == 0
@@ -444,6 +456,19 @@ def test_usage_errors_are_pinned(argv, monkeypatch, capsys):
     code, err = _USAGE_ERRORS[argv]
     assert main(list(argv)) == code
     assert capsys.readouterr() == ("", err)
+
+
+def test_type_hints_resolve():
+    """Each annotation of a CLI function names what its module defines or imports
+    at module level, so ``typing.get_type_hints`` resolves it."""
+    import inspect
+    import typing
+
+    functions = [obj for module in (cli_mod, _cli_argparse) for obj in vars(module).values()
+                 if inspect.isfunction(inspect.unwrap(obj)) and obj.__module__ == module.__name__]
+    assert {"main", "_plain", "build_parser", "_cmd_transform"} <= {f.__name__ for f in functions}
+    for function in functions:
+        typing.get_type_hints(function)
 
 
 class TestTransformCommand:
@@ -604,12 +629,16 @@ _CLI_MODULES = ["dynkintrans", "dynkintrans.cli", "dynkintrans.graphs"]
 @pytest.mark.parametrize("argv, more", [
     ([], []),
     (["check", "Z13", "A7+A4", "--cache-dir", "{cache}"], ["dynkintrans.catalog"]),
-    (["transform", "D6", "--op", "tie"], ["dynkintrans.exact", "dynkintrans.transforms"]),
+    (["transform", "D6", "--op", "tie"],
+     ["dynkintrans._cli_argparse", "dynkintrans.exact", "dynkintrans.transforms"]),
     (["check", "Q10", "A5", "--no-cache"],
      ["dynkintrans.catalog", "dynkintrans.exact", "dynkintrans.transforms"]),
     (["catalog", "Q10", "--cache-dir", "{empty}"],
      ["dynkintrans.catalog", "dynkintrans.exact", "dynkintrans.transforms"]),
-], ids=["import", "warm-check", "transform", "computed-check", "computed-catalog"])
+    (["verify", "--cache-dir", "{cache}"],
+     ["dynkintrans._catalog_type", "dynkintrans._cli_argparse", "dynkintrans.catalog",
+      "dynkintrans.exact", "dynkintrans.transforms"]),
+], ids=["import", "warm-check", "transform", "computed-check", "computed-catalog", "verify"])
 def test_each_command_loads_exactly_its_package_modules(
     argv, more, all_catalogs, catalog_cache_dir, tmp_path
 ):
@@ -617,7 +646,8 @@ def test_each_command_loads_exactly_its_package_modules(
     CLI, then after running ``argv`` (a warm ``check`` reads the session cache):
     every command loads the graph layer, which holds the step values, and
     besides it only the layers that the command uses: the exact layer only
-    with the transform engine; a computed catalog or answer builds no ``Catalog``."""
+    with the transform engine; a computed catalog or answer builds no ``Catalog``;
+    and only ``transform`` and ``verify`` load the argparse path, ``_cli_argparse``."""
     argv = [arg.format(cache=catalog_cache_dir, empty=tmp_path / "empty") for arg in argv]
     script = (
         "import sys, dynkintrans.cli\n"
@@ -661,10 +691,11 @@ def test_warm_check_loads_only_what_its_answer_reads(all_catalogs, catalog_cache
     ``dataclasses`` and, with it, ``inspect``; it enumerates nothing, so
     neither the transform engine nor the exact layer, with ``fractions`` and
     ``decimal``, loads; and its plain command line is read without
-    ``argparse``, which would load ``shutil`` for the help width."""
+    ``argparse``, which would load ``shutil`` for the help width, or the
+    parser module."""
     unused = ["tempfile", "dataclasses", "inspect", "argparse", "shutil", "fractions",
-              "decimal", "dynkintrans._catalog_type", "dynkintrans.exact",
-              "dynkintrans.transforms"]
+              "decimal", "dynkintrans._catalog_type", "dynkintrans._cli_argparse",
+              "dynkintrans.exact", "dynkintrans.transforms"]
     argv = ["check", "Z13", "A7+A4", "--cache-dir", str(catalog_cache_dir)]
     assert _modules_loaded(unused, argv) == "0 [] []"
 
@@ -673,9 +704,10 @@ def test_computed_catalog_loads_only_what_it_prints(tmp_path):
     """A ``catalog`` computed into an empty cache dir prints and writes its
     member tuple, so it builds no ``Catalog``, whose module alone loads
     ``dataclasses`` and, with it, ``inspect``; it parses no JSON; and its plain
-    command line is read without ``argparse``, which would load ``gettext``."""
+    command line is read without ``argparse``, which would load ``gettext``, or
+    the parser module."""
     unused = ["argparse", "gettext", "dataclasses", "inspect", "json",
-              "dynkintrans._catalog_type"]
+              "dynkintrans._catalog_type", "dynkintrans._cli_argparse"]
     argv = ["catalog", "Q10", "--cache-dir", str(tmp_path / "empty")]
     assert _modules_loaded(unused, argv) == "0 [] []"
     assert (tmp_path / "empty" / f"Q10-v{ENGINE_VERSION}.json").is_file()
