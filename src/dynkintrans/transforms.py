@@ -138,7 +138,10 @@ def apply(g: DynkinGraph, choice: Choice) -> DynkinGraph:
 # (descriptor, coefficient mod g) classes of the vertices it lists.  At
 # g = 1 a class is a descriptor, so that is the residual's type product; at
 # g > 1 it is (g, key), the key a sum of one 5-bit field per piece entry.
-# (Without the mod-g classes, D9+BC1 loses A5+A1+A1+A1+A1.)
+# (Without the mod-g classes, D9+BC1 loses A5+A1+A1+A1+A1.)  No two A-parts
+# kept give the same keys over all their B, on every core the digests pin
+# (``test_no_two_tie_a_parts_share_their_options``).  So no signature read off
+# the options can be coarser than this one.
 #
 # Both tables read one residual pass.  ``residual_types`` keeps, per residual
 # mask, the piece of its lowest vertex; the rest of the mask comes before it,

@@ -10,10 +10,10 @@ through ``extend``: in the replays, and in ``finite_part`` for the
 reflection closure, whose coefficients must come out in the layout's
 vertex order.
 
-``literal_tie_table`` is the one exception: it checks the signature
-quotient and the class minima of one core's tie table, not the recognizer
-or the fusion rule, so it reads the core's piece descriptors and the
-engine's ``_settle``.
+``literal_tie_table`` and ``literal_tie_options`` are the one exception:
+they check the signature quotient and the class minima of one core's tie
+table, not the recognizer or the fusion rule, so they read the core's piece
+descriptors and the engine's ``_settle``.
 """
 
 from __future__ import annotations
@@ -291,31 +291,41 @@ def _mask_pieces(adj: list[int], mask: int) -> list[int]:
 
 def literal_tie_table(core) -> dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]]:
     """{(open descriptors or None, residual types): smallest (A, B)} of one
-    engine core, over every nonempty A and every B of at most three vertices
-    with a descriptor, in distinct pieces of the residual, with gcd(A
-    coefficients, B-coefficient sum) = 1, that ``_settle`` keeps.  No
-    signature, no class minimum and no visiting order: every (A, B) is tried
-    and the smallest kept per key."""
-    n, coeff = core.size, core.coeff
+    engine core, over every nonempty A and the options of each
+    (``literal_tie_options``).  No signature, no class minimum and no visiting
+    order: every (A, B) is tried and the smallest kept per key."""
     best: dict[tuple, tuple] = {}
-    for amask in range(1, 1 << n):
-        a = tuple(v for v in range(n) if amask >> v & 1)
-        g = gcd(*(coeff[v] for v in a))
-        residual, groups = 1, []  # per piece: its (vertex, prime, descriptor, coefficient)
-        for piece in _mask_pieces(core.adj, core.full & ~amask):
-            p, pairs = core.piece(piece)
-            residual *= p
-            if pairs:
-                groups.append([(v, p, d, coeff[v]) for v, d in pairs])
-        for b in _one_per_piece(groups):
-            vs, ps, ds, cs = zip(*b) if b else ((), (), (), ())
-            if gcd(g, sum(cs)) != 1 or (join := _settle((), ds)) is None:
-                continue
-            extra, still_open = join
-            key = (still_open, residual * extra // prod(ps))
+    for amask in range(1, 1 << core.size):
+        a = tuple(v for v in range(core.size) if amask >> v & 1)
+        for key, b in literal_tie_options(core, amask).items():
             old = best.get(key)
-            if old is None or (a, vs) < old:
-                best[key] = (a, vs)
+            if old is None or (a, b) < old:
+                best[key] = (a, b)
+    return best
+
+
+def literal_tie_options(core, amask: int) -> dict[tuple, tuple[int, ...]]:
+    """{(open descriptors or None, residual types): smallest B} of the A-part
+    ``amask`` of one engine core, over every B of at most three vertices with
+    a descriptor, in distinct pieces of the residual, with gcd(A coefficients,
+    B-coefficient sum) = 1, that ``_settle`` keeps."""
+    coeff = core.coeff
+    g = gcd(*(coeff[v] for v in range(core.size) if amask >> v & 1))
+    residual, groups = 1, []  # per piece: its (vertex, prime, descriptor, coefficient)
+    for piece in _mask_pieces(core.adj, core.full & ~amask):
+        p, pairs = core.piece(piece)
+        residual *= p
+        if pairs:
+            groups.append([(v, p, d, coeff[v]) for v, d in pairs])
+    best: dict[tuple, tuple[int, ...]] = {}
+    for b in _one_per_piece(groups):
+        vs, ps, ds, cs = zip(*b) if b else ((), (), (), ())
+        if gcd(g, sum(cs)) != 1 or (join := _settle((), ds)) is None:
+            continue
+        extra, still_open = join
+        key = (still_open, residual * extra // prod(ps))
+        if key not in best or vs < best[key]:
+            best[key] = vs
     return best
 
 

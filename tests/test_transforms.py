@@ -45,6 +45,7 @@ from dynkintrans.transforms import (
 from oracles import (
     finite_part,
     gram_isomorphic,
+    literal_tie_options,
     literal_tie_table,
     naive_elementary_all,
     naive_elementary_witnesses,
@@ -319,6 +320,18 @@ class TestInvariants:
             assert table.get(key) == literal.get(key), (
                 f"{ct.name}, key ({descs}, {_decode_graph(types).name}): "
                 f"table {table.get(key)}, literal {literal.get(key)}")
+
+    @pytest.mark.parametrize("ct", CORE_TYPES, ids=lambda ct: ct.name)
+    def test_no_two_tie_a_parts_share_their_options(self, ct):
+        # tie_reps keeps one A-part per signature; were two of them to give
+        # the same keys over every admissible B, a coarser signature would
+        # build the same table, so this bounds from below any signature read
+        # off the options
+        core, first = _CompCore(ct), {}
+        for a, _g, _entries in core.tie_reps():
+            keys = frozenset(literal_tie_options(core, a))
+            other = first.setdefault(keys, a)
+            assert other == a, f"{ct.name}: A-parts {bin(other)} and {bin(a)} share their options"
 
     def test_clear_transform_cache_leaves_no_core(self, monkeypatch):
         # the transform sweep measures per-call work only if a clear drops
