@@ -19,8 +19,8 @@ _PUBLIC = {
     for module, names in {
         "graphs": """A BC1 ComponentType D DynkinGraph E EMPTY ElementaryChoice G1 G2
             NotADynkinGraph ParseError TieChoice TransformStep parse_name""",
-        "exact": "ExtendedGraph LabeledGraph Vertex classify extend",
-        "transforms": "GraphTooLarge InvalidChoice apply apply_labeled elementary_all tie_all",
+        "transforms": """ExtendedGraph GraphTooLarge InvalidChoice LabeledGraph Vertex apply
+            apply_labeled classify elementary_all extend tie_all""",
         "_catalog_type": "Catalog",
         "catalog": """CatalogMember ENGINE_VERSION QueryNotADE SINGULARITY_CLASSES SingularityClass
             build_catalog catalog_from_json catalog_to_json membership singularity_class""",

@@ -35,9 +35,8 @@ def _cmd_transform(args) -> int:
 def _verify_checks(full: bool, cache_kwargs: dict):
     """Yield (name, ok, detail) tuples for the regression suite."""
     from .catalog import SINGULARITY_CLASSES, build_catalog, is_published
-    from .exact import check_extension_identity
     from .graphs import A, BC1, D, E, G1, G2
-    from .transforms import elementary_all, tie_all
+    from .transforms import check_extension_identity, elementary_all, tie_all
 
     try:
         for ct in (A(1), A(5), D(4), D(7), E(6), E(7), E(8), G2, G1, BC1):

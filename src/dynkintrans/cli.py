@@ -12,7 +12,7 @@ the ``transform`` and ``verify`` handlers.  Importing this module loads only the
 graph layer, which holds the step values.  ``catalog``, ``check`` and ``verify``
 import the catalog layer when they run; only ``verify`` builds a ``Catalog``, the
 others read member tuples.  ``transform`` and ``verify`` import the transform
-engine and the exact layer, as does a catalog that is computed, not read.
+engine, as does a catalog that is computed, not read.
 """
 
 from __future__ import annotations
@@ -180,4 +180,7 @@ def run() -> None:
 
 
 if __name__ == "__main__":
+    # under ``python -m`` this module also serves as dynkintrans.cli, which
+    # ``_cli_argparse`` imports, so cli.py is not loaded a second time
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     run()

@@ -11,8 +11,8 @@ unrepresentable: a root of norm 1 never occurs here.
 
 The recorded steps of a witness, ``TransformStep`` and its two choices, live
 here too, as does the layout of each extended component: its norm codes,
-edges and coefficients.  The exact layer, ``exact``, builds the labeled
-graphs from the layouts.
+edges and coefficients.  ``transforms`` builds the exact labeled graphs
+from the layouts.
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ class TransformStep(_Value):
 
 # The recipe of the extended graph of one component type; its added vertex, role "x", is last.
 # ``norms`` are norm codes and ``edges`` are (i, j, inner product), each an int or the
-# string of a fraction; ``exact`` reads both as ``Fraction`` values.
+# string of a fraction; ``transforms`` reads both as ``Fraction`` values.
 _Layout = namedtuple("_Layout", "norms edges roles coeffs")
 _LONG, _HALF, _SHORT = range(3)  # the norm codes of 2, 1/2 and 2/3
 
@@ -337,8 +337,8 @@ def extended_vertex_ids(g: DynkinGraph) -> list[str]:
     return [vid for _, _, ids in _named_layouts(g) for vid in ids]
 
 
-def __getattr__(name: str):  # PEP 562: the exact-layer names that perfbench/certify.py reads here
+def __getattr__(name: str):  # PEP 562: the labeled-graph names that perfbench/certify.py reads here
     if name in ("extend", "Vertex", "LabeledGraph", "NORM_LONG", "ORDINARY_EDGE"):
-        from . import exact
-        return getattr(exact, name)
+        from . import transforms
+        return getattr(transforms, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,7 +6,7 @@ isomorphism search against reference diagrams drawn from Bourbaki's plates,
 transformations are replayed directly from their definitions on labeled
 graphs, highest-root coefficients are recomputed by reflection closure, and
 short vectors by a plain box search.  The engine's layout is read only
-through ``extend``: in the replays, and in ``finite_part`` for the
+through ``transforms.extend``: in the replays, and in ``finite_part`` for the
 reflection closure, whose coefficients must come out in the layout's
 vertex order.
 
@@ -23,9 +23,8 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Iterator
 
-from dynkintrans.exact import NORM_LONG, ORDINARY_EDGE, LabeledGraph, Vertex, extend
 from dynkintrans.graphs import A, BC1, ComponentType, D, DynkinGraph, E, G1, G2
-from dynkintrans.transforms import _settle
+from dynkintrans.transforms import NORM_LONG, ORDINARY_EDGE, LabeledGraph, Vertex, _settle, extend
 
 
 def gram(lg: LabeledGraph) -> tuple[tuple[Fraction, ...], ...]:

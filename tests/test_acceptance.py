@@ -18,7 +18,6 @@ from dynkintrans.catalog import (
     clear_memory_cache,
     membership,
 )
-from dynkintrans.exact import check_extension_identity
 from dynkintrans.graphs import (
     A,
     BC1,
@@ -31,6 +30,7 @@ from dynkintrans.graphs import (
 )
 from dynkintrans.transforms import (
     apply_labeled,
+    check_extension_identity,
     clear_transform_cache,
     elementary_all,
     tie_all,

@@ -584,12 +584,10 @@ class TestVerifyCommand:
         assert "verify-crashed" not in out
 
     def test_crashed_check_is_reported(self, cli, monkeypatch):
-        from dynkintrans import exact
-
         def crash(ct):
             raise RuntimeError("table unreadable")
 
-        monkeypatch.setattr(exact, "check_extension_identity", crash)
+        monkeypatch.setattr(transforms, "check_extension_identity", crash)
         code, out, _ = cli("verify")
         assert code == 1
         assert out == "FAIL verify-crashed: RuntimeError: table unreadable\n1 check(s) failed\n"
@@ -630,14 +628,14 @@ _CLI_MODULES = ["dynkintrans", "dynkintrans.cli", "dynkintrans.graphs"]
     ([], []),
     (["check", "Z13", "A7+A4", "--cache-dir", "{cache}"], ["dynkintrans.catalog"]),
     (["transform", "D6", "--op", "tie"],
-     ["dynkintrans._cli_argparse", "dynkintrans.exact", "dynkintrans.transforms"]),
+     ["dynkintrans._cli_argparse", "dynkintrans.transforms"]),
     (["check", "Q10", "A5", "--no-cache"],
-     ["dynkintrans.catalog", "dynkintrans.exact", "dynkintrans.transforms"]),
+     ["dynkintrans.catalog", "dynkintrans.transforms"]),
     (["catalog", "Q10", "--cache-dir", "{empty}"],
-     ["dynkintrans.catalog", "dynkintrans.exact", "dynkintrans.transforms"]),
+     ["dynkintrans.catalog", "dynkintrans.transforms"]),
     (["verify", "--cache-dir", "{cache}"],
      ["dynkintrans._catalog_type", "dynkintrans._cli_argparse", "dynkintrans.catalog",
-      "dynkintrans.exact", "dynkintrans.transforms"]),
+      "dynkintrans.transforms"]),
 ], ids=["import", "warm-check", "transform", "computed-check", "computed-catalog", "verify"])
 def test_each_command_loads_exactly_its_package_modules(
     argv, more, all_catalogs, catalog_cache_dir, tmp_path
@@ -645,9 +643,9 @@ def test_each_command_loads_exactly_its_package_modules(
     """The ``dynkintrans`` modules of a fresh ``python -S`` after importing the
     CLI, then after running ``argv`` (a warm ``check`` reads the session cache):
     every command loads the graph layer, which holds the step values, and
-    besides it only the layers that the command uses: the exact layer only
-    with the transform engine; a computed catalog or answer builds no ``Catalog``;
-    and only ``transform`` and ``verify`` load the argparse path, ``_cli_argparse``."""
+    besides it only the layers that the command uses: a computed catalog or
+    answer builds no ``Catalog``; and only ``transform`` and ``verify`` load
+    the argparse path, ``_cli_argparse``."""
     argv = [arg.format(cache=catalog_cache_dir, empty=tmp_path / "empty") for arg in argv]
     script = (
         "import sys, dynkintrans.cli\n"
@@ -673,6 +671,26 @@ def test_transform_loads_only_graphs_and_transforms():
     assert _modules_loaded(unused, ["transform", "D6", "--op", "tie"]) == "0 [] []"
 
 
+def test_python_m_loads_the_cli_once():
+    """Under ``python -m dynkintrans.cli`` the running module serves as
+    ``dynkintrans.cli``, so a command line that ``_plain`` does not read, whose
+    ``_cli_argparse`` imports ``.cli``, loads no second copy of cli.py: under
+    ``-X importtime`` no line imports ``dynkintrans.cli``."""
+    import dynkintrans
+
+    src = str(Path(dynkintrans.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "dynkintrans.cli",
+         "transform", "A1", "--op", "tie"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert run.stdout == "A1\nA1+A1\nA2\n"
+    assert "dynkintrans._cli_argparse" in run.stderr
+    assert [line for line in run.stderr.splitlines()
+            if line.rsplit("|", 1)[-1].strip() == "dynkintrans.cli"] == []
+
+
 def test_lattice_checks_load_no_dynkintrans():
     """The lattice arithmetic of the checks stands apart from the package:
     importing ``tests/lattice.py`` loads no ``dynkintrans`` module."""
@@ -689,13 +707,13 @@ def test_lattice_checks_load_no_dynkintrans():
 def test_warm_check_loads_only_what_its_answer_reads(all_catalogs, catalog_cache_dir):
     """A warm answer builds no ``Catalog``, whose module alone loads
     ``dataclasses`` and, with it, ``inspect``; it enumerates nothing, so
-    neither the transform engine nor the exact layer, with ``fractions`` and
-    ``decimal``, loads; and its plain command line is read without
+    the transform engine, with ``fractions`` and ``decimal``, does not
+    load; and its plain command line is read without
     ``argparse``, which would load ``shutil`` for the help width, or the
     parser module."""
     unused = ["tempfile", "dataclasses", "inspect", "argparse", "shutil", "fractions",
               "decimal", "dynkintrans._catalog_type", "dynkintrans._cli_argparse",
-              "dynkintrans.exact", "dynkintrans.transforms"]
+              "dynkintrans.transforms"]
     argv = ["check", "Z13", "A7+A4", "--cache-dir", str(catalog_cache_dir)]
     assert _modules_loaded(unused, argv) == "0 [] []"
 

@@ -13,17 +13,6 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynkintrans.exact import (
-    ExtendedGraph,
-    LabeledGraph,
-    NORM_HALF,
-    NORM_LONG,
-    NORM_SHORT,
-    Vertex,
-    check_extension_identity,
-    classify,
-    extend,
-)
 from dynkintrans.graphs import (
     A,
     BC1,
@@ -40,7 +29,20 @@ from dynkintrans.graphs import (
     parse_name,
 )
 from dynkintrans.catalog import CatalogMember, SingularityClass
-from dynkintrans.transforms import ElementaryChoice, TieChoice, TransformStep
+from dynkintrans.transforms import (
+    ElementaryChoice,
+    ExtendedGraph,
+    LabeledGraph,
+    NORM_HALF,
+    NORM_LONG,
+    NORM_SHORT,
+    TieChoice,
+    TransformStep,
+    Vertex,
+    check_extension_identity,
+    classify,
+    extend,
+)
 
 from lattice import determinant, ldl
 from oracles import (
@@ -177,7 +179,7 @@ def test_catalog_is_the_only_dataclass():
     """Every other value class is a ``graphs._Value``, so only ``_catalog_type``
     loads ``dataclasses``; ``Catalog`` stays one for ``dataclasses.replace``."""
     modules = [importlib.import_module(f"dynkintrans.{name}")
-               for name in ("graphs", "exact", "transforms", "catalog", "_catalog_type", "cli")]
+               for name in ("graphs", "transforms", "catalog", "_catalog_type", "cli")]
     found = [f"{cls.__module__}.{cls.__name__}" for mod in modules for cls in vars(mod).values()
              if isinstance(cls, type) and cls.__module__ == mod.__name__
              and hasattr(cls, "__dataclass_fields__")]
@@ -472,14 +474,14 @@ class TestExtend:
             check_extension_identity(E(8))
 
     def test_extend_checks_each_table_once(self, monkeypatch):
-        from dynkintrans import exact
         from dynkintrans import graphs as gmod
+        from dynkintrans import transforms
 
         extend(parse_name("E7+A2"))
         checked = []
-        real = exact.check_extension_identity
+        real = transforms.check_extension_identity
         monkeypatch.setattr(
-            exact, "check_extension_identity", lambda ct: checked.append(ct) or real(ct)
+            transforms, "check_extension_identity", lambda ct: checked.append(ct) or real(ct)
         )
         extend(parse_name("E7+2A2"))
         assert checked == []

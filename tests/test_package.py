@@ -4,7 +4,7 @@ import pytest
 
 import dynkintrans
 
-MODULES = ("graphs", "exact", "transforms", "catalog", "_catalog_type")
+MODULES = ("graphs", "transforms", "catalog", "_catalog_type")
 
 
 def test_all_lists_exactly_the_public_names():
@@ -70,12 +70,12 @@ def test_step_classes_are_one_class_under_every_name(all_catalogs):
 
 
 def test_graphs_forwards_only_the_certifier_names():
-    """``graphs`` forwards the five exact-layer names that the benchmark's
-    certifier reads from it, each the current object of ``exact``, and no other."""
-    from dynkintrans import exact, graphs
+    """``graphs`` forwards the five labeled-graph names that the benchmark's
+    certifier reads from it, each the current object of ``transforms``, and no other."""
+    from dynkintrans import graphs, transforms
 
     for name in ("extend", "Vertex", "LabeledGraph", "NORM_LONG", "ORDINARY_EDGE"):
-        assert getattr(graphs, name) is getattr(exact, name)
+        assert getattr(graphs, name) is getattr(transforms, name)
         assert name not in vars(graphs)
     for name in ("ExtendedGraph", "classify", "check_extension_identity", "NORM_SHORT",
                  "_recognize", "Fraction", "extent"):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 
-from dynkintrans.exact import extend
 from dynkintrans.graphs import A, BC1, D, DynkinGraph, E, G1, G2, parse_name
 from dynkintrans.transforms import (
     _chain,
@@ -31,6 +30,7 @@ from dynkintrans.transforms import (
     _decode_graph,
     clear_transform_cache,
     elementary_all,
+    extend,
     tie_all,
 )
 

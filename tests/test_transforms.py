@@ -8,7 +8,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dynkintrans.exact import _pieces, _recognize, extend
 from dynkintrans.graphs import (
     A,
     BC1,
@@ -32,13 +31,16 @@ from dynkintrans.transforms import (
     _CompCore,
     _decode_graph,
     _lex_masks,
+    _pieces,
     _prime,
     _reach,
+    _recognize,
     _winners,
     apply,
     apply_labeled,
     clear_transform_cache,
     elementary_all,
+    extend,
     tie_all,
 )
 
