@@ -180,7 +180,6 @@ def run() -> None:
 
 
 if __name__ == "__main__":
-    # under ``python -m`` this module also serves as dynkintrans.cli, which
-    # ``_cli_argparse`` imports, so cli.py is not loaded a second time
+    # under ``python -m``, also serve as the dynkintrans.cli that _cli_argparse imports
     sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     run()
