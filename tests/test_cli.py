@@ -593,18 +593,21 @@ class TestVerifyCommand:
         assert out == "FAIL verify-crashed: RuntimeError: table unreadable\n1 check(s) failed\n"
 
 
-def _last_line(script, argv=()):
-    """The last line printed by ``script`` in a fresh ``python -S`` that finds
-    this package."""
+def _python_s(*args):
+    """The finished run of a fresh ``python -S`` with ``args`` that finds this package."""
     import dynkintrans
 
     src = str(Path(dynkintrans.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run(
-        [sys.executable, "-S", "-c", script, *argv],
-        capture_output=True, text=True, env=env, check=True,
+    return subprocess.run(
+        [sys.executable, "-S", *args], capture_output=True, text=True, env=env, check=True,
     )
-    return run.stdout.splitlines()[-1]
+
+
+def _last_line(script, argv=()):
+    """The last line printed by ``script`` in a fresh ``python -S`` that finds
+    this package."""
+    return _python_s("-c", script, *argv).stdout.splitlines()[-1]
 
 
 def _modules_loaded(modules, argv):
@@ -676,15 +679,7 @@ def test_python_m_loads_the_cli_once():
     ``dynkintrans.cli``, so a command line that ``_plain`` does not read, whose
     ``_cli_argparse`` imports ``.cli``, loads no second copy of cli.py: under
     ``-X importtime`` no line imports ``dynkintrans.cli``."""
-    import dynkintrans
-
-    src = str(Path(dynkintrans.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-m", "dynkintrans.cli",
-         "transform", "A1", "--op", "tie"],
-        capture_output=True, text=True, env=env, check=True,
-    )
+    run = _python_s("-X", "importtime", "-m", "dynkintrans.cli", "transform", "A1", "--op", "tie")
     assert run.stdout == "A1\nA1+A1\nA2\n"
     assert "dynkintrans._cli_argparse" in run.stderr
     assert [line for line in run.stderr.splitlines()
